@@ -128,47 +128,40 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
         w, b, trace = linear.train_linear_svm(X, y, sw, hp["c"], hp["learning_rate"], hp["epochs"])
         state = {"weights": w, "bias": b}
     elif fam == "decision_tree":
-        tree = trees.build_gini_tree(X, train_set.labels, sw, hp["max_depth"], hp["min_leaf"])
+        tree = trees.build_gini_tree(X, trees.column_ranks(X), train_set.labels, sw,
+                                     hp["max_depth"], hp["min_leaf"])
         state = {"tree": tree}
     elif fam == "random_forest":
         n = len(X)
         sub = max(1, int(round(math.sqrt(X.shape[1]))))
+        ranks = trees.column_ranks(X)
         forest, importance = [], np.zeros(X.shape[1])
         for t in range(hp["n_trees"]):
             rng = np.random.default_rng([spec.seed, t])
             boot = rng.integers(0, n, size=n)
             forest.append(trees.build_gini_tree(
-                X[boot], train_set.labels[boot], sw[boot],
+                X[boot], ranks[boot], train_set.labels[boot], sw[boot],
                 hp["max_depth"], hp["min_leaf"],
                 rng=rng, n_subsample=sub, importance=importance))
         state = {"trees": forest, "importance": importance}
-    elif fam == "gradient_boosting":
+    elif fam in ("gradient_boosting", "regularized_boosting"):
+        ranks = trees.column_ranks(X)
+        depth, leaf = hp["max_depth"], hp["min_leaf"]
+        if fam == "gradient_boosting":
+            def fit_round(p):
+                return trees.build_variance_tree(X, ranks, y - p, sw, p * (1 - p), depth, leaf)
+        else:
+            def fit_round(p):
+                return trees.build_second_order_tree(X, ranks, p - y, p * (1 - p), sw, depth,
+                                                     leaf, hp["leaf_l2"], hp["gamma"])
         base = _prior_logodds(y, sw)
         f = np.full(len(y), base)
         ensemble = []
         for _ in range(hp["n_rounds"]):
             trace.append(linear.log_loss(f, y, sw))
             if not np.isfinite(trace[-1]):
-                raise TrainingDiverged("gradient boosting diverged", trace)
-            p = sigmoid(f)
-            tree = trees.build_variance_tree(X, y - p, sw, p * (1 - p),
-                                             hp["max_depth"], hp["min_leaf"])
-            f = f + hp["shrinkage"] * tree.apply(X)
-            ensemble.append(tree)
-        trace.append(linear.log_loss(f, y, sw))
-        state = {"base": base, "trees": ensemble, "shrinkage": hp["shrinkage"]}
-    elif fam == "regularized_boosting":
-        base = _prior_logodds(y, sw)
-        f = np.full(len(y), base)
-        ensemble = []
-        for _ in range(hp["n_rounds"]):
-            trace.append(linear.log_loss(f, y, sw))
-            if not np.isfinite(trace[-1]):
-                raise TrainingDiverged("regularized boosting diverged", trace)
-            p = sigmoid(f)
-            tree = trees.build_second_order_tree(X, p - y, p * (1 - p), sw,
-                                                 hp["max_depth"], hp["min_leaf"],
-                                                 hp["leaf_l2"], hp["gamma"])
+                raise TrainingDiverged(f"{fam.replace('_', ' ')} diverged", trace)
+            tree = fit_round(sigmoid(f))
             f = f + hp["shrinkage"] * tree.apply(X)
             ensemble.append(tree)
         trace.append(linear.log_loss(f, y, sw))
