@@ -20,7 +20,6 @@ from .metrics import (ConfusionMatrix, MetricSet, RocCurve, confusion,
 from .models import (ModelSpec, TrainedModel, gradient_check, model_from_json,
                      model_to_json, predict_scores, train)
 from .config import PipelineConfig, load_config
-from .pipeline import (EvalReport, emit_report, reproduce, run_pipeline,
-                       run_scenario)
+from .pipeline import EvalReport, emit_report, reproduce, run_pipeline
 
 __version__ = "0.1.0"

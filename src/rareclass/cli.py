@@ -14,7 +14,7 @@ from pathlib import Path
 from . import models
 from .config import ConfigError, PipelineConfig, load_config
 from .data import column_stats, load_secom
-from .pipeline import PipelineError, emit_report, reproduce, run_pipeline
+from .pipeline import PipelineError, emit_report, reproduce, run_pipeline, write_drops
 
 
 def _cfg_from_args(args) -> PipelineConfig:
@@ -44,13 +44,8 @@ def cmd_eda(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = _cfg_from_args(args)
     res = run_pipeline(cfg, stop_after="prune")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["column_id,reason,threshold,kept_partner"]
-    for log in res.drop_logs.values():
-        lines.extend(log.to_csv().splitlines()[1:])
-    (out / "drops.csv").write_text("\n".join(lines) + "\n")
-    print(f"{res.pruned.n_cols} columns survive pruning; drop log in {out / 'drops.csv'}")
+    path = write_drops(res.drop_logs, cfg.out_dir)
+    print(f"{res.pruned.n_cols} columns survive pruning; drop log in {path}")
     return 0
 
 
@@ -130,10 +125,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ConfigError, OSError, ValueError) as e:
+    except (PipelineError, ConfigError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

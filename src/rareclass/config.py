@@ -92,16 +92,39 @@ class PipelineConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-_SECTION_KEYS = {
-    "data": {"loader", "data_path", "labels_path", "label_column", "delimiter"},
-    "preprocess": {"missing_drop_threshold", "correlation_threshold"},
-    "split": {"mode", "test_fraction", "k"},
-    "impute": {"method", "k", "iterations", "initial_fill", "noise_mode",
-               "skew_threshold", "overrides"},
-    "featsel": {"roster", "vote_threshold", "n_keep"},
-    "resample": {"scenario", "over_ratio", "under_ratio", "k_neighbors"},
-    "models": {"families"},
-    "run": {"seed", "out_dir"},
+def _parse_overrides(value: str) -> dict:
+    """`3:median, 9:forward` -> {3: "median", 9: "forward"}."""
+    pairs = (pair.split(":") for pair in value.split(",")) if value.strip() else ()
+    return {int(cid): strat.strip() for cid, strat in pairs}
+
+
+def _parse_families(value: str) -> tuple:
+    return tuple(f.strip() for f in value.split(",") if f.strip())
+
+
+# section -> INI key -> (PipelineConfig field, parser); the only keys and
+# sections load_config accepts, apart from the [model.<family>] sections
+CONFIG_KEYS = {
+    "data": {"loader": ("loader", str), "data_path": ("data_path", str),
+             "labels_path": ("labels_path", str),
+             "label_column": ("label_column", str), "delimiter": ("delimiter", str)},
+    "preprocess": {"missing_drop_threshold": ("missing_drop_threshold", float),
+                   "correlation_threshold": ("correlation_threshold", float)},
+    "split": {"mode": ("split_mode", str), "test_fraction": ("test_fraction", float),
+              "k": ("k_folds", int)},
+    "impute": {"method": ("impute_method", str), "k": ("knn_k", int),
+               "iterations": ("mice_iterations", int),
+               "initial_fill": ("mice_initial_fill", str),
+               "noise_mode": ("mice_noise_mode", str),
+               "skew_threshold": ("skew_threshold", float),
+               "overrides": ("impute_overrides", _parse_overrides)},
+    "featsel": {"roster": ("roster", str), "vote_threshold": ("vote_threshold", int),
+                "n_keep": ("featsel_n_keep", int)},
+    "resample": {"scenario": ("scenario", str), "over_ratio": ("over_ratio", float),
+                 "under_ratio": ("under_ratio", float),
+                 "k_neighbors": ("smote_k_neighbors", int)},
+    "models": {"families": ("model_families", _parse_families)},
+    "run": {"seed": ("seed", int), "out_dir": ("out_dir", str)},
 }
 
 
@@ -118,52 +141,13 @@ def load_config(path) -> PipelineConfig:
                 k: float(v) if "." in v or "e" in v.lower() else int(v)
                 for k, v in parser.items(section)}
             continue
-        if section not in _SECTION_KEYS:
+        if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser.options(section):
-            if key not in _SECTION_KEYS[section]:
+        keys = CONFIG_KEYS[section]
+        for key, value in parser.items(section):
+            if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        items = dict(parser.items(section))
-        if section == "data":
-            cfg.loader = items.get("loader", cfg.loader)
-            cfg.data_path = items.get("data_path", cfg.data_path)
-            cfg.labels_path = items.get("labels_path", cfg.labels_path)
-            cfg.label_column = items.get("label_column", cfg.label_column)
-            cfg.delimiter = items.get("delimiter", cfg.delimiter)
-        elif section == "preprocess":
-            cfg.missing_drop_threshold = float(items.get("missing_drop_threshold",
-                                                         cfg.missing_drop_threshold))
-            cfg.correlation_threshold = float(items.get("correlation_threshold",
-                                                        cfg.correlation_threshold))
-        elif section == "split":
-            cfg.split_mode = items.get("mode", cfg.split_mode)
-            cfg.test_fraction = float(items.get("test_fraction", cfg.test_fraction))
-            cfg.k_folds = int(items.get("k", cfg.k_folds))
-        elif section == "impute":
-            cfg.impute_method = items.get("method", cfg.impute_method)
-            cfg.knn_k = int(items.get("k", cfg.knn_k))
-            cfg.mice_iterations = int(items.get("iterations", cfg.mice_iterations))
-            cfg.mice_initial_fill = items.get("initial_fill", cfg.mice_initial_fill)
-            cfg.mice_noise_mode = items.get("noise_mode", cfg.mice_noise_mode)
-            cfg.skew_threshold = float(items.get("skew_threshold", cfg.skew_threshold))
-            if "overrides" in items and items["overrides"].strip():
-                for pair in items["overrides"].split(","):
-                    cid, strat = pair.split(":")
-                    cfg.impute_overrides[int(cid)] = strat.strip()
-        elif section == "featsel":
-            cfg.roster = items.get("roster", cfg.roster)
-            cfg.vote_threshold = int(items.get("vote_threshold", cfg.vote_threshold))
-            if "n_keep" in items:
-                cfg.featsel_n_keep = int(items["n_keep"])
-        elif section == "resample":
-            cfg.scenario = items.get("scenario", cfg.scenario)
-            cfg.over_ratio = float(items.get("over_ratio", cfg.over_ratio))
-            cfg.under_ratio = float(items.get("under_ratio", cfg.under_ratio))
-            cfg.smote_k_neighbors = int(items.get("k_neighbors", cfg.smote_k_neighbors))
-        elif section == "models":
-            cfg.model_families = tuple(f.strip() for f in items["families"].split(",") if f.strip())
-        elif section == "run":
-            cfg.seed = int(items.get("seed", cfg.seed))
-            cfg.out_dir = items.get("out_dir", cfg.out_dir)
+            name, parse = keys[key]
+            setattr(cfg, name, parse(value))
     cfg.validate()
     return cfg

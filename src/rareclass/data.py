@@ -8,7 +8,7 @@ unchanged through any downstream pruning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,10 +126,6 @@ class Dataset:
         idx = np.asarray(row_idx, dtype=np.int64)
         prov = self.provenance + ((record,) if record else ())
         return Dataset(self.features.take_rows(idx), self.labels[idx], prov)
-
-    def logged(self, operation: str, **parameters) -> "Dataset":
-        rec = ProvenanceRecord(operation, parameters)
-        return replace(self, provenance=self.provenance + (rec,))
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,7 @@ def select_mutual_info(train: Dataset, n_keep: int, n_bins: int = 8) -> Selector
         universe=tuple(int(c) for c in train.column_ids))
 
 
-def select_lasso(train: Dataset, lam: float, seed: int = 0,
+def select_lasso(train: Dataset, lam: float,
                  tol: float = 1e-7, max_sweeps: int = 10_000) -> SelectorDecision:
     """L1-regularized least squares on the +/-1 label, solved by cyclic
     coordinate descent on internally standardized columns.
@@ -217,7 +217,7 @@ def select_lasso(train: Dataset, lam: float, seed: int = 0,
         scores={int(c): abs(float(wj)) for c, wj in zip(train.column_ids, w)},
         universe=tuple(int(c) for c in train.column_ids),
         diagnostics={"objective_trace": objective, "kkt_residual": kkt,
-                     "n_sweeps": len(objective) - 1, "seed": seed})
+                     "n_sweeps": len(objective) - 1})
 
 
 def _forest_importance(train: Dataset, values: np.ndarray, seed: int,
@@ -275,10 +275,6 @@ _RFE_ESTIMATORS = ("logistic", "linear_svm", "forest")
 _SFS_ESTIMATORS = ("boosted_trees", "linear_svm")
 
 
-def _subset_dataset(train: Dataset, col_ids) -> Dataset:
-    return train.select_columns(list(col_ids))
-
-
 def _rank_scores(train: Dataset, estimator: str, seed: int, params: dict) -> np.ndarray:
     """Per-column importance for RFE: |coefficient| or forest gain."""
     cw = _minority_weight(train.labels)
@@ -309,7 +305,7 @@ def select_rfe(train: Dataset, estimator: str, n_keep: int,
     if estimator not in _RFE_ESTIMATORS:
         raise FeatselError(f"estimator must be one of {_RFE_ESTIMATORS}")
     params = estimator_params or {}
-    current = _subset_dataset(train, [int(c) for c in train.column_ids])
+    current = train.select_columns([int(c) for c in train.column_ids])
     elimination_order = []
     while current.n_cols > n_keep:
         score = _rank_scores(current, estimator, seed, params)
@@ -319,7 +315,7 @@ def select_rfe(train: Dataset, estimator: str, n_keep: int,
         drop = int(current.column_ids[order[0]])
         elimination_order.append(drop)
         keep = [int(c) for c in current.column_ids if int(c) != drop]
-        current = _subset_dataset(current, keep)
+        current = current.select_columns(keep)
     return SelectorDecision(
         f"rfe_{estimator}", tuple(int(c) for c in current.column_ids),
         universe=tuple(int(c) for c in train.column_ids),
@@ -338,7 +334,7 @@ def _cv_balanced_accuracy(train: Dataset, col_ids, estimator: str,
         spec = models.ModelSpec("linear_svm", {
             "epochs": params.get("epochs", 100),
             "learning_rate": params.get("learning_rate", 0.05)}, seed=seed)
-    sub = _subset_dataset(train, col_ids)
+    sub = train.select_columns(col_ids)
     scores = []
     for f in range(int(folds.max()) + 1):
         tr = np.nonzero(folds != f)[0]
@@ -350,49 +346,34 @@ def _cv_balanced_accuracy(train: Dataset, col_ids, estimator: str,
     return float(np.mean(scores))
 
 
-def select_sfs(train: Dataset, estimator: str, direction: str, n_keep: int,
+def select_sfs(train: Dataset, estimator: str, n_keep: int,
                cv_folds: int = 3, seed: int = 0,
                estimator_params: dict | None = None) -> SelectorDecision:
-    """Greedy sequential selection by mean cross-validated balanced
-    accuracy; score ties go to the lowest column id."""
+    """Greedy forward selection by mean cross-validated balanced accuracy;
+    score ties go to the lowest column id."""
     _check_train(train)
     _check_n_keep(n_keep, train.n_cols)
     if estimator not in _SFS_ESTIMATORS:
         raise FeatselError(f"estimator must be one of {_SFS_ESTIMATORS}")
-    if direction not in ("forward", "backward"):
-        raise FeatselError("direction must be forward or backward")
     if cv_folds < 2:
         raise FeatselError("cv_folds must be >= 2")
     params = estimator_params or {}
     folds = stratified_kfold(train, cv_folds, seed).fold_assignments
     all_ids = [int(c) for c in train.column_ids]
 
-    if direction == "forward":
-        chosen: list[int] = []
-        remaining = list(all_ids)
-        while len(chosen) < n_keep:
-            best = None
-            for c in remaining:
-                s = _cv_balanced_accuracy(train, chosen + [c], estimator, folds, seed, params)
-                if best is None or s > best[0] or (s == best[0] and c < best[1]):
-                    best = (s, c)
-            chosen.append(best[1])
-            remaining.remove(best[1])
-        selected = tuple(sorted(chosen))
-    else:
-        chosen = list(all_ids)
-        while len(chosen) > n_keep:
-            best = None
-            for c in chosen:
-                trial = [x for x in chosen if x != c]
-                s = _cv_balanced_accuracy(train, trial, estimator, folds, seed, params)
-                if best is None or s > best[0] or (s == best[0] and c < best[1]):
-                    best = (s, c)
-            chosen.remove(best[1])
-        selected = tuple(sorted(chosen))
+    chosen: list[int] = []
+    remaining = list(all_ids)
+    while len(chosen) < n_keep:
+        best = None
+        for c in remaining:
+            s = _cv_balanced_accuracy(train, chosen + [c], estimator, folds, seed, params)
+            if best is None or s > best[0] or (s == best[0] and c < best[1]):
+                best = (s, c)
+        chosen.append(best[1])
+        remaining.remove(best[1])
 
     return SelectorDecision(
-        f"sfs_{estimator}_{direction}", selected,
+        f"sfs_{estimator}_forward", tuple(sorted(chosen)),
         universe=tuple(all_ids),
         diagnostics={"cv_folds": cv_folds})
 
@@ -452,15 +433,15 @@ def run_default_roster(train: Dataset, master_seed: int = 0,
         select_mutual_info(train, n_keep, n_bins=4),
         select_mutual_info(train, n_keep, n_bins=8),
         select_mutual_info(train, n_keep, n_bins=16),
-        select_lasso(train, lam=0.005, seed=seed_for("lasso_a")),
-        select_lasso(train, lam=0.02, seed=seed_for("lasso_b")),
+        select_lasso(train, lam=0.005),
+        select_lasso(train, lam=0.02),
         select_boruta(train, max_iterations=20, alpha=0.05, seed=seed_for("boruta")),
         select_rfe(train, "logistic", n_keep, seed=seed_for("rfe_logistic")),
         select_rfe(train, "linear_svm", n_keep, seed=seed_for("rfe_linear_svm")),
         select_rfe(train, "forest", n_keep, seed=seed_for("rfe_forest")),
-        select_sfs(train, "boosted_trees", "forward", sfs_n_keep, cv_folds=2,
+        select_sfs(train, "boosted_trees", sfs_n_keep, cv_folds=2,
                    seed=seed_for("sfs_boosted_trees")),
-        select_sfs(train, "linear_svm", "forward", sfs_n_keep, cv_folds=2,
+        select_sfs(train, "linear_svm", sfs_n_keep, cv_folds=2,
                    seed=seed_for("sfs_linear_svm")),
     ]
     return decisions

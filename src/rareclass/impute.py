@@ -43,13 +43,6 @@ class ImputeLogEntry:
     fallback: bool = False
 
 
-def impute_log_csv(entries) -> str:
-    lines = ["row,column_id,method,value,fallback"]
-    for e in entries:
-        lines.append(f"{e.row},{e.column_id},{e.method},{e.value!r},{int(e.fallback)}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class SimpleImputePlan:
     """Per-column strategy with fill values fitted on training rows."""
@@ -160,7 +153,7 @@ def _fill_ordered(col: np.ndarray, strategy: str, fallback: float) -> np.ndarray
     return out
 
 
-def simple_impute(plan: SimpleImputePlan, d: Dataset, log: list | None = None) -> Dataset:
+def simple_impute(plan: SimpleImputePlan, d: Dataset) -> Dataset:
     """Fill every missing cell per the plan. Present cells are untouched."""
     if not plan.fill_values:
         raise ImputeError("plan has no fitted fill values; call fit_simple_plan first")
@@ -179,9 +172,6 @@ def simple_impute(plan: SimpleImputePlan, d: Dataset, log: list | None = None) -
             col[missing] = fill
         else:
             col[:] = _fill_ordered(col, strat, fill)
-        if log is not None:
-            for r in np.nonzero(missing)[0]:
-                log.append(ImputeLogEntry(int(r), cid, strat, float(col[r])))
     rec = ProvenanceRecord("simple_impute", {"strategies": dict(plan.strategies)})
     return d.with_values(v, rec)
 
@@ -260,8 +250,7 @@ def _initial_fill(values: np.ndarray, mode: str, train_mask: np.ndarray) -> np.n
     return out
 
 
-def mice_impute(p: MiceParams, train: Dataset, target: Dataset,
-                log: list | None = None) -> Dataset:
+def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
     """Chained-equation imputation: iteratively regress each incomplete
     column on all others and refill its missing entries.
 
@@ -303,10 +292,6 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset,
                 # singular even after damping: column-mean refill this sweep
                 miss = orig_missing[:, j]
                 state[miss, j] = ym
-                if log is not None:
-                    for r in np.nonzero(miss)[0]:
-                        log.append(ImputeLogEntry(int(r), int(train.column_ids[j]),
-                                                  "mice", float(ym), fallback=True))
                 continue
             miss = orig_missing[:, j]
             pred = (state[miss][:, others] - Xm) @ beta + ym
@@ -316,12 +301,6 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset,
                 pred = pred + rng.normal(0.0, sigma, size=len(pred))
             state[miss, j] = pred
 
-    if log is not None:
-        for j in incomplete:
-            cid = int(train.column_ids[j])
-            for r in np.nonzero(orig_missing[n_train:, j])[0]:
-                log.append(ImputeLogEntry(int(r), cid, "mice",
-                                          float(state[n_train + r, j])))
     rec = ProvenanceRecord("mice_impute", {
         "n_iterations": p.n_iterations, "initial_fill": p.initial_fill,
         "noise_mode": p.noise_mode, "seed": p.seed,

@@ -8,10 +8,11 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import featsel, impute, models, preprocess
+from . import featsel, impute, models, preprocess, resample
 from .config import PipelineConfig, ConfigError
 from .data import Dataset, column_stats, load_delimited, load_secom
 from .metrics import ConfusionMatrix, MetricSet, RocCurve, confusion, metric_set, roc_curve
@@ -20,14 +21,11 @@ __all__ = [
     "PipelineError",
     "ModelResult",
     "EvalReport",
-    "run_scenario",
     "run_pipeline",
     "reproduce",
     "emit_report",
+    "write_drops",
 ]
-
-STAGES = ("load", "eda", "prune", "split", "scale", "impute", "select",
-          "resample", "train", "evaluate")
 
 REFERENCE_TARGETS = {"recall": 0.96, "auc": 0.95, "precision": 0.66}
 
@@ -92,12 +90,6 @@ def _hash_rows(d: Dataset, idx: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _load(cfg: PipelineConfig) -> Dataset:
-    if cfg.loader == "secom":
-        return load_secom(cfg.data_path, cfg.labels_path)
-    return load_delimited(cfg.data_path, cfg.label_column, cfg.delimiter)
-
-
 def _missing_stats(d: Dataset) -> dict:
     present = d.features.present
     cells_missing = 1.0 - present.mean()
@@ -111,18 +103,71 @@ def _missing_stats(d: Dataset) -> dict:
     }
 
 
-def _impute_train_test(cfg: PipelineConfig, train_s: Dataset, test_s: Dataset,
-                       seed: int) -> tuple[Dataset, Dataset]:
+# Each stage is fn(cfg, res, work): it fills its PipelineResult fields and
+# passes what later stages need (test row indices, the split hash, the
+# scaled and imputed partitions, missing stats) on the `work` namespace.
+
+def _load(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+    if cfg.loader == "secom":
+        res.raw = load_secom(cfg.data_path, cfg.labels_path)
+    else:
+        res.raw = load_delimited(cfg.data_path, cfg.label_column, cfg.delimiter)
+
+
+def _eda(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+    res.stats = column_stats(res.raw)
+    work.missing_before = _missing_stats(res.raw)
+
+
+def _prune(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+    d, log_m = preprocess.drop_high_missing(res.raw, cfg.missing_drop_threshold)
+    d, log_c = preprocess.drop_constant(d)
+    d, log_r = preprocess.drop_correlated(d, cfg.correlation_threshold)
+    res.drop_logs = {"high_missing": log_m, "constant": log_c, "correlated": log_r}
+    res.pruned = d
+    work.missing_after = _missing_stats(d)
+
+
+def _split(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+    if cfg.split_mode == "kfold":
+        res.split = preprocess.stratified_kfold(res.pruned, cfg.k_folds, cfg.seed)
+        work.train_idx, work.test_idx = res.split.fold(0)
+    else:
+        res.split = preprocess.stratified_split(res.pruned, cfg.test_fraction, cfg.seed)
+        work.train_idx = res.split.train_row_indices
+        work.test_idx = res.split.test_row_indices
+    work.hash_at_split = _hash_rows(res.pruned, work.test_idx)
+
+
+def _scale(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+    train_d = res.pruned.take_rows(work.train_idx)
+    test_d = res.pruned.take_rows(work.test_idx)
+    # columns that became constant within the training partition
+    # cannot be scaled; drop them from both partitions
+    keep = [s.column_id for s in column_stats(train_d)
+            if not s.is_constant and s.missing_fraction < 1.0]
+    if len(keep) < train_d.n_cols:
+        train_d = train_d.select_columns(keep)
+        test_d = test_d.select_columns(keep)
+    res.scaler = preprocess.fit_scaler(train_d)
+    work.train = preprocess.apply_scaler(res.scaler, train_d)
+    work.test = preprocess.apply_scaler(res.scaler, test_d)
+
+
+def _impute(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+    train_s, test_s = work.train, work.test
     if cfg.impute_method == "knn":
         p = impute.KnnImputeParams(k=cfg.knn_k)
-        return (impute.knn_impute(p, train_s, train_s),
-                impute.knn_impute(p, train_s, test_s))
+        work.train = impute.knn_impute(p, train_s, train_s)
+        work.test = impute.knn_impute(p, train_s, test_s)
+        return
     if cfg.impute_method == "mice":
         p = impute.MiceParams(n_iterations=cfg.mice_iterations,
                               initial_fill=cfg.mice_initial_fill,
-                              seed=seed, noise_mode=cfg.mice_noise_mode)
-        return (impute.mice_impute(p, train_s, train_s),
-                impute.mice_impute(p, train_s, test_s))
+                              seed=cfg.seed, noise_mode=cfg.mice_noise_mode)
+        work.train = impute.mice_impute(p, train_s, train_s)
+        work.test = impute.mice_impute(p, train_s, test_s)
+        return
 
     # simple strategies with one bounded distribution-refinement pass:
     # a column whose skewness sign flips after filling toggles once
@@ -145,179 +190,99 @@ def _impute_train_test(cfg: PipelineConfig, train_s: Dataset, test_s: Dataset,
             toggled = True
     if toggled:
         plan = impute.fit_simple_plan(plan, train_s)
-    return impute.simple_impute(plan, train_s), impute.simple_impute(plan, test_s)
+    work.train = impute.simple_impute(plan, train_s)
+    work.test = impute.simple_impute(plan, test_s)
+
+
+def _select(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+    if cfg.roster == "default":
+        res.decisions = featsel.run_default_roster(
+            work.train, master_seed=cfg.seed, n_keep=cfg.featsel_n_keep)
+    elif cfg.roster == "fast":  # the three filter selectors only
+        n_keep = cfg.featsel_n_keep or max(1, work.train.n_cols // 2)
+        res.decisions = [
+            featsel.select_f_score(work.train, n_keep),
+            featsel.select_mutual_info(work.train, n_keep, n_bins=8),
+            featsel.select_lasso(work.train, lam=0.01),
+        ]
+    if res.decisions:
+        res.ledger = featsel.vote(res.decisions, cfg.vote_threshold)
+        if res.ledger.selected:
+            keep = list(res.ledger.selected)
+            work.train = work.train.select_columns(keep)
+            work.test = work.test.select_columns(keep)
+    res.train_set, res.test_set = work.train, work.test
+
+
+def _resample(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+    if cfg.scenario == "smote":
+        res.resampled_train, res.resample_plan = resample.smote(
+            res.train_set, resample.SmoteParams(cfg.over_ratio, cfg.smote_k_neighbors, cfg.seed))
+    elif cfg.scenario == "combined":
+        res.resampled_train, res.resample_plan = resample.combined_resample(
+            res.train_set, cfg.over_ratio, cfg.under_ratio, cfg.smote_k_neighbors, cfg.seed)
+    else:
+        res.resampled_train, res.resample_plan = res.train_set, None
+
+
+def _train(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+    for fam in cfg.model_families:
+        spec = models.ModelSpec(fam, cfg.model_overrides.get(fam, {}), seed=cfg.seed)
+        res.trained[fam] = models.train(spec, res.resampled_train)
+
+
+def _evaluate(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+    hash_at_eval = _hash_rows(res.pruned, work.test_idx)
+    if hash_at_eval != work.hash_at_split:
+        raise RuntimeError("leakage guard tripped: test partition changed")
+    results = {}
+    for fam, m in res.trained.items():
+        scores = models.predict_scores(m, res.test_set.features)
+        c = confusion(res.test_set.labels, scores, 0.5)
+        results[fam] = ModelResult(fam, c, metric_set(c),
+                                   roc_curve(res.test_set.labels, scores))
+    res.report = EvalReport(
+        model_results=results,
+        config_digest=cfg.digest(),
+        seed=cfg.seed,
+        stage_timings={},                # set once every stage is timed
+        prune_counts={**{reason: len(log.entries) for reason, log in res.drop_logs.items()},
+                      "surviving": res.pruned.n_cols},
+        missing_stats={"before_prune": work.missing_before,
+                       "after_prune": work.missing_after},
+        vote_summary=_vote_summary(res.ledger),
+        resample_summary=_resample_summary(res.resample_plan),
+        leakage_hash_at_split=work.hash_at_split,
+        leakage_hash_at_eval=hash_at_eval,
+    )
+
+
+_STAGE_TABLE = (("load", _load), ("eda", _eda), ("prune", _prune), ("split", _split),
+                ("scale", _scale), ("impute", _impute), ("select", _select),
+                ("resample", _resample), ("train", _train), ("evaluate", _evaluate))
+STAGES = tuple(name for name, _ in _STAGE_TABLE)
 
 
 def run_pipeline(cfg: PipelineConfig, stop_after: str = "evaluate") -> PipelineResult:
-    """Execute the pipeline stages in order, stopping after `stop_after`."""
+    """Execute the pipeline stages in order, stopping after `stop_after`.
+    A failing stage raises PipelineError naming it; every stage that ran,
+    failed or not, is timed in `res.timings`."""
     cfg.validate()
     if stop_after not in STAGES:
         raise ConfigError(f"unknown stage {stop_after!r}")
-    res = PipelineResult()
-    stop_idx = STAGES.index(stop_after)
-
-    def stage(name):
-        return _StageTimer(name, res.timings)
-
-    try:
-        with stage("load"):
-            res.raw = _load(cfg)
-    except PipelineError:
-        raise
-    except Exception as e:
-        raise PipelineError("load", e) from e
-    if stop_idx < 1:
-        return res
-
-    try:
-        with stage("eda"):
-            res.stats = column_stats(res.raw)
-            missing = _missing_stats(res.raw)
-    except Exception as e:
-        raise PipelineError("eda", e) from e
-    if stop_idx < 2:
-        return res
-
-    try:
-        with stage("prune"):
-            d, log_m = preprocess.drop_high_missing(res.raw, cfg.missing_drop_threshold)
-            d, log_c = preprocess.drop_constant(d)
-            d, log_r = preprocess.drop_correlated(d, cfg.correlation_threshold)
-            res.drop_logs = {"high_missing": log_m, "constant": log_c, "correlated": log_r}
-            res.pruned = d
-            missing_after = _missing_stats(d)
-    except Exception as e:
-        raise PipelineError("prune", e) from e
-    if stop_idx < 3:
-        return res
-
-    try:
-        with stage("split"):
-            if cfg.split_mode == "kfold":
-                res.split = preprocess.stratified_kfold(res.pruned, cfg.k_folds, cfg.seed)
-                train_idx, test_idx = res.split.fold(0)
-            else:
-                res.split = preprocess.stratified_split(res.pruned, cfg.test_fraction, cfg.seed)
-                train_idx, test_idx = res.split.train_row_indices, res.split.test_row_indices
-            hash_at_split = _hash_rows(res.pruned, test_idx)
-    except Exception as e:
-        raise PipelineError("split", e) from e
-    if stop_idx < 4:
-        return res
-
-    try:
-        with stage("scale"):
-            train_d = res.pruned.take_rows(train_idx)
-            test_d = res.pruned.take_rows(test_idx)
-            # columns that became constant within the training partition
-            # cannot be scaled; drop them from both partitions
-            tstats = column_stats(train_d)
-            keep = [s.column_id for s in tstats
-                    if not s.is_constant and s.missing_fraction < 1.0]
-            dropped_train_constant = [s.column_id for s in tstats if s.column_id not in keep]
-            if dropped_train_constant:
-                train_d = train_d.select_columns(keep)
-                test_d = test_d.select_columns(keep)
-            res.scaler = preprocess.fit_scaler(train_d)
-            train_d = preprocess.apply_scaler(res.scaler, train_d)
-            test_d = preprocess.apply_scaler(res.scaler, test_d)
-    except Exception as e:
-        raise PipelineError("scale", e) from e
-    if stop_idx < 5:
-        return res
-
-    try:
-        with stage("impute"):
-            train_d, test_d = _impute_train_test(cfg, train_d, test_d, cfg.seed)
-    except Exception as e:
-        raise PipelineError("impute", e) from e
-    if stop_idx < 6:
-        return res
-
-    try:
-        with stage("select"):
-            if cfg.roster == "none":
-                res.decisions, res.ledger = [], None
-            else:
-                if cfg.roster == "default":
-                    res.decisions = featsel.run_default_roster(
-                        train_d, master_seed=cfg.seed, n_keep=cfg.featsel_n_keep)
-                else:  # fast roster: the three filter selectors only
-                    n_keep = cfg.featsel_n_keep or max(1, train_d.n_cols // 2)
-                    res.decisions = [
-                        featsel.select_f_score(train_d, n_keep),
-                        featsel.select_mutual_info(train_d, n_keep, n_bins=8),
-                        featsel.select_lasso(train_d, lam=0.01, seed=cfg.seed),
-                    ]
-                res.ledger = featsel.vote(res.decisions, cfg.vote_threshold)
-                if res.ledger.selected:
-                    train_d = train_d.select_columns(list(res.ledger.selected))
-                    test_d = test_d.select_columns(list(res.ledger.selected))
-            res.train_set, res.test_set = train_d, test_d
-    except Exception as e:
-        raise PipelineError("select", e) from e
-    if stop_idx < 7:
-        return res
-
-    try:
-        with stage("resample"):
-            from . import resample as rs
-            if cfg.scenario == "smote":
-                res.resampled_train, res.resample_plan = rs.smote(
-                    train_d, rs.SmoteParams(cfg.over_ratio, cfg.smote_k_neighbors, cfg.seed))
-            elif cfg.scenario == "combined":
-                res.resampled_train, res.resample_plan = rs.combined_resample(
-                    train_d, cfg.over_ratio, cfg.under_ratio, cfg.smote_k_neighbors, cfg.seed)
-            else:
-                res.resampled_train, res.resample_plan = train_d, None
-    except Exception as e:
-        raise PipelineError("resample", e) from e
-    if stop_idx < 8:
-        return res
-
-    try:
-        with stage("train"):
-            for fam in cfg.model_families:
-                spec = models.ModelSpec(fam, cfg.model_overrides.get(fam, {}), seed=cfg.seed)
-                res.trained[fam] = models.train(spec, res.resampled_train)
-    except Exception as e:
-        raise PipelineError("train", e) from e
-    if stop_idx < 9:
-        return res
-
-    try:
-        with stage("evaluate"):
-            hash_at_eval = _hash_rows(res.pruned, test_idx)
-            if hash_at_eval != hash_at_split:
-                raise RuntimeError("leakage guard tripped: test partition changed")
-            results = {}
-            for fam, m in res.trained.items():
-                scores = models.predict_scores(m, res.test_set.features)
-                c = confusion(res.test_set.labels, scores, 0.5)
-                results[fam] = ModelResult(fam, c, metric_set(c),
-                                           roc_curve(res.test_set.labels, scores))
-            res.report = EvalReport(
-                model_results=results,
-                config_digest=cfg.digest(),
-                seed=cfg.seed,
-                stage_timings=dict(res.timings),
-                prune_counts={
-                    "high_missing": len(res.drop_logs["high_missing"].entries),
-                    "constant": len(res.drop_logs["constant"].entries),
-                    "correlated": len(res.drop_logs["correlated"].entries),
-                    "surviving": res.pruned.n_cols,
-                },
-                missing_stats={"before_prune": missing, "after_prune": missing_after},
-                vote_summary=_vote_summary(res.ledger),
-                resample_summary=_resample_summary(res.resample_plan),
-                leakage_hash_at_split=hash_at_split,
-                leakage_hash_at_eval=hash_at_eval,
-            )
-    except PipelineError:
-        raise
-    except Exception as e:
-        raise PipelineError("evaluate", e) from e
-    res.report.stage_timings = dict(res.timings)
+    res, work = PipelineResult(), SimpleNamespace()
+    for name, stage in _STAGE_TABLE[:STAGES.index(stop_after) + 1]:
+        t0 = time.perf_counter()
+        try:
+            stage(cfg, res, work)
+        except PipelineError:
+            raise
+        except Exception as e:
+            raise PipelineError(name, e) from e
+        finally:
+            res.timings[name] = time.perf_counter() - t0
+    if res.report is not None:
+        res.report.stage_timings = dict(res.timings)
     return res
 
 
@@ -344,23 +309,6 @@ def _resample_summary(plan) -> dict:
         "counts_before": list(plan.counts_before),
         "counts_after": list(plan.counts_after),
     }
-
-
-class _StageTimer:
-    def __init__(self, name, sink):
-        self.name, self.sink = name, sink
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-
-    def __exit__(self, *exc):
-        self.sink[self.name] = time.perf_counter() - self.t0
-        return False
-
-
-def run_scenario(cfg: PipelineConfig) -> EvalReport:
-    """Run the full pipeline and return the evaluation report."""
-    return run_pipeline(cfg).report
 
 
 def scenario_config(scenario_id: int, seed: int, data_path, labels_path,
@@ -425,6 +373,18 @@ def format_report_table(r: EvalReport) -> str:
     return "\n".join(lines)
 
 
+def write_drops(drop_logs: dict, out_dir) -> Path:
+    """Write the prune stage's drop logs, in stage order, to one drops.csv."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = ["column_id,reason,threshold,kept_partner"]
+    for log in drop_logs.values():
+        lines.extend(log.to_csv().splitlines()[1:])
+    path = out / "drops.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def emit_report(r: EvalReport, out_dir, formats=("table_text", "roc_csv", "roc_plot", "ledger"),
                 result: PipelineResult | None = None) -> list[str]:
     """Write the requested artifact files; returns the paths written."""
@@ -480,12 +440,7 @@ def emit_report(r: EvalReport, out_dir, formats=("table_text", "roc_csv", "roc_p
             path.write_text(result.ledger.to_csv())
             written.append(str(path))
         if result.drop_logs:
-            lines = ["column_id,reason,threshold,kept_partner"]
-            for log in result.drop_logs.values():
-                lines.extend(log.to_csv().splitlines()[1:])
-            path = out / "drops.csv"
-            path.write_text("\n".join(lines) + "\n")
-            written.append(str(path))
+            written.append(str(write_drops(result.drop_logs, out)))
         if result.resample_plan is not None:
             path = out / "resample_plan.csv"
             path.write_text(result.resample_plan.to_csv())

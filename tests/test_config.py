@@ -45,11 +45,15 @@ class TestValidation:
 
 class TestLoadFile:
     def test_full_file(self, tmp_path):
+        # every key load_config knows; float keys are partly written as
+        # integers so the digest also pins each parsed value's type
         cfg = load_config(_write(tmp_path, """
 [data]
-loader = secom
+loader = delimited
 data_path = d.txt
 labels_path = l.txt
+label_column = pass_fail
+delimiter = |
 
 [preprocess]
 missing_drop_threshold = 0.4
@@ -57,11 +61,16 @@ correlation_threshold = 0.8
 
 [split]
 mode = kfold
+test_fraction = 0.25
 k = 4
 
 [impute]
 method = mice
+k = 6
 iterations = 7
+initial_fill = median
+noise_mode = gaussian_residual_draw
+skew_threshold = 2
 overrides = 3:median, 9:forward
 
 [featsel]
@@ -72,7 +81,8 @@ n_keep = 10
 [resample]
 scenario = combined
 over_ratio = 0.4
-under_ratio = 0.8
+under_ratio = 1
+k_neighbors = 3
 
 [models]
 families = logistic, random_forest
@@ -85,15 +95,23 @@ learning_rate = 0.2
 seed = 11
 out_dir = results
 """))
+        assert cfg.loader == "delimited"
+        assert cfg.label_column == "pass_fail" and cfg.delimiter == "|"
         assert cfg.missing_drop_threshold == 0.4
         assert cfg.split_mode == "kfold" and cfg.k_folds == 4
+        assert cfg.test_fraction == 0.25
         assert cfg.impute_method == "mice" and cfg.mice_iterations == 7
+        assert cfg.knn_k == 6 and cfg.mice_initial_fill == "median"
+        assert cfg.mice_noise_mode == "gaussian_residual_draw"
+        assert cfg.skew_threshold == 2.0 and isinstance(cfg.skew_threshold, float)
         assert cfg.impute_overrides == {3: "median", 9: "forward"}
         assert cfg.roster == "fast" and cfg.featsel_n_keep == 10
-        assert cfg.scenario == "combined"
+        assert cfg.scenario == "combined" and cfg.smote_k_neighbors == 3
+        assert cfg.under_ratio == 1.0 and isinstance(cfg.under_ratio, float)
         assert cfg.model_families == ("logistic", "random_forest")
         assert cfg.model_overrides["logistic"] == {"epochs": 50, "learning_rate": 0.2}
         assert cfg.seed == 11 and cfg.out_dir == "results"
+        assert cfg.digest() == "68c5c3bc349f9ff9"
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match="section"):

@@ -191,17 +191,13 @@ class TestSfs:
         scores = {int(c): _cv_balanced_accuracy(d, [int(c)], est, folds, seed, params)
                   for c in d.column_ids}
         best = min(sorted(scores), key=lambda c: (-scores[c], c))
-        dec = select_sfs(d, est, "forward", n_keep=1, cv_folds=cv, seed=seed)
+        dec = select_sfs(d, est, n_keep=1, cv_folds=cv, seed=seed)
         assert dec.selected == (best,)
 
     def test_forward_finds_signal(self):
         d = _signal_noise(n=120, shift=3.0, seed=10)
-        dec = select_sfs(d, "linear_svm", "forward", n_keep=3, cv_folds=2, seed=1)
+        dec = select_sfs(d, "linear_svm", n_keep=3, cv_folds=2, seed=1)
         assert len(set(dec.selected) & {0, 1, 2}) >= 2
-
-    def test_bad_direction(self):
-        with pytest.raises(FeatselError):
-            select_sfs(_signal_noise(), "linear_svm", "sideways", 2)
 
 
 class TestVote:

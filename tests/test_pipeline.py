@@ -1,3 +1,8 @@
+import hashlib
+import importlib
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -73,6 +78,34 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert exc.value.stage == "load"
 
+    # stage -> (module, attribute the stage calls, config overrides)
+    FAULTS = {
+        "load": ("pipeline", "load_secom", {}),
+        "eda": ("pipeline", "column_stats", {}),
+        "prune": ("preprocess", "drop_constant", {}),
+        "split": ("preprocess", "stratified_split", {}),
+        "scale": ("preprocess", "fit_scaler", {}),
+        "impute": ("impute", "knn_impute", {}),
+        "select": ("featsel", "vote", {}),
+        "resample": ("resample", "smote", {"scenario": "smote"}),
+        "train": ("models", "train", {}),
+        "evaluate": ("models", "predict_scores", {}),
+    }
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_every_stage_error_is_stage_named(self, sensor_files, monkeypatch, stage):
+        module, attr, kw = self.FAULTS[stage]
+        injected = LookupError(f"injected into {attr}")
+
+        def fail(*args, **kwargs):
+            raise injected
+
+        monkeypatch.setattr(importlib.import_module(f"rareclass.{module}"), attr, fail)
+        with pytest.raises(PipelineError, match=f"stage {stage}:") as exc:
+            run_pipeline(_cfg(sensor_files, **kw))
+        assert exc.value.stage == stage
+        assert exc.value.__cause__ is injected
+
     def test_kfold_mode(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files, split_mode="kfold", k_folds=4))
         assert res.report is not None
@@ -123,6 +156,42 @@ class TestScenarios:
         reproduce(2, 5, out2, data, labels, roster="fast")
         for p in sorted(out1.iterdir()):
             assert p.read_bytes() == (out2 / p.name).read_bytes()
+
+
+def _artifact_digest(out: Path) -> str:
+    h = hashlib.sha256()
+    for p in sorted(out.iterdir()):
+        h.update(p.name.encode() + b"\0")
+        h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+class TestGoldenBytes:
+    """Report artifacts of fixed (config, seed) runs are pinned to sha256
+    digests; a change to what a run writes must re-baseline them on purpose."""
+
+    GOLDEN = {
+        "scenario_1": "dcd7c8e7e3d56c29361f3a94b55ef4f2900d3ff11f05ea4806c3c448f34c32b3",
+        "scenario_2": "5399eeed5de166d04361e55a2743cc6371b892250a87d202d57327ee1d790188",
+        "scenario_3": "9594e4b1a648fe9c4ef83c2104734d84b092078406f6e745071429afeca16f60",
+        "simple": "17efe327bad71f14e75c3ad1ea4abf12681aa4c9400a1fd9f23202fa9d51eae3",
+        "mice": "11ef1bc7521228f0b9c102810229069020579cef615398d148e347340f3ea4dc",
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_artifact_digest(self, sensor_files, tmp_path, monkeypatch, case):
+        # relative paths: the config digest in report.txt includes them
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(sensor_files[0], "s.data")
+        shutil.copy(sensor_files[1], "s_labels.data")
+        rel = ("s.data", "s_labels.data")
+        out = Path("out")
+        if case.startswith("scenario_"):
+            reproduce(int(case[-1]), 0, out, *rel, roster="fast")
+        else:
+            res = run_pipeline(_cfg(rel, impute_method=case))
+            emit_report(res.report, out, result=res)
+        assert _artifact_digest(out) == self.GOLDEN[case]
 
 
 class TestEmitReport:
@@ -179,10 +248,15 @@ out_dir = {tmp_path / 'out'}
         data, labels = sensor_files
         ini = tmp_path / "p.ini"
         ini.write_text(f"[data]\ndata_path = {data}\nlabels_path = {labels}\n"
+                       "[featsel]\nroster = fast\n[models]\nfamilies = logistic\n"
                        f"[run]\nout_dir = {tmp_path / 'pout'}\n")
         assert main(["preprocess", "--config", str(ini)]) == 0
-        drops = (tmp_path / "pout" / "drops.csv").read_text()
-        assert drops.startswith("column_id,reason")
+        drops = (tmp_path / "pout" / "drops.csv").read_bytes()
+        assert drops.startswith(b"column_id,reason")
+        # a full run writes the same drop log
+        (tmp_path / "pout" / "drops.csv").unlink()
+        assert main(["evaluate", "--config", str(ini)]) == 0
+        assert (tmp_path / "pout" / "drops.csv").read_bytes() == drops
 
     def test_reproduce_cli(self, sensor_files, tmp_path, capsys):
         data, labels = sensor_files
