@@ -7,6 +7,8 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field, asdict
 
+from .models import FAMILIES
+
 
 class ConfigError(ValueError):
     pass
@@ -15,9 +17,6 @@ class ConfigError(ValueError):
 SCENARIOS = ("none", "smote", "combined")
 ROSTERS = ("default", "fast", "none")
 IMPUTE_METHODS = ("simple", "knn", "mice")
-
-DEFAULT_FAMILIES = ("logistic", "linear_svm", "decision_tree", "random_forest",
-                    "gradient_boosting", "regularized_boosting")
 
 
 @dataclass
@@ -53,7 +52,7 @@ class PipelineConfig:
     under_ratio: float = 0.8
     smote_k_neighbors: int = 5
     # [models]
-    model_families: tuple = DEFAULT_FAMILIES
+    model_families: tuple = FAMILIES
     model_overrides: dict = field(default_factory=dict)    # family -> hyperparam dict
     # [run]
     seed: int = 0
@@ -82,8 +81,11 @@ class PipelineConfig:
         if self.vote_threshold < 1:
             raise ConfigError("vote_threshold must be >= 1")
         for fam in self.model_families:
-            if fam not in DEFAULT_FAMILIES:
+            if fam not in FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r}")
+        for fam in self.model_overrides:
+            if fam not in FAMILIES:
+                raise ConfigError(f"unknown model family {fam!r} in section [model.{fam}]")
 
     def digest(self) -> str:
         # out_dir is where results land, not part of what was computed

@@ -13,11 +13,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
 
 from . import models
 from .data import Dataset
 from .metrics import confusion, metric_set
+from .parallel import pmap
 from .preprocess import stratified_kfold
 
 __all__ = [
@@ -231,6 +231,27 @@ def _forest_importance(train: Dataset, values: np.ndarray, seed: int,
     return m.state["importance"]
 
 
+def _boruta_round(train: Dataset, seed: int, it: int, n_trees: int,
+                  max_depth: int) -> np.ndarray:
+    """One shadow round, seeded by its index (a pmap task): which real
+    columns beat the best shadow column's importance."""
+    X, p = train.features.values, train.n_cols
+    rng = np.random.default_rng([seed, it])
+    shadows = np.empty_like(X)
+    for j in range(p):
+        shadows[:, j] = rng.permutation(X[:, j])
+    imp = _forest_importance(train, np.hstack([X, shadows]),
+                             seed=int(rng.integers(2 ** 31)),
+                             n_trees=n_trees, max_depth=max_depth)
+    real, shadow = imp[:p], imp[p:]
+    return real > shadow.max()
+
+
+def _half_binom_mass(n: int, ks) -> float:
+    """P(X in ks) for X ~ Binomial(n, 1/2), exactly rounded."""
+    return sum(math.comb(n, k) for k in ks) / 2 ** n
+
+
 def select_boruta(train: Dataset, max_iterations: int = 20, alpha: float = 0.05,
                   seed: int = 0, n_trees: int = 40, max_depth: int = 5) -> SelectorDecision:
     """Shadow-feature wrapper: each round pits random-forest importances
@@ -240,26 +261,18 @@ def select_boruta(train: Dataset, max_iterations: int = 20, alpha: float = 0.05,
     _check_train(train)
     if max_iterations < 5:
         raise FeatselError("max_iterations must be >= 5")
-    X = train.features.values
-    p = train.n_cols
-    hits = np.zeros(p, dtype=np.int64)
-    for it in range(max_iterations):
-        rng = np.random.default_rng([seed, it])
-        shadows = np.empty_like(X)
-        for j in range(p):
-            shadows[:, j] = rng.permutation(X[:, j])
-        imp = _forest_importance(train, np.hstack([X, shadows]),
-                                 seed=int(rng.integers(2 ** 31)),
-                                 n_trees=n_trees, max_depth=max_depth)
-        real, shadow = imp[:p], imp[p:]
-        hits += real > shadow.max()
+    hits = np.zeros(train.n_cols, dtype=np.int64)
+    for beat in pmap(_boruta_round, [(train, seed, it, n_trees, max_depth)
+                                     for it in range(max_iterations)]):
+        hits += beat
 
+    n = max_iterations
     confirmed, rejected, tentative = [], [], []
     for j, cid in enumerate(train.column_ids):
         h = int(hits[j])
-        if _stats.binom.sf(h - 1, max_iterations, 0.5) < alpha:
+        if _half_binom_mass(n, range(h, n + 1)) < alpha:            # P(X >= h)
             confirmed.append(int(cid))
-        elif _stats.binom.cdf(h, max_iterations, 0.5) < alpha:
+        elif _half_binom_mass(n, range(h + 1)) < alpha:             # P(X <= h)
             rejected.append(int(cid))
         else:
             tentative.append(int(cid))
@@ -324,6 +337,8 @@ def select_rfe(train: Dataset, estimator: str, n_keep: int,
 
 def _cv_balanced_accuracy(train: Dataset, col_ids, estimator: str,
                           folds: np.ndarray, seed: int, params: dict) -> float:
+    """Mean balanced accuracy over the folds of one SFS candidate subset
+    (a pmap task)."""
     cw = _minority_weight(train.labels)
     if estimator == "boosted_trees":
         spec = models.ModelSpec("gradient_boosting", {
@@ -365,8 +380,9 @@ def select_sfs(train: Dataset, estimator: str, n_keep: int,
     remaining = list(all_ids)
     while len(chosen) < n_keep:
         best = None
-        for c in remaining:
-            s = _cv_balanced_accuracy(train, chosen + [c], estimator, folds, seed, params)
+        scores = pmap(_cv_balanced_accuracy, [(train, chosen + [c], estimator, folds, seed,
+                                               params) for c in remaining])
+        for c, s in zip(remaining, scores):
             if best is None or s > best[0] or (s == best[0] and c < best[1]):
                 best = (s, c)
         chosen.append(best[1])

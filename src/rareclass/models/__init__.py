@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data import Dataset, FeatureMatrix
+from ..parallel import pmap
 from . import linear, trees
 from .linear import TrainingDiverged, sigmoid
 from .trees import Tree
@@ -105,6 +106,15 @@ def _prior_logodds(y: np.ndarray, sw: np.ndarray) -> float:
     return math.log(p / (1 - p))
 
 
+def _forest_tree(X, ranks, y, sw, seed: int, t: int, max_depth: int, min_leaf: int,
+                 n_subsample: int) -> Tree:
+    """One bootstrapped random-forest tree, seeded by its index (a pmap task)."""
+    rng = np.random.default_rng([seed, t])
+    boot = rng.integers(0, len(X), size=len(X))
+    return trees.build_gini_tree(X[boot], ranks[boot], y[boot], sw[boot], max_depth,
+                                 min_leaf, rng=rng, n_subsample=n_subsample)
+
+
 def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None) -> TrainedModel:
     """Fit one model family on an imputed, scaled training set.
 
@@ -132,28 +142,27 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
                                      hp["max_depth"], hp["min_leaf"])
         state = {"tree": tree}
     elif fam == "random_forest":
-        n = len(X)
         sub = max(1, int(round(math.sqrt(X.shape[1]))))
         ranks = trees.column_ranks(X)
-        forest, importance = [], np.zeros(X.shape[1])
-        for t in range(hp["n_trees"]):
-            rng = np.random.default_rng([spec.seed, t])
-            boot = rng.integers(0, n, size=n)
-            forest.append(trees.build_gini_tree(
-                X[boot], ranks[boot], train_set.labels[boot], sw[boot],
-                hp["max_depth"], hp["min_leaf"],
-                rng=rng, n_subsample=sub, importance=importance))
+        forest = pmap(_forest_tree, [(X, ranks, train_set.labels, sw, spec.seed, t,
+                                      hp["max_depth"], hp["min_leaf"], sub)
+                                     for t in range(hp["n_trees"])])
+        importance = np.zeros(X.shape[1])
+        for tree in forest:                 # in tree order, as one loop would add them
+            trees.add_gains(importance, tree)
         state = {"trees": forest, "importance": importance}
     elif fam in ("gradient_boosting", "regularized_boosting"):
         ranks = trees.column_ranks(X)
         depth, leaf = hp["max_depth"], hp["min_leaf"]
         if fam == "gradient_boosting":
-            def fit_round(p):
-                return trees.build_variance_tree(X, ranks, y - p, sw, p * (1 - p), depth, leaf)
+            def fit_round(p, fitted):
+                return trees.build_variance_tree(X, ranks, y - p, sw, p * (1 - p), depth, leaf,
+                                                 fitted=fitted)
         else:
-            def fit_round(p):
+            def fit_round(p, fitted):
                 return trees.build_second_order_tree(X, ranks, p - y, p * (1 - p), sw, depth,
-                                                     leaf, hp["leaf_l2"], hp["gamma"])
+                                                     leaf, hp["leaf_l2"], hp["gamma"],
+                                                     fitted=fitted)
         base = _prior_logodds(y, sw)
         f = np.full(len(y), base)
         ensemble = []
@@ -161,9 +170,9 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
             trace.append(linear.log_loss(f, y, sw))
             if not np.isfinite(trace[-1]):
                 raise TrainingDiverged(f"{fam.replace('_', ' ')} diverged", trace)
-            tree = fit_round(sigmoid(f))
-            f = f + hp["shrinkage"] * tree.apply(X)
-            ensemble.append(tree)
+            fitted = np.empty(len(y))           # each training row's leaf value
+            ensemble.append(fit_round(sigmoid(f), fitted))
+            f = f + hp["shrinkage"] * fitted
         trace.append(linear.log_loss(f, y, sw))
         state = {"base": base, "trees": ensemble, "shrinkage": hp["shrinkage"]}
     else:  # pragma: no cover

@@ -11,6 +11,9 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
         self.loss_trace = loss_trace
 
+    def __reduce__(self):           # pickle both arguments, e.g. out of a worker
+        return type(self), (self.args[0], self.loss_trace)
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=np.float64)

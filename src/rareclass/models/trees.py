@@ -1,8 +1,9 @@
 """Binary tree builders shared by the tree, forest, and boosting learners.
 
 Trees are stored as parallel arrays (feature, threshold, left, right,
-value).  feature == -1 marks a leaf.  Thresholds sit at midpoints of
-adjacent distinct values; rows with x <= threshold go left.
+value, and the split gain, which is not serialised).  feature == -1 marks
+a leaf.  Thresholds sit at midpoints of adjacent distinct values; rows
+with x <= threshold go left.
 
 All three builders run one kernel, `_grow`, which differs per criterion
 only in its per-row weighted stats, its leaf formula and its split gain.
@@ -27,7 +28,7 @@ bit-identical to that scan's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +42,7 @@ class Tree:
     left: list
     right: list
     value: list          # leaf payload (class-1 fraction or boosting weight)
+    gain: list = field(default_factory=list)   # split gain, 0.0 at leaves; not serialised
 
     def new_node(self) -> int:
         self.feature.append(-1)
@@ -48,6 +50,7 @@ class Tree:
         self.left.append(-1)
         self.right.append(-1)
         self.value.append(0.0)
+        self.gain.append(0.0)
         return len(self.feature) - 1
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -83,9 +86,17 @@ def column_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def add_gains(importance: np.ndarray, tree: Tree) -> None:
+    """Add each split's gain to its column's importance in node order, which
+    is the order the splits were made in."""
+    for j, g in zip(tree.feature, tree.gain):
+        if j >= 0:
+            importance[j] += g
+
+
 def _grow(X: np.ndarray, ranks: np.ndarray, stats: np.ndarray, node_fn, gain_fn,
           max_depth: int, min_leaf: int, rng=None, n_subsample: int | None = None,
-          importance: np.ndarray | None = None) -> Tree:
+          fitted: np.ndarray | None = None) -> Tree:
     """Grow one tree depth first.
 
     stats holds one row of per-row weighted stats per quantity; the first
@@ -94,7 +105,7 @@ def _grow(X: np.ndarray, ranks: np.ndarray, stats: np.ndarray, node_fn, gain_fn,
     split.  gain_fn(left, totals, parent) scores left-side prefix sums of
     shape (2, columns, positions).  n_subsample draws that many columns
     per split with rng (forest mode), in the same depth-first pre-order as
-    the nodes are created.
+    the nodes are created.  fitted, if given, receives each row's leaf value.
     """
     tree = Tree.empty()
     ranks_t = np.ascontiguousarray(ranks.T)            # one row of ranks per column
@@ -106,6 +117,8 @@ def _grow(X: np.ndarray, ranks: np.ndarray, stats: np.ndarray, node_fn, gain_fn,
         node = tree.new_node()
         totals = [np.add.reduce(row) for row in stats.take(idx, axis=1)]
         tree.value[node], parent = node_fn(totals)
+        if fitted is not None:
+            fitted[idx] = tree.value[node]              # children overwrite
         m = len(idx)
         if depth >= max_depth or m < 2 * min_leaf or parent is None:
             return node
@@ -131,8 +144,7 @@ def _grow(X: np.ndarray, ranks: np.ndarray, stats: np.ndarray, node_fn, gain_fn,
 
         j, p = int(cols[c]), lo + int(gain[c].argmax())   # first max: lowest threshold
         thr = float((X[rows[c, p], j] + X[rows[c, p + 1], j]) / 2.0)
-        if importance is not None:
-            importance[j] += float(best[c])
+        tree.gain[node] = float(best[c])
         tree.feature[node] = j
         tree.threshold[node] = thr
         go_left = X[:, j].take(idx) <= thr
@@ -172,16 +184,18 @@ def build_gini_tree(X: np.ndarray, ranks: np.ndarray, y: np.ndarray, w: np.ndarr
         return parent - child
 
     stats = np.stack([w, w * (y == 1)])
-    return _grow(X, ranks, stats, node, gain, max_depth, min_leaf,
-                 rng, n_subsample, importance)
+    tree = _grow(X, ranks, stats, node, gain, max_depth, min_leaf, rng, n_subsample)
+    if importance is not None:
+        add_gains(importance, tree)
+    return tree
 
 
 def build_variance_tree(X: np.ndarray, ranks: np.ndarray, target: np.ndarray,
                         w: np.ndarray, hess: np.ndarray, max_depth: int,
-                        min_leaf: int) -> Tree:
+                        min_leaf: int, fitted: np.ndarray | None = None) -> Tree:
     """Regression tree on a gradient target with squared-error splits and
     one-step Newton leaf values (sum of weighted residuals over sum of
-    weighted hessians)."""
+    weighted hessians).  fitted, if given, receives each row's leaf value."""
     def node(t):
         sw, swr, swh = t
         return (swr / swh if swh > 1e-12 else 0.0), (swr ** 2 / sw if sw > 0 else 0.0)
@@ -192,14 +206,16 @@ def build_variance_tree(X: np.ndarray, ranks: np.ndarray, target: np.ndarray,
         return sl ** 2 / wl + sr ** 2 / wr - parent
 
     stats = np.stack([w, w * target, w * hess])
-    return _grow(X, ranks, stats, node, gain, max_depth, min_leaf)
+    return _grow(X, ranks, stats, node, gain, max_depth, min_leaf, fitted=fitted)
 
 
 def build_second_order_tree(X: np.ndarray, ranks: np.ndarray, grad: np.ndarray,
                             hess: np.ndarray, w: np.ndarray, max_depth: int,
-                            min_leaf: int, leaf_l2: float, gamma: float) -> Tree:
+                            min_leaf: int, leaf_l2: float, gamma: float,
+                            fitted: np.ndarray | None = None) -> Tree:
     """Gradient/hessian tree: split gain 0.5 * (GL^2/(HL+l2) + GR^2/(HR+l2)
-    - G^2/(H+l2)) - gamma; leaf weight -G/(H+l2)."""
+    - G^2/(H+l2)) - gamma; leaf weight -G/(H+l2).  fitted, if given,
+    receives each row's leaf value."""
     def node(t):
         G, H = t
         return -G / (H + leaf_l2), G ** 2 / (H + leaf_l2)
@@ -210,4 +226,4 @@ def build_second_order_tree(X: np.ndarray, ranks: np.ndarray, grad: np.ndarray,
         return 0.5 * (gl ** 2 / (hl + leaf_l2) + gr ** 2 / (hr + leaf_l2) - parent) - gamma
 
     stats = np.stack([w * grad, w * hess])
-    return _grow(X, ranks, stats, node, gain, max_depth, min_leaf)
+    return _grow(X, ranks, stats, node, gain, max_depth, min_leaf, fitted=fitted)

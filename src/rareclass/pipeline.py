@@ -36,6 +36,9 @@ class PipelineError(RuntimeError):
         self.stage = stage
         self.cause = cause
 
+    def __reduce__(self):           # pickle both arguments, e.g. out of a worker
+        return type(self), (self.stage, self.cause)
+
 
 @dataclass
 class ModelResult:
@@ -67,7 +70,6 @@ class EvalReport:
 class PipelineResult:
     """All stage artifacts of one run; `report` is filled at completion."""
     raw: Dataset = None
-    stats: list = None
     pruned: Dataset = None
     drop_logs: dict = field(default_factory=dict)
     split: preprocess.SplitPlan = None
@@ -115,7 +117,6 @@ def _load(cfg: PipelineConfig, res: PipelineResult, work) -> None:
 
 
 def _eda(cfg: PipelineConfig, res: PipelineResult, work) -> None:
-    res.stats = column_stats(res.raw)
     work.missing_before = _missing_stats(res.raw)
 
 

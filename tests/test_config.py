@@ -117,6 +117,12 @@ out_dir = results
         with pytest.raises(ConfigError, match="section"):
             load_config(_write(tmp_path, "[tuning]\ntrials = 5\n"))
 
+    def test_override_for_unknown_family(self, tmp_path):
+        # a misspelt family would be ignored by training yet change the digest
+        with pytest.raises(ConfigError, match=r"\[model\.logistc\]"):
+            load_config(_write(tmp_path, "[models]\nfamilies = logistic\n"
+                                         "[model.logistc]\nepochs = 5\n"))
+
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(_write(tmp_path, "[split]\nholdout = 0.2\n"))

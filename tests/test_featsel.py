@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rareclass import featsel, parallel
 from rareclass.data import Dataset, FeatureMatrix
 from rareclass.featsel import (FeatselError, SelectorDecision, run_default_roster,
                                select_boruta, select_f_score, select_lasso,
@@ -149,6 +150,25 @@ class TestBoruta:
     def test_min_iterations_enforced(self):
         with pytest.raises(FeatselError):
             select_boruta(_signal_noise(), max_iterations=2)
+
+    def test_exact_binomial_tails(self):
+        # Binomial(20, 1/2): C(20,15) + ... + C(20,20) = 21700
+        assert featsel._half_binom_mass(20, range(15, 21)) == 21700 / 2 ** 20
+        assert featsel._half_binom_mass(20, range(0, 6)) == 21700 / 2 ** 20
+        assert featsel._half_binom_mass(20, range(0, 21)) == 1.0
+        assert featsel._half_binom_mass(5, range(0, 1)) == 1 / 32
+        assert featsel._half_binom_mass(200, range(200, 201)) == 2.0 ** -200
+
+    def test_binomial_decision_boundaries(self, monkeypatch):
+        # n = 20, alpha = 0.05: P(X >= 15) = 0.021 confirms, P(X >= 14) = 0.058
+        # does not; P(X <= 5) = 0.021 rejects, P(X <= 6) = 0.058 does not
+        hits = np.array([15, 14, 5, 6])
+        monkeypatch.setattr(parallel, "workers", lambda: 1)
+        monkeypatch.setattr(featsel, "_boruta_round", lambda train, seed, it, *_: it < hits)
+        dec = select_boruta(_signal_noise(n_signal=2, n_noise=2), max_iterations=20)
+        assert dec.selected == (0,) and dec.scores == {0: 15, 1: 14, 2: 5, 3: 6}
+        assert dec.diagnostics["rejected"] == (2,)
+        assert dec.diagnostics["tentative"] == (1, 3)
 
     def test_diagnostics_partition(self):
         d = _signal_noise(seed=3)

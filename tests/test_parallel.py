@@ -1,0 +1,99 @@
+"""The worker pool: the same bytes at any worker count, no nested pools,
+no pool where nothing runs in parallel, and worker exceptions that reach
+the caller intact."""
+
+import os
+import pickle
+
+import numpy as np
+import pytest
+
+from rareclass import featsel, models, parallel
+from rareclass.config import PipelineConfig
+from rareclass.models import TrainingDiverged
+from rareclass.pipeline import PipelineError, run_pipeline
+from rareclass.synth import make_imbalanced, write_secom_like
+
+
+@pytest.fixture(scope="module")
+def data():
+    return make_imbalanced(n_rows=200, n_informative=3, n_noise=5, missing_fraction=0.0,
+                           seed=5)
+
+
+def _at_one_and_two_workers(monkeypatch, run):
+    out = []
+    for n in (1, 2):
+        monkeypatch.setattr(parallel, "workers", lambda n=n: n)
+        out.append(run())
+    assert parallel._pool is not None and parallel._pool[0] == 2
+    return out
+
+
+def test_forest_json_is_the_same_at_any_worker_count(data, monkeypatch):
+    spec = models.ModelSpec("random_forest", {"n_trees": 16, "max_depth": 4}, seed=7)
+    one, two = _at_one_and_two_workers(
+        monkeypatch, lambda: models.model_to_json(models.train(spec, data, class_weight=3.0)))
+    assert one == two
+
+
+def test_selector_decisions_are_the_same_at_any_worker_count(data, monkeypatch):
+    def run():
+        return repr((featsel.select_boruta(data, max_iterations=6, seed=3, n_trees=8),
+                     featsel.select_sfs(data, "boosted_trees", 3, cv_folds=2, seed=4)))
+    one, two = _at_one_and_two_workers(monkeypatch, run)
+    assert one == two
+
+
+def test_roster_votes_are_the_same_at_any_worker_count(data, monkeypatch):
+    def run():
+        return featsel.vote(featsel.run_default_roster(data, master_seed=2), 3).to_csv()
+    one, two = _at_one_and_two_workers(monkeypatch, run)
+    assert one == two
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _pid_and_inner_pids(_):
+    return os.getpid(), parallel.pmap(_pid, [(0,), (1,), (2,)])
+
+
+def test_pmap_inside_a_worker_runs_inline(monkeypatch):
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    results = parallel.pmap(_pid_and_inner_pids, [(i,) for i in range(4)])
+    assert all(pid != os.getpid() for pid, _ in results)          # ran in workers
+    assert all(inner == [pid] * 3 for pid, inner in results)      # nested: inline
+
+
+def test_fast_linear_run_starts_no_pool(tmp_path, monkeypatch):
+    d = make_imbalanced(n_rows=200, n_informative=3, n_noise=6, missing_fraction=0.05,
+                        seed=1)
+    write_secom_like(d, tmp_path / "x.data", tmp_path / "x.labels", seed=1)
+    cfg = PipelineConfig(data_path=str(tmp_path / "x.data"),
+                         labels_path=str(tmp_path / "x.labels"), impute_method="mice",
+                         roster="fast", scenario="smote",
+                         model_families=("logistic", "linear_svm"))
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    monkeypatch.setattr(parallel, "_pool", None)
+    assert run_pipeline(cfg).report is not None
+    assert parallel._pool is None
+
+
+@pytest.mark.parametrize("exc", [TrainingDiverged("boosting diverged", [0.69, float("inf")]),
+                                 PipelineError("train", ValueError("bad value"))])
+def test_exceptions_survive_pickling(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and str(back) == str(exc)
+    assert repr(vars(back)) == repr(vars(exc))
+
+
+def test_divergence_in_a_worker_reaches_the_caller(data, monkeypatch):
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    with pytest.raises(TrainingDiverged, match="linear SVM") as exc:
+        featsel.select_sfs(data, "linear_svm", 1, cv_folds=2,
+                           estimator_params={"learning_rate": 1e200})
+    trace = exc.value.loss_trace
+    assert len(trace) >= 2 and np.isfinite(trace[0]) and not np.isfinite(trace[-1])
+    assert os.getpid() not in parallel.pmap(_pid, [(0,), (1,)])   # the pool still works

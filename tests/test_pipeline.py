@@ -81,7 +81,7 @@ class TestRunPipeline:
     # stage -> (module, attribute the stage calls, config overrides)
     FAULTS = {
         "load": ("pipeline", "load_secom", {}),
-        "eda": ("pipeline", "column_stats", {}),
+        "eda": ("pipeline", "_missing_stats", {}),
         "prune": ("preprocess", "drop_constant", {}),
         "split": ("preprocess", "stratified_split", {}),
         "scale": ("preprocess", "fit_scaler", {}),

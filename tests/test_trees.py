@@ -210,3 +210,19 @@ def test_tree_family_json_is_unchanged(tied_dataset, family):
     m = models.train(models.ModelSpec(family, hyperparams, seed=3), tied_dataset,
                      class_weight=2.5)
     assert hashlib.sha256(models.model_to_json(m).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["variance", "second_order"])
+def test_fitted_rows_are_the_leaf_values_apply_gives(tied_dataset, kind):
+    X, y = tied_dataset.features.values, tied_dataset.labels.astype(float)
+    p = np.full(len(y), 0.2)
+    w = np.where(y == 1, 2.5, 1.0)
+    fitted = np.empty(len(y))
+    if kind == "variance":
+        tree = trees.build_variance_tree(X, trees.column_ranks(X), y - p, w, p * (1 - p), 3, 5,
+                                         fitted=fitted)
+    else:
+        tree = trees.build_second_order_tree(X, trees.column_ranks(X), p - y, p * (1 - p), w,
+                                             3, 5, 1.0, 0.0, fitted=fitted)
+    assert len(tree.feature) > 1
+    assert fitted.tobytes() == tree.apply(X).tobytes()
