@@ -16,7 +16,6 @@ __all__ = [
     "FeatureMatrix",
     "Dataset",
     "ColumnStats",
-    "ProvenanceRecord",
     "DataError",
     "load_secom",
     "load_delimited",
@@ -79,24 +78,15 @@ class FeatureMatrix:
 
 
 @dataclass(frozen=True)
-class ProvenanceRecord:
-    operation: str
-    parameters: dict
-    columns: tuple = ()
-
-
-@dataclass(frozen=True)
 class Dataset:
     """FeatureMatrix plus binary labels (1 = fail/minority positive class)."""
 
     features: FeatureMatrix
     labels: np.ndarray                    # (n_rows,) int64 in {0, 1}
-    provenance: tuple = ()
 
     def __post_init__(self):
         y = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "provenance", tuple(self.provenance))
         if y.shape != (self.features.n_rows,):
             raise DataError("labels length must equal number of rows")
         if not np.isin(y, (0, 1)).all():
@@ -114,18 +104,15 @@ class Dataset:
     def column_ids(self) -> np.ndarray:
         return self.features.column_ids
 
-    def with_values(self, values: np.ndarray, record: ProvenanceRecord | None = None) -> "Dataset":
-        prov = self.provenance + ((record,) if record else ())
-        return Dataset(FeatureMatrix(values, self.features.column_ids.copy()), self.labels.copy(), prov)
+    def with_values(self, values: np.ndarray) -> "Dataset":
+        return Dataset(FeatureMatrix(values, self.features.column_ids.copy()), self.labels.copy())
 
-    def select_columns(self, keep_ids, record: ProvenanceRecord | None = None) -> "Dataset":
-        prov = self.provenance + ((record,) if record else ())
-        return Dataset(self.features.select_columns(keep_ids), self.labels.copy(), prov)
+    def select_columns(self, keep_ids) -> "Dataset":
+        return Dataset(self.features.select_columns(keep_ids), self.labels.copy())
 
-    def take_rows(self, row_idx, record: ProvenanceRecord | None = None) -> "Dataset":
+    def take_rows(self, row_idx) -> "Dataset":
         idx = np.asarray(row_idx, dtype=np.int64)
-        prov = self.provenance + ((record,) if record else ())
-        return Dataset(self.features.take_rows(idx), self.labels[idx], prov)
+        return Dataset(self.features.take_rows(idx), self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -155,8 +142,8 @@ def load_secom(data_path, labels_path) -> Dataset:
     """Load the whitespace-separated sensor file and its labels file.
 
     The data file uses the literal token "NaN" for missing cells.  Each
-    labels line starts with -1 (pass) or 1 (fail); trailing tokens are a
-    timestamp, kept only in provenance.
+    labels line starts with -1 (pass) or 1 (fail); trailing tokens (a
+    timestamp) are ignored.
     """
     rows = []
     with open(data_path) as fh:
@@ -171,7 +158,6 @@ def load_secom(data_path, labels_path) -> Dataset:
         raise DataError(f"{data_path}: inconsistent column counts {sorted(widths)}")
 
     labels = []
-    first_ts, last_ts = None, None
     with open(labels_path) as fh:
         for line_no, line in enumerate(fh, 1):
             tokens = line.split()
@@ -180,23 +166,13 @@ def load_secom(data_path, labels_path) -> Dataset:
             if tokens[0] not in ("-1", "1"):
                 raise DataError(f"{labels_path}:{line_no}: label must be -1 or 1, got {tokens[0]!r}")
             labels.append(0 if tokens[0] == "-1" else 1)
-            ts = " ".join(tokens[1:])
-            if first_ts is None:
-                first_ts = ts
-            last_ts = ts
     if not labels:
         raise DataError(f"empty input: {labels_path}")
     if len(labels) != len(rows):
         raise DataError(f"row-count mismatch: {len(rows)} data rows vs {len(labels)} labels")
 
     values = np.array(rows, dtype=np.float64)
-    fm = FeatureMatrix(values, np.arange(values.shape[1]))
-    rec = ProvenanceRecord(
-        "load_secom",
-        {"data_path": str(data_path), "labels_path": str(labels_path),
-         "first_timestamp": first_ts, "last_timestamp": last_ts},
-    )
-    return Dataset(fm, np.array(labels), (rec,))
+    return Dataset(FeatureMatrix(values, np.arange(values.shape[1])), np.array(labels))
 
 
 def load_delimited(path, label_column: str, delimiter: str = ",",
@@ -243,12 +219,7 @@ def load_delimited(path, label_column: str, delimiter: str = ",",
     labels = np.array([1 if v == positive else 0 for v in raw_labels])
 
     values = np.array(rows, dtype=np.float64)
-    fm = FeatureMatrix(values, np.arange(values.shape[1]))
-    rec = ProvenanceRecord("load_delimited", {
-        "path": str(path), "label_column": label_column, "positive_value": positive,
-        "feature_names": [h for i, h in enumerate(header) if i != label_pos],
-    })
-    return Dataset(fm, labels, (rec,))
+    return Dataset(FeatureMatrix(values, np.arange(values.shape[1])), labels)
 
 
 def _skewness(x: np.ndarray) -> float:

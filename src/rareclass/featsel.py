@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .data import Dataset
+from .data import Dataset, FeatureMatrix
 from .metrics import confusion, metric_set
 from .parallel import pmap
 from .preprocess import stratified_kfold
@@ -220,17 +220,6 @@ def select_lasso(train: Dataset, lam: float,
                      "n_sweeps": len(objective) - 1})
 
 
-def _forest_importance(train: Dataset, values: np.ndarray, seed: int,
-                       n_trees: int, max_depth: int) -> np.ndarray:
-    from .data import Dataset as _DS, FeatureMatrix as _FM
-    ds = _DS(_FM(values, np.arange(values.shape[1])), train.labels)
-    spec = models.ModelSpec("random_forest",
-                            {"n_trees": n_trees, "max_depth": max_depth, "min_leaf": 5},
-                            seed=seed)
-    m = models.train(spec, ds, class_weight=_minority_weight(train.labels))
-    return m.state["importance"]
-
-
 def _boruta_round(train: Dataset, seed: int, it: int, n_trees: int,
                   max_depth: int) -> np.ndarray:
     """One shadow round, seeded by its index (a pmap task): which real
@@ -240,9 +229,11 @@ def _boruta_round(train: Dataset, seed: int, it: int, n_trees: int,
     shadows = np.empty_like(X)
     for j in range(p):
         shadows[:, j] = rng.permutation(X[:, j])
-    imp = _forest_importance(train, np.hstack([X, shadows]),
-                             seed=int(rng.integers(2 ** 31)),
-                             n_trees=n_trees, max_depth=max_depth)
+    both = Dataset(FeatureMatrix(np.hstack([X, shadows]), np.arange(2 * p)), train.labels)
+    spec = models.ModelSpec("random_forest",
+                            {"n_trees": n_trees, "max_depth": max_depth, "min_leaf": 5},
+                            seed=int(rng.integers(2 ** 31)))
+    imp = models.train(spec, both, class_weight=_minority_weight(train.labels)).state["importance"]
     real, shadow = imp[:p], imp[p:]
     return real > shadow.max()
 
@@ -284,44 +275,39 @@ def select_boruta(train: Dataset, max_iterations: int = 20, alpha: float = 0.05,
                      "max_iterations": max_iterations, "alpha": alpha})
 
 
-_RFE_ESTIMATORS = ("logistic", "linear_svm", "forest")
-_SFS_ESTIMATORS = ("boosted_trees", "linear_svm")
+# estimator name -> (model family, hyperparameters) of the selector's fits
+_RFE_ESTIMATORS = {
+    "logistic": ("logistic", {"epochs": 150, "learning_rate": 0.5, "l2": 1e-3}),
+    "linear_svm": ("linear_svm", {"epochs": 150, "learning_rate": 0.05, "c": 1.0}),
+    "forest": ("random_forest", {"n_trees": 30, "max_depth": 4, "min_leaf": 5}),
+}
+_SFS_ESTIMATORS = {
+    "boosted_trees": ("gradient_boosting",
+                      {"n_rounds": 15, "max_depth": 2, "shrinkage": 0.3, "min_leaf": 2}),
+    "linear_svm": ("linear_svm", {"epochs": 100, "learning_rate": 0.05}),
+}
 
 
-def _rank_scores(train: Dataset, estimator: str, seed: int, params: dict) -> np.ndarray:
-    """Per-column importance for RFE: |coefficient| or forest gain."""
-    cw = _minority_weight(train.labels)
-    if estimator == "forest":
-        spec = models.ModelSpec("random_forest", {
-            "n_trees": params.get("n_trees", 30),
-            "max_depth": params.get("max_depth", 4), "min_leaf": 5}, seed=seed)
-        m = models.train(spec, train, class_weight=cw)
-        return m.state["importance"]
-    family = "logistic" if estimator == "logistic" else "linear_svm"
-    hp = {"epochs": params.get("epochs", 150)}
-    if family == "logistic":
-        hp.update({"learning_rate": params.get("learning_rate", 0.5),
-                   "l2": params.get("l2", 1e-3)})
-    else:
-        hp.update({"learning_rate": params.get("learning_rate", 0.05),
-                   "c": params.get("c", 1.0)})
-    m = models.train(models.ModelSpec(family, hp, seed=seed), train, class_weight=cw)
-    return np.abs(m.state["weights"])
+def _estimator_spec(table: dict, estimator: str, seed: int) -> models.ModelSpec:
+    if estimator not in table:
+        raise FeatselError(f"estimator must be one of {tuple(table)}")
+    family, hp = table[estimator]
+    return models.ModelSpec(family, hp, seed=seed)
 
 
-def select_rfe(train: Dataset, estimator: str, n_keep: int,
-               seed: int = 0, estimator_params: dict | None = None) -> SelectorDecision:
+def select_rfe(train: Dataset, estimator: str, n_keep: int, seed: int = 0) -> SelectorDecision:
     """Recursive elimination: refit, drop the single weakest feature (ties
-    drop the higher column id), repeat until n_keep remain."""
+    drop the higher column id), repeat until n_keep remain.  Features are
+    ranked by |coefficient|, or by split gain for the forest."""
     _check_train(train)
     _check_n_keep(n_keep, train.n_cols)
-    if estimator not in _RFE_ESTIMATORS:
-        raise FeatselError(f"estimator must be one of {_RFE_ESTIMATORS}")
-    params = estimator_params or {}
-    current = train.select_columns([int(c) for c in train.column_ids])
+    spec = _estimator_spec(_RFE_ESTIMATORS, estimator, seed)
+    current = train
     elimination_order = []
     while current.n_cols > n_keep:
-        score = _rank_scores(current, estimator, seed, params)
+        m = models.train(spec, current, class_weight=_minority_weight(train.labels))
+        score = (m.state["importance"] if spec.family == "random_forest"
+                 else np.abs(m.state["weights"]))
         # weakest feature; tie -> higher column id dropped
         order = sorted(range(current.n_cols),
                        key=lambda i: (score[i], -current.column_ids[i]))
@@ -335,20 +321,11 @@ def select_rfe(train: Dataset, estimator: str, n_keep: int,
         diagnostics={"elimination_order": tuple(elimination_order)})
 
 
-def _cv_balanced_accuracy(train: Dataset, col_ids, estimator: str,
-                          folds: np.ndarray, seed: int, params: dict) -> float:
+def _cv_balanced_accuracy(train: Dataset, col_ids, spec: models.ModelSpec,
+                          folds: np.ndarray) -> float:
     """Mean balanced accuracy over the folds of one SFS candidate subset
     (a pmap task)."""
     cw = _minority_weight(train.labels)
-    if estimator == "boosted_trees":
-        spec = models.ModelSpec("gradient_boosting", {
-            "n_rounds": params.get("n_rounds", 15),
-            "max_depth": params.get("max_depth", 2),
-            "shrinkage": params.get("shrinkage", 0.3), "min_leaf": 2}, seed=seed)
-    else:
-        spec = models.ModelSpec("linear_svm", {
-            "epochs": params.get("epochs", 100),
-            "learning_rate": params.get("learning_rate", 0.05)}, seed=seed)
     sub = train.select_columns(col_ids)
     scores = []
     for f in range(int(folds.max()) + 1):
@@ -362,17 +339,14 @@ def _cv_balanced_accuracy(train: Dataset, col_ids, estimator: str,
 
 
 def select_sfs(train: Dataset, estimator: str, n_keep: int,
-               cv_folds: int = 3, seed: int = 0,
-               estimator_params: dict | None = None) -> SelectorDecision:
+               cv_folds: int = 3, seed: int = 0) -> SelectorDecision:
     """Greedy forward selection by mean cross-validated balanced accuracy;
     score ties go to the lowest column id."""
     _check_train(train)
     _check_n_keep(n_keep, train.n_cols)
-    if estimator not in _SFS_ESTIMATORS:
-        raise FeatselError(f"estimator must be one of {_SFS_ESTIMATORS}")
+    spec = _estimator_spec(_SFS_ESTIMATORS, estimator, seed)
     if cv_folds < 2:
         raise FeatselError("cv_folds must be >= 2")
-    params = estimator_params or {}
     folds = stratified_kfold(train, cv_folds, seed).fold_assignments
     all_ids = [int(c) for c in train.column_ids]
 
@@ -380,8 +354,8 @@ def select_sfs(train: Dataset, estimator: str, n_keep: int,
     remaining = list(all_ids)
     while len(chosen) < n_keep:
         best = None
-        scores = pmap(_cv_balanced_accuracy, [(train, chosen + [c], estimator, folds, seed,
-                                               params) for c in remaining])
+        scores = pmap(_cv_balanced_accuracy,
+                      [(train, chosen + [c], spec, folds) for c in remaining])
         for c, s in zip(remaining, scores):
             if best is None or s > best[0] or (s == best[0] and c < best[1]):
                 best = (s, c)

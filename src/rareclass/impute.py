@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ColumnStats, Dataset, ProvenanceRecord
+from .data import ColumnStats, Dataset
 
 __all__ = [
     "SimpleImputePlan",
@@ -172,8 +172,7 @@ def simple_impute(plan: SimpleImputePlan, d: Dataset) -> Dataset:
             col[missing] = fill
         else:
             col[:] = _fill_ordered(col, strat, fill)
-    rec = ProvenanceRecord("simple_impute", {"strategies": dict(plan.strategies)})
-    return d.with_values(v, rec)
+    return d.with_values(v)
 
 
 def knn_impute(p: KnnImputeParams, train: Dataset, target: Dataset,
@@ -232,8 +231,7 @@ def knn_impute(p: KnnImputeParams, train: Dataset, target: Dataset,
             out[r, j] = val
             if log is not None:
                 log.append(ImputeLogEntry(r, cid, "knn", val, fallback=fb))
-    rec = ProvenanceRecord("knn_impute", {"k": p.k})
-    return target.with_values(out, rec)
+    return target.with_values(out)
 
 
 def _initial_fill(values: np.ndarray, mode: str, train_mask: np.ndarray) -> np.ndarray:
@@ -301,8 +299,4 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
                 pred = pred + rng.normal(0.0, sigma, size=len(pred))
             state[miss, j] = pred
 
-    rec = ProvenanceRecord("mice_impute", {
-        "n_iterations": p.n_iterations, "initial_fill": p.initial_fill,
-        "noise_mode": p.noise_mode, "seed": p.seed,
-    })
-    return target.with_values(state[n_train:], rec)
+    return target.with_values(state[n_train:])

@@ -70,8 +70,10 @@ class ModelSpec:
                 raise ModelError(f"unknown hyperparameter {k!r} for {self.family}")
             merged[k] = v
         for k, v in merged.items():
-            if k in _POSITIVE_INT and (int(v) != v or v < (0 if k == "n_rounds" else 1)):
-                raise ModelError(f"{k} must be a positive integer")
+            if k in _POSITIVE_INT:
+                if int(v) != v or v < (0 if k == "n_rounds" else 1):
+                    raise ModelError(f"{k} must be a positive integer")
+                merged[k] = int(v)               # an integral float such as 1e2 counts
             if k in _NONNEGATIVE and v < 0:
                 raise ModelError(f"{k} must be >= 0")
         object.__setattr__(self, "hyperparams", merged)
@@ -174,7 +176,7 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
             ensemble.append(fit_round(sigmoid(f), fitted))
             f = f + hp["shrinkage"] * fitted
         trace.append(linear.log_loss(f, y, sw))
-        state = {"base": base, "trees": ensemble, "shrinkage": hp["shrinkage"]}
+        state = {"base": base, "shrinkage": hp["shrinkage"], "trees": ensemble}
     else:  # pragma: no cover
         raise ModelError(fam)
 
@@ -210,11 +212,11 @@ def feature_importances(m: TrainedModel) -> np.ndarray:
     if fam == "random_forest":
         imp = m.state["importance"].copy()
     elif fam == "decision_tree":
-        imp = np.zeros(len(m.column_ids))
         t = m.state["tree"]
-        for node, j in enumerate(t.feature):
-            if j >= 0:
-                imp[j] += 1.0   # split count; gini tree records gain only in forest mode
+        if len(t.gain) != len(t.feature):
+            raise ModelError("a decision tree loaded from JSON has no split gains")
+        imp = np.zeros(len(m.column_ids))
+        trees.add_gains(imp, t)
     else:
         raise ModelError(f"no importances for family {fam}")
     s = imp.sum()
@@ -286,28 +288,33 @@ def _tree_from_obj(o: dict) -> Tree:
                 list(o["left"]), list(o["right"]), list(_unhex(o["value"])))
 
 
+def _encode(v):
+    if isinstance(v, Tree):
+        return _tree_to_obj(v)
+    if isinstance(v, list):                        # a list of trees
+        return [_tree_to_obj(t) for t in v]
+    if isinstance(v, np.ndarray):
+        return _hex_list(v)
+    return float(v).hex()
+
+
+# state key -> decoder of its encoded value
+_DECODERS = {
+    "weights": _unhex, "importance": _unhex,
+    "bias": float.fromhex, "base": float.fromhex, "shrinkage": float.fromhex,
+    "tree": _tree_from_obj, "trees": lambda objs: [_tree_from_obj(o) for o in objs],
+}
+
+
 def model_to_json(m: TrainedModel) -> str:
-    fam = m.spec.family
-    state: dict = {}
-    if fam in ("logistic", "linear_svm"):
-        state = {"weights": _hex_list(m.state["weights"]), "bias": float(m.state["bias"]).hex()}
-    elif fam == "decision_tree":
-        state = {"tree": _tree_to_obj(m.state["tree"])}
-    elif fam == "random_forest":
-        state = {"trees": [_tree_to_obj(t) for t in m.state["trees"]],
-                 "importance": _hex_list(m.state["importance"])}
-    else:
-        state = {"base": float(m.state["base"]).hex(),
-                 "shrinkage": float(m.state["shrinkage"]).hex(),
-                 "trees": [_tree_to_obj(t) for t in m.state["trees"]]}
     return json.dumps({
         "format_version": _FORMAT_VERSION,
-        "family": fam,
+        "family": m.spec.family,
         "hyperparams": m.spec.hyperparams,
         "seed": m.spec.seed,
         "column_ids": [int(c) for c in m.column_ids],
         "loss_trace": _hex_list(m.loss_trace),
-        "state": state,
+        "state": {k: _encode(v) for k, v in m.state.items()},
     })
 
 
@@ -316,17 +323,6 @@ def model_from_json(text: str) -> TrainedModel:
     if obj.get("format_version") != _FORMAT_VERSION:
         raise ModelError(f"unsupported model format version {obj.get('format_version')}")
     spec = ModelSpec(obj["family"], obj["hyperparams"], obj["seed"])
-    fam = spec.family
-    s = obj["state"]
-    if fam in ("logistic", "linear_svm"):
-        state = {"weights": _unhex(s["weights"]), "bias": float.fromhex(s["bias"])}
-    elif fam == "decision_tree":
-        state = {"tree": _tree_from_obj(s["tree"])}
-    elif fam == "random_forest":
-        state = {"trees": [_tree_from_obj(t) for t in s["trees"]],
-                 "importance": _unhex(s["importance"])}
-    else:
-        state = {"base": float.fromhex(s["base"]), "shrinkage": float.fromhex(s["shrinkage"]),
-                 "trees": [_tree_from_obj(t) for t in s["trees"]]}
+    state = {k: _DECODERS[k](v) for k, v in obj["state"].items()}
     return TrainedModel(spec, np.array(obj["column_ids"], dtype=np.int64), state,
                         tuple(_unhex(obj["loss_trace"])))

@@ -166,11 +166,10 @@ def _gini_sum(w1: float, w0: float) -> float:
 
 def build_gini_tree(X: np.ndarray, ranks: np.ndarray, y: np.ndarray, w: np.ndarray,
                     max_depth: int, min_leaf: int, rng=None,
-                    n_subsample: int | None = None,
-                    importance: np.ndarray | None = None) -> Tree:
+                    n_subsample: int | None = None) -> Tree:
     """CART with weighted Gini impurity; leaves hold the class-1 weight
     fraction.  n_subsample draws that many columns per split with the given
-    rng (forest mode); importance, if given, accumulates split gains."""
+    rng (forest mode)."""
     def node(t):
         wt, w1 = t
         parent = _gini_sum(w1, wt - w1)
@@ -184,10 +183,7 @@ def build_gini_tree(X: np.ndarray, ranks: np.ndarray, y: np.ndarray, w: np.ndarr
         return parent - child
 
     stats = np.stack([w, w * (y == 1)])
-    tree = _grow(X, ranks, stats, node, gain, max_depth, min_leaf, rng, n_subsample)
-    if importance is not None:
-        add_gains(importance, tree)
-    return tree
+    return _grow(X, ranks, stats, node, gain, max_depth, min_leaf, rng, n_subsample)
 
 
 def build_variance_tree(X: np.ndarray, ranks: np.ndarray, target: np.ndarray,

@@ -333,9 +333,7 @@ def reproduce(scenario_id: int, seed: int, out_dir, data_path, labels_path,
     artifacts to out_dir."""
     cfg = scenario_config(scenario_id, seed, data_path, labels_path, out_dir, roster)
     res = run_pipeline(cfg)
-    emit_report(res.report, out_dir,
-                formats=("table_text", "roc_csv", "roc_plot", "ledger"),
-                result=res)
+    emit_report(res.report, out_dir, result=res)
     return res.report
 
 
@@ -386,65 +384,52 @@ def write_drops(drop_logs: dict, out_dir) -> Path:
     return path
 
 
-def emit_report(r: EvalReport, out_dir, formats=("table_text", "roc_csv", "roc_plot", "ledger"),
-                result: PipelineResult | None = None) -> list[str]:
-    """Write the requested artifact files; returns the paths written."""
+def emit_report(r: EvalReport, out_dir, result: PipelineResult | None = None) -> list[str]:
+    """Write report.txt, the per-model ROC tables and plots and, given the
+    run's result, its ledgers; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    lines = [format_report_table(r), ""]
+    lines.append(f"config digest: {r.config_digest}   seed: {r.seed}")
+    pc = r.prune_counts
+    lines.append(f"pruning: {pc['high_missing']} high-missing, {pc['constant']} constant, "
+                 f"{pc['correlated']} correlated dropped; {pc['surviving']} columns survive")
+    ms = r.missing_stats
+    lines.append(
+        "missing cells: "
+        f"{ms['before_prune']['missing_fraction_all_cells']*100:.2f}% before pruning, "
+        f"{ms['after_prune']['missing_fraction_all_cells']*100:.2f}% after")
+    if r.vote_summary:
+        vs = r.vote_summary
+        lines.append(f"feature votes: {vs['n_selected']} selected at threshold "
+                     f"{vs['threshold']}, {vs['n_voted']} with >=1 vote, "
+                     f"{vs['n_zero_votes']} with none; top features {vs['max_vote_features']}")
+    if r.resample_summary:
+        rs = r.resample_summary
+        lines.append(f"resampling: {rs['strategy']} over={rs['over_ratio']} "
+                     f"under={rs['under_ratio']} counts {rs['counts_before']} -> "
+                     f"{rs['counts_after']}")
+    lines.append("")
+    lines.append("Stretch reference targets from the published study (not gates): "
+                 f"recall {REFERENCE_TARGETS['recall']:.2f}, "
+                 f"AUC {REFERENCE_TARGETS['auc']:.2f}, "
+                 f"precision {REFERENCE_TARGETS['precision']:.2f}")
     written = []
 
-    if "table_text" in formats:
-        lines = [format_report_table(r), ""]
-        lines.append(f"config digest: {r.config_digest}   seed: {r.seed}")
-        pc = r.prune_counts
-        lines.append(f"pruning: {pc['high_missing']} high-missing, {pc['constant']} constant, "
-                     f"{pc['correlated']} correlated dropped; {pc['surviving']} columns survive")
-        ms = r.missing_stats
-        lines.append(
-            "missing cells: "
-            f"{ms['before_prune']['missing_fraction_all_cells']*100:.2f}% before pruning, "
-            f"{ms['after_prune']['missing_fraction_all_cells']*100:.2f}% after")
-        if r.vote_summary:
-            vs = r.vote_summary
-            lines.append(f"feature votes: {vs['n_selected']} selected at threshold "
-                         f"{vs['threshold']}, {vs['n_voted']} with >=1 vote, "
-                         f"{vs['n_zero_votes']} with none; top features {vs['max_vote_features']}")
-        if r.resample_summary:
-            rs = r.resample_summary
-            lines.append(f"resampling: {rs['strategy']} over={rs['over_ratio']} "
-                         f"under={rs['under_ratio']} counts {rs['counts_before']} -> "
-                         f"{rs['counts_after']}")
-        lines.append("")
-        lines.append("Stretch reference targets from the published study (not gates): "
-                     f"recall {REFERENCE_TARGETS['recall']:.2f}, "
-                     f"AUC {REFERENCE_TARGETS['auc']:.2f}, "
-                     f"precision {REFERENCE_TARGETS['precision']:.2f}")
-        path = out / "report.txt"
-        path.write_text("\n".join(lines) + "\n")
-        written.append(str(path))
+    def put(name: str, text: str) -> None:
+        (out / name).write_text(text)
+        written.append(str(out / name))
 
-    if "roc_csv" in formats:
-        for fam, mr in r.model_results.items():
-            path = out / f"roc_{fam}.csv"
-            path.write_text(mr.roc.to_csv())
-            written.append(str(path))
-
-    if "roc_plot" in formats:
-        for fam, mr in r.model_results.items():
-            path = out / f"roc_{fam}.svg"
-            path.write_text(_roc_svg(mr.roc, f"ROC: {fam}"))
-            written.append(str(path))
-
-    if "ledger" in formats and result is not None:
+    put("report.txt", "\n".join(lines) + "\n")
+    for fam, mr in r.model_results.items():
+        put(f"roc_{fam}.csv", mr.roc.to_csv())
+    for fam, mr in r.model_results.items():
+        put(f"roc_{fam}.svg", _roc_svg(mr.roc, f"ROC: {fam}"))
+    if result is not None:
         if result.ledger is not None:
-            path = out / "votes.csv"
-            path.write_text(result.ledger.to_csv())
-            written.append(str(path))
+            put("votes.csv", result.ledger.to_csv())
         if result.drop_logs:
             written.append(str(write_drops(result.drop_logs, out)))
         if result.resample_plan is not None:
-            path = out / "resample_plan.csv"
-            path.write_text(result.resample_plan.to_csv())
-            written.append(str(path))
-
+            put("resample_plan.csv", result.resample_plan.to_csv())
     return written

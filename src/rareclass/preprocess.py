@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ColumnStats, Dataset, ProvenanceRecord, column_stats, correlation_matrix
+from .data import Dataset, column_stats, correlation_matrix
 
 __all__ = [
     "DropLog",
@@ -93,8 +93,7 @@ def drop_high_missing(d: Dataset, threshold: float) -> tuple[Dataset, DropLog]:
     if not kept:
         raise PreprocessError("no features remain after high-missing pruning")
     log = DropLog(tuple(DropEntry(c, "high_missing", threshold) for c in removed))
-    rec = ProvenanceRecord("drop_high_missing", {"threshold": threshold}, tuple(removed))
-    return d.select_columns(kept, rec), log
+    return d.select_columns(kept), log
 
 
 def drop_constant(d: Dataset) -> tuple[Dataset, DropLog]:
@@ -106,8 +105,7 @@ def drop_constant(d: Dataset) -> tuple[Dataset, DropLog]:
     if not kept:
         raise PreprocessError("no features remain after constant pruning")
     log = DropLog(tuple(DropEntry(c, "constant", None) for c in removed))
-    rec = ProvenanceRecord("drop_constant", {}, tuple(removed))
-    return d.select_columns(kept, rec), log
+    return d.select_columns(kept), log
 
 
 def drop_correlated(d: Dataset, threshold: float) -> tuple[Dataset, DropLog]:
@@ -139,10 +137,7 @@ def drop_correlated(d: Dataset, threshold: float) -> tuple[Dataset, DropLog]:
     kept = [c for c in d.column_ids if alive[int(c)]]
     if not kept:
         raise PreprocessError("no features remain after correlation pruning")
-    log = DropLog(tuple(entries))
-    rec = ProvenanceRecord("drop_correlated", {"threshold": threshold},
-                           tuple(e.column_id for e in entries))
-    return d.select_columns(kept, rec), log
+    return d.select_columns(kept), DropLog(tuple(entries))
 
 
 def fit_scaler(train: Dataset) -> ScalerParams:
@@ -176,9 +171,7 @@ def apply_scaler(p: ScalerParams, d: Dataset) -> Dataset:
         raise PreprocessError(f"scaler has no parameters for column {e.args[0]}") from None
     ave = p.ave_x[idx]
     rng = p.max_x[idx] - p.min_x[idx]
-    scaled = 0.5 + (d.features.values - ave) / rng
-    rec = ProvenanceRecord("apply_scaler", {"n_cols": d.n_cols})
-    return d.with_values(scaled, rec)
+    return d.with_values(0.5 + (d.features.values - ave) / rng)
 
 
 def _class_shuffles(labels: np.ndarray, seed: int) -> dict[int, np.ndarray]:

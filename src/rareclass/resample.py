@@ -4,11 +4,11 @@ majority under-sampling, and the combined over/under strategy."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureMatrix, ProvenanceRecord
+from .data import Dataset, FeatureMatrix
 
 __all__ = [
     "SmoteParams",
@@ -128,10 +128,7 @@ def smote(train: Dataset, p: SmoteParams) -> tuple[Dataset, ResamplePlan]:
     values = np.vstack([v, new_rows])
     labels = np.concatenate([train.labels, np.ones(n_new, dtype=np.int64)])
     flags = np.concatenate([np.zeros(train.n_rows, dtype=bool), np.ones(n_new, dtype=bool)])
-    rec = ProvenanceRecord("smote", {"target_ratio": p.target_ratio,
-                                     "k_neighbors": p.k_neighbors, "seed": p.seed})
-    out = Dataset(FeatureMatrix(values, train.column_ids.copy()), labels,
-                  train.provenance + (rec,))
+    out = Dataset(FeatureMatrix(values, train.column_ids.copy()), labels)
     plan = ResamplePlan(**plan_base, counts_after=(n_maj, target),
                         synthetic_flags=flags, synthetic_records=tuple(records))
     return out, plan
@@ -161,11 +158,9 @@ def random_undersample(train: Dataset, target_ratio: float, seed: int,
     maj_idx = np.nonzero(train.labels == 0)[0]
     keep_maj = np.sort(rng.choice(maj_idx, size=target_maj, replace=False))
     keep = np.sort(np.concatenate([keep_maj, np.nonzero(train.labels == 1)[0]]))
-    rec = ProvenanceRecord("random_undersample", {"target_ratio": target_ratio, "seed": seed})
-    out = train.take_rows(keep, rec)
     plan = ResamplePlan("under_only", None, target_ratio,
                         (n_maj, n_min), (target_maj, n_min), synthetic_flags[keep])
-    return out, plan
+    return train.take_rows(keep), plan
 
 
 def combined_resample(train: Dataset, over_ratio: float, under_ratio: float,

@@ -39,13 +39,11 @@ class TestLoadSecom:
         with pytest.raises(DataError, match="unparseable"):
             load_secom(data, labels)
 
-    def test_timestamp_kept_in_provenance(self, tmp_path):
+    def test_timestamped_label_lines_load_as_labels(self, tmp_path):
         data = _write(tmp_path / "d.txt", "1.0\n2.0\n")
         labels = _write(tmp_path / "l.txt", "-1 19/07/2008 11:55:00\n1 20/07/2008 00:01:00\n")
         d = load_secom(data, labels)
-        rec = d.provenance[0]
-        assert rec.parameters["first_timestamp"] == "19/07/2008 11:55:00"
-        assert rec.parameters["last_timestamp"] == "20/07/2008 00:01:00"
+        assert list(d.labels) == [0, 1]
 
 
 class TestLoadDelimited:

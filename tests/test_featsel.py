@@ -204,11 +204,13 @@ class TestSfs:
     def test_forward_keep_one_matches_exhaustive(self):
         # oracle: evaluate every single-column model with the same CV
         from rareclass.featsel import _cv_balanced_accuracy
+        from rareclass.models import ModelSpec
         from rareclass.preprocess import stratified_kfold
         d = _signal_noise(n=90, n_signal=2, n_noise=3, seed=9)
-        est, params, cv, seed = "linear_svm", {}, 2, 0
+        est, cv, seed = "linear_svm", 2, 0
+        spec = ModelSpec("linear_svm", {"epochs": 100, "learning_rate": 0.05}, seed=seed)
         folds = stratified_kfold(d, cv, seed).fold_assignments
-        scores = {int(c): _cv_balanced_accuracy(d, [int(c)], est, folds, seed, params)
+        scores = {int(c): _cv_balanced_accuracy(d, [int(c)], spec, folds)
                   for c in d.column_ids}
         best = min(sorted(scores), key=lambda c: (-scores[c], c))
         dec = select_sfs(d, est, n_keep=1, cv_folds=cv, seed=seed)

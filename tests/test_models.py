@@ -139,6 +139,26 @@ class TestTrees:
         assert imp.sum() == pytest.approx(1.0)
         assert imp.argmax() == 2
 
+    def test_decision_tree_importances_are_normalised_gains(self):
+        rng = np.random.default_rng(4)
+        y = (rng.random(150) < 0.3).astype(int)
+        x = rng.normal(size=(150, 4))
+        x[:, 1] += 2.0 * y
+        x[:, 3] += 0.7 * y
+        m = train(ModelSpec("decision_tree", {"max_depth": 4, "min_leaf": 3}), _ds(x, y))
+        t = m.state["tree"]
+        gains = np.zeros(4)
+        for j, g in zip(t.feature, t.gain):
+            if j >= 0:
+                gains[j] += g
+        assert np.count_nonzero(gains) >= 2
+        assert np.allclose(feature_importances(m), gains / gains.sum(), rtol=0, atol=1e-15)
+
+    def test_importances_of_a_loaded_decision_tree_rejected(self):
+        m = model_from_json(model_to_json(train(ModelSpec("decision_tree"), _separable())))
+        with pytest.raises(ModelError, match="split gains"):
+            feature_importances(m)
+
     def test_importances_rejected_for_linear(self):
         with pytest.raises(ModelError):
             feature_importances(train(ModelSpec("logistic"), _separable()))
@@ -196,6 +216,28 @@ class TestSpecAndSerialization:
         spec = ModelSpec("random_forest", {"n_trees": 10})
         assert spec.hyperparams["max_depth"] == 6
 
+    def test_integral_float_counts_from_a_config_train(self, tmp_path):
+        # an INI value such as 1e1 loads as the float 10.0
+        from rareclass.config import load_config
+        path = tmp_path / "c.ini"
+        path.write_text("[model.logistic]\nepochs = 5.0\n"
+                        "[model.random_forest]\nn_trees = 1e1\nmax_depth = 3.0\n"
+                        "[model.gradient_boosting]\nn_rounds = 4e0\n")
+        cfg = load_config(str(path))
+        assert cfg.model_overrides["random_forest"]["n_trees"] == 10.0
+        d = _separable(n=40, seed=3)
+        for fam, hp in cfg.model_overrides.items():
+            spec = ModelSpec(fam, hp)
+            assert all(type(spec.hyperparams[k]) is int for k in hp)
+            m = train(spec, d)
+            assert model_from_json(model_to_json(m)).spec == spec
+        assert len(train(ModelSpec("random_forest", cfg.model_overrides["random_forest"]),
+                         d).state["trees"]) == 10
+
+    def test_non_integral_count_rejected(self):
+        with pytest.raises(ModelError, match="positive integer"):
+            ModelSpec("random_forest", {"n_trees": 10.5})
+
     def test_missing_cells_rejected(self):
         d = _ds([[np.nan], [1.0], [2.0]], [0, 1, 0])
         with pytest.raises(ModelError, match="impute"):
@@ -223,6 +265,13 @@ class TestSpecAndSerialization:
         a = predict_scores(m, d.features)
         b = predict_scores(m2, d.features)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_json_roundtrip_is_a_fixed_point(self, family):
+        hp = {"n_trees": 3} if family == "random_forest" else \
+             {"n_rounds": 3} if family.endswith("boosting") else {}
+        text = model_to_json(train(ModelSpec(family, hp), _separable(n=40, seed=13)))
+        assert model_to_json(model_from_json(text)) == text
 
     def test_bad_format_version(self):
         d = _separable(n=30)

@@ -91,9 +91,11 @@ def test_exceptions_survive_pickling(exc):
 
 def test_divergence_in_a_worker_reaches_the_caller(data, monkeypatch):
     monkeypatch.setattr(parallel, "workers", lambda: 2)
+    # the spec is built in the caller, so the workers see the patched table
+    monkeypatch.setitem(featsel._SFS_ESTIMATORS, "linear_svm",
+                        ("linear_svm", {"epochs": 100, "learning_rate": 1e200}))
     with pytest.raises(TrainingDiverged, match="linear SVM") as exc:
-        featsel.select_sfs(data, "linear_svm", 1, cv_folds=2,
-                           estimator_params={"learning_rate": 1e200})
+        featsel.select_sfs(data, "linear_svm", 1, cv_folds=2)
     trace = exc.value.loss_trace
     assert len(trace) >= 2 and np.isfinite(trace[0]) and not np.isfinite(trace[-1])
     assert os.getpid() not in parallel.pmap(_pid, [(0,), (1,)])   # the pool still works

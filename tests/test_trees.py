@@ -153,8 +153,8 @@ def test_kernel_matches_per_column_reference(seed, n, n_cols, minority_weight, l
         sub = int(rng.integers(1, n_cols + 1)) if mode == "forest" else None
         imp = np.zeros(n_cols)
         got = trees.build_gini_tree(X, ranks, y, w, max_depth, min_leaf,
-                                    rng=np.random.default_rng(seed), n_subsample=sub,
-                                    importance=imp)
+                                    rng=np.random.default_rng(seed), n_subsample=sub)
+        trees.add_gains(imp, got)
         want, want_imp = _reference_tree(X, _Gini(y, w), max_depth, min_leaf,
                                          rng=np.random.default_rng(seed), n_subsample=sub)
         assert [v.hex() for v in imp] == [v.hex() for v in want_imp]
