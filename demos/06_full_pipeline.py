@@ -14,18 +14,18 @@ def main():
                         positive_fraction=0.08, missing_fraction=0.04,
                         n_constant=2, n_duplicate=2, n_high_missing=2,
                         class_separation=1.8, seed=5)
-    tmp = Path(tempfile.mkdtemp())
-    data, labels = tmp / "demo.data", tmp / "demo_labels.data"
-    write_secom_like(d, data, labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        data, labels = Path(tmp) / "demo.data", Path(tmp) / "demo_labels.data"
+        write_secom_like(d, data, labels)
 
-    for scenario in (1, 2, 3):
-        out = Path("demo_out") / f"scenario_{scenario}"
-        report = reproduce(scenario, seed=0, out_dir=out,
-                           data_path=data, labels_path=labels, roster="fast")
-        print(f"--- scenario {scenario} "
-              f"(resampling: {report.resample_summary.get('strategy', 'none') if report.resample_summary else 'none'}) ---")
-        print(format_report_table(report))
-        print(f"artifacts in {out}/\n")
+        for scenario in (1, 2, 3):
+            out = Path("demo_out") / f"scenario_{scenario}"
+            report = reproduce(scenario, seed=0, out_dir=out,
+                               data_path=data, labels_path=labels, roster="fast")
+            print(f"--- scenario {scenario} "
+                  f"(resampling: {report.resample_summary.get('strategy', 'none') if report.resample_summary else 'none'}) ---")
+            print(format_report_table(report))
+            print(f"artifacts in {out}/\n")
 
     print("compare the regularized-boosting recall across the three tables: "
           "resampling buys recall on the rare class")

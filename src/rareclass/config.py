@@ -7,7 +7,8 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field, asdict
 
-from .models import FAMILIES
+from . import impute
+from .models import FAMILIES, ModelSpec
 
 
 class ConfigError(ValueError):
@@ -83,15 +84,28 @@ class PipelineConfig:
         for fam in self.model_families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r}")
-        for fam in self.model_overrides:
+        for fam, hp in self.model_overrides.items():
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r} in section [model.{fam}]")
+            _check(f"model.{fam}", ModelSpec, fam, hp)
+        _check("impute", impute.KnnImputeParams, k=self.knn_k)
+        _check("impute", impute.MiceParams, n_iterations=self.mice_iterations,
+               initial_fill=self.mice_initial_fill, noise_mode=self.mice_noise_mode)
 
     def digest(self) -> str:
         # out_dir is where results land, not part of what was computed
         fields = {k: v for k, v in asdict(self).items() if k != "out_dir"}
         payload = repr(sorted(fields.items())).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _check(section: str, build, *args, **kwargs) -> None:
+    """Build a stage's parameter object now, so that a bad value fails at
+    load time as a ConfigError naming its section, not in a later stage."""
+    try:
+        build(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"[{section}]: {e}") from e
 
 
 def _parse_overrides(value: str) -> dict:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ColumnStats, Dataset
+from .data import ColumnStats, Dataset, column_stats
 
 __all__ = [
     "SimpleImputePlan",
@@ -21,6 +21,7 @@ __all__ = [
     "ImputeLogEntry",
     "assign_simple_strategies",
     "fit_simple_plan",
+    "fit_skew_refined_plan",
     "simple_impute",
     "knn_impute",
     "mice_impute",
@@ -114,6 +115,29 @@ def fit_simple_plan(plan: SimpleImputePlan, train: Dataset) -> SimpleImputePlan:
             # mean fill; also the boundary fallback for the order-based strategies
             fills[cid] = float(present.mean())
     return SimpleImputePlan(dict(plan.strategies), fills)
+
+
+def fit_skew_refined_plan(train: Dataset, skew_threshold: float = 1.0,
+                          overrides: dict | None = None) -> SimpleImputePlan:
+    """Assign strategies by skewness, apply the overrides and fit on the
+    training rows, with one bounded refinement pass: a mean or median
+    column whose skewness changes sign once filled toggles once between
+    mean and median, and the plan is refitted."""
+    overrides = overrides or {}
+    stats = column_stats(train)
+    plan = assign_simple_strategies(stats, skew_threshold)
+    for cid, strat in overrides.items():
+        plan.override(cid, strat)
+    plan = fit_simple_plan(plan, train)
+    after = {s.column_id: s.skewness for s in column_stats(simple_impute(plan, train))}
+    toggled = False
+    for s in stats:
+        strat = plan.strategies[s.column_id]
+        if (s.column_id not in overrides and s.skewness is not None
+                and strat in ("mean", "median") and s.skewness * after[s.column_id] < 0):
+            plan.override(s.column_id, "median" if strat == "mean" else "mean")
+            toggled = True
+    return fit_simple_plan(plan, train) if toggled else plan
 
 
 def _fill_ordered(col: np.ndarray, strategy: str, fallback: float) -> np.ndarray:
@@ -235,8 +259,7 @@ def knn_impute(p: KnnImputeParams, train: Dataset, target: Dataset,
 
 
 def _initial_fill(values: np.ndarray, mode: str, train_mask: np.ndarray) -> np.ndarray:
-    """Fill NaNs with train-row column means or medians."""
-    out = values.copy()
+    """Fill NaNs, in place, with train-row column means or medians."""
     for j in range(values.shape[1]):
         col = values[:, j]
         tcol = col[train_mask]
@@ -244,8 +267,8 @@ def _initial_fill(values: np.ndarray, mode: str, train_mask: np.ndarray) -> np.n
         if len(present) == 0:
             raise ImputeError(f"column index {j} entirely missing in training data")
         fill = float(np.median(present)) if mode == "median" else float(present.mean())
-        out[np.isnan(col), j] = fill
-    return out
+        col[np.isnan(col)] = fill
+    return values
 
 
 def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
@@ -279,10 +302,11 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
             obs = train_mask & ~orig_missing[:, j]
             if obs.sum() < 2:
                 raise ImputeError(f"column index {j} has fewer than 2 observed training rows")
-            X = state[obs][:, others]
+            Xc = state[obs][:, others]
             y = state[obs, j]
-            Xm, ym = X.mean(axis=0), y.mean()
-            Xc, yc = X - Xm, y - ym
+            Xm, ym = Xc.mean(axis=0), y.mean()
+            Xc -= Xm
+            yc = y - ym
             gram = Xc.T @ Xc + p.ridge * np.eye(len(others))
             try:
                 beta = np.linalg.solve(gram, Xc.T @ yc)
@@ -292,7 +316,10 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
                 state[miss, j] = ym
                 continue
             miss = orig_missing[:, j]
-            pred = (state[miss][:, others] - Xm) @ beta + ym
+            # one row-wise sum over a C-ordered operand: each row's prediction
+            # is the same bits whatever other rows share the batch (a matrix
+            # product, or the F-ordered fancy-index result, would not be)
+            pred = (np.ascontiguousarray(state[miss][:, others] - Xm) * beta).sum(axis=1) + ym
             if p.noise_mode == "gaussian_residual_draw":
                 resid = yc - Xc @ beta
                 sigma = float(np.sqrt((resid ** 2).mean()))

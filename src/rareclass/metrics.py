@@ -48,9 +48,11 @@ class RocCurve:
     auc: float
 
     def to_csv(self) -> str:
+        # repr of a Python float: the shortest text that parses back to the
+        # same value (a numpy scalar's repr reads "np.float64(...)")
         lines = ["fpr,tpr,threshold"]
         for f, t, th in zip(self.fpr, self.tpr, self.thresholds):
-            lines.append(f"{f!r},{t!r},{th!r}")
+            lines.append(f"{float(f)!r},{float(t)!r},{float(th)!r}")
         return "\n".join(lines) + "\n"
 
 

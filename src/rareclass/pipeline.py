@@ -14,7 +14,7 @@ import numpy as np
 
 from . import featsel, impute, models, preprocess, resample
 from .config import PipelineConfig, ConfigError
-from .data import Dataset, column_stats, load_delimited, load_secom
+from .data import Dataset, FeatureMatrix, column_stats, load_delimited, load_secom
 from .metrics import ConfusionMatrix, MetricSet, RocCurve, confusion, metric_set, roc_curve
 
 __all__ = [
@@ -156,43 +156,27 @@ def _scale(cfg: PipelineConfig, res: PipelineResult, work) -> None:
 
 
 def _impute(cfg: PipelineConfig, res: PipelineResult, work) -> None:
-    train_s, test_s = work.train, work.test
+    train, test = work.train, work.test
+    if cfg.impute_method == "simple":
+        # order-based strategies fill along row order, so each partition
+        # is filled on its own
+        plan = impute.fit_skew_refined_plan(train, cfg.skew_threshold, cfg.impute_overrides)
+        work.train, work.test = impute.simple_impute(plan, train), impute.simple_impute(plan, test)
+        return
     if cfg.impute_method == "knn":
-        p = impute.KnnImputeParams(k=cfg.knn_k)
-        work.train = impute.knn_impute(p, train_s, train_s)
-        work.test = impute.knn_impute(p, train_s, test_s)
-        return
-    if cfg.impute_method == "mice":
-        p = impute.MiceParams(n_iterations=cfg.mice_iterations,
-                              initial_fill=cfg.mice_initial_fill,
-                              seed=cfg.seed, noise_mode=cfg.mice_noise_mode)
-        work.train = impute.mice_impute(p, train_s, train_s)
-        work.test = impute.mice_impute(p, train_s, test_s)
-        return
-
-    # simple strategies with one bounded distribution-refinement pass:
-    # a column whose skewness sign flips after filling toggles once
-    # between mean and median, then imputation is re-run.
-    stats = column_stats(train_s)
-    plan = impute.assign_simple_strategies(stats, cfg.skew_threshold)
-    for cid, strat in cfg.impute_overrides.items():
-        plan.override(cid, strat)
-    plan = impute.fit_simple_plan(plan, train_s)
-    filled = impute.simple_impute(plan, train_s)
-    after = {s.column_id: s for s in column_stats(filled)}
-    toggled = False
-    for s in stats:
-        if s.column_id in cfg.impute_overrides or s.skewness is None:
-            continue
-        sk_before, sk_after = s.skewness, after[s.column_id].skewness
-        if sk_before * sk_after < 0 and plan.strategies[s.column_id] in ("mean", "median"):
-            plan.override(s.column_id,
-                          "median" if plan.strategies[s.column_id] == "mean" else "mean")
-            toggled = True
-    if toggled:
-        plan = impute.fit_simple_plan(plan, train_s)
-    work.train = impute.simple_impute(plan, train_s)
-    work.test = impute.simple_impute(plan, test_s)
+        fill, p = impute.knn_impute, impute.KnnImputeParams(k=cfg.knn_k)
+    else:
+        fill, p = impute.mice_impute, impute.MiceParams(
+            n_iterations=cfg.mice_iterations, initial_fill=cfg.mice_initial_fill,
+            seed=cfg.seed, noise_mode=cfg.mice_noise_mode)
+    # one pass fills both partitions; every fitted quantity comes from the
+    # training rows alone
+    both = Dataset(FeatureMatrix(np.vstack([train.features.values, test.features.values]),
+                                 train.column_ids),
+                   np.concatenate([train.labels, test.labels]))
+    filled = fill(p, train, both)
+    work.train = filled.take_rows(np.arange(train.n_rows))
+    work.test = filled.take_rows(np.arange(train.n_rows, both.n_rows))
 
 
 def _select(cfg: PipelineConfig, res: PipelineResult, work) -> None:

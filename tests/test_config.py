@@ -37,6 +37,12 @@ class TestValidation:
         {"under_ratio": 0.0},
         {"vote_threshold": 0},
         {"model_families": ("logistic", "perceptron")},
+        {"knn_k": 0},
+        {"mice_iterations": 0},
+        {"mice_initial_fill": "mode"},
+        {"mice_noise_mode": "gausian"},
+        {"model_overrides": {"logistic": {"epochs": 1.5}}},
+        {"model_overrides": {"random_forest": {"max_depth": 0}}},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
@@ -130,6 +136,19 @@ out_dir = results
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
+
+    @pytest.mark.parametrize("section, text", [
+        ("model.logistic", "[model.logistic]\nepochs = 1.5\n"),
+        ("model.logistic", "[model.logistic]\nepoch = 5\n"),
+        ("model.linear_svm", "[model.linear_svm]\nc = -1\n"),
+        ("impute", "[impute]\nnoise_mode = gausian\n"),
+        ("impute", "[impute]\nmethod = mice\niterations = 0\n"),
+        ("impute", "[impute]\nk = 0\n"),
+    ])
+    def test_stage_parameters_checked_at_load(self, tmp_path, section, text):
+        # each would otherwise fail only in its stage, after the stages before it
+        with pytest.raises(ConfigError, match=rf"\[{section}\]"):
+            load_config(_write(tmp_path, text))
 
     def test_invalid_value_caught_at_load(self, tmp_path):
         with pytest.raises(ConfigError, match="scenario"):

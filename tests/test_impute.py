@@ -4,7 +4,8 @@ import pytest
 from rareclass.data import ColumnStats, Dataset, FeatureMatrix, column_stats
 from rareclass.impute import (ImputeError, KnnImputeParams, MiceParams,
                               assign_simple_strategies, fit_simple_plan,
-                              knn_impute, mice_impute, simple_impute)
+                              fit_skew_refined_plan, knn_impute, mice_impute,
+                              simple_impute)
 
 
 def _ds(values, labels=None):
@@ -36,6 +37,39 @@ class TestStrategyAssignment:
         plan = assign_simple_strategies([_stat(0, 0.0)])
         plan.override(0, "forward")
         assert plan.strategies[0] == "forward"
+
+
+class TestSkewRefinement:
+    # [0, 2, 2, 4, 4] has skewness -0.34, so at threshold 0.2 it is filled
+    # with its median 2; with four median fills the skewness is +0.015,
+    # so the column toggles to its mean 2.4
+    FLIPS = [0.0, 2.0, 2.0, 4.0, 4.0, np.nan, np.nan, np.nan, np.nan]
+
+    def _train(self):
+        steady = [1.0, 2.0, 3.0, 4.0, 5.0, np.nan, 3.0, 2.0, 4.0]    # skewness 0
+        return _ds(np.column_stack([self.FLIPS, self.FLIPS, steady]))
+
+    def test_sign_flip_toggles_median_to_mean(self):
+        train = self._train()
+        first = assign_simple_strategies(column_stats(train), 0.2)
+        assert first.strategies[0] == "median"
+        plan = fit_skew_refined_plan(train, skew_threshold=0.2)
+        assert plan.strategies == {0: "mean", 1: "mean", 2: "mean"}
+        assert plan.fill_values[0] == pytest.approx(2.4)
+        out = simple_impute(plan, train).features.values
+        assert np.allclose(out[5:, 0], 2.4)
+
+    def test_override_is_never_toggled(self):
+        plan = fit_skew_refined_plan(self._train(), skew_threshold=0.2,
+                                     overrides={1: "median"})
+        assert plan.strategies[0] == "mean"
+        assert plan.strategies[1] == "median" and plan.fill_values[1] == 2.0
+
+    def test_no_flip_keeps_the_first_plan(self):
+        train = self._train()
+        plan = fit_skew_refined_plan(train, skew_threshold=1.0)
+        first = fit_simple_plan(assign_simple_strategies(column_stats(train), 1.0), train)
+        assert plan == first
 
 
 class TestSimpleImpute:
@@ -192,6 +226,25 @@ class TestMiceImpute:
         a = mice_impute(p, d, d)
         b = mice_impute(p, d, d)
         assert np.array_equal(a.features.values, b.features.values)
+
+    def test_prediction_independent_of_batch(self):
+        # twelve columns, so each prediction sums eleven terms, where the
+        # order of summation shows in the last bits.  The training rows
+        # are complete in columns 6-11, so a test row alone is the only
+        # row a column's prediction covers, and together it shares the
+        # batch with the other test rows missing that column
+        rng = np.random.default_rng(11)
+        v = rng.normal(size=(60, 12)) @ rng.normal(size=(12, 12))
+        holes = rng.random(v.shape) < 0.3
+        holes[:40, 6:] = False
+        v[holes] = np.nan
+        train, test = _ds(v[:40]), _ds(v[40:])
+        p = MiceParams(3)
+        both = mice_impute(p, train, _ds(v)).features.values
+        alone = [mice_impute(p, train, test.take_rows([r])).features.values[0]
+                 for r in range(test.n_rows)]
+        assert np.array_equal(both[:40], mice_impute(p, train, train).features.values)
+        assert np.array_equal(both[40:], np.array(alone))
 
     def test_present_cells_untouched(self):
         rng = np.random.default_rng(7)

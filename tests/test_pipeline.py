@@ -171,11 +171,11 @@ class TestGoldenBytes:
     digests; a change to what a run writes must re-baseline them on purpose."""
 
     GOLDEN = {
-        "scenario_1": "dcd7c8e7e3d56c29361f3a94b55ef4f2900d3ff11f05ea4806c3c448f34c32b3",
-        "scenario_2": "5399eeed5de166d04361e55a2743cc6371b892250a87d202d57327ee1d790188",
-        "scenario_3": "9594e4b1a648fe9c4ef83c2104734d84b092078406f6e745071429afeca16f60",
-        "simple": "17efe327bad71f14e75c3ad1ea4abf12681aa4c9400a1fd9f23202fa9d51eae3",
-        "mice": "11ef1bc7521228f0b9c102810229069020579cef615398d148e347340f3ea4dc",
+        "scenario_1": "25602824c73b9ec93a8b1104c6fdd1b4ba02b114e0bacb7eead544d7bd3f2ce1",
+        "scenario_2": "00d10527a144ff1d1f19abf27369d01eab786b33bf2a31c14e1b0f3e05585868",
+        "scenario_3": "86231d81e0b04084ab126c6c50a173a85054b690fa6e759e745a8a7641266b2d",
+        "simple": "b8443fea1d776babb563aa6aef2e07cec76006b0825c33c0a867b23cbe8730f8",
+        "mice": "5b6297b5513fd6313dac8d0f3831d037f36ffc3dce79714d63d62a591550ebaa",
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -203,6 +203,16 @@ class TestEmitReport:
         for f in files:
             first = open(f).readline().strip()
             assert first == "fpr,tpr,threshold"
+
+    def test_roc_csv_cells_are_plain_floats(self, sensor_files, tmp_path):
+        res = run_pipeline(_cfg(sensor_files))
+        files = [f for f in emit_report(res.report, tmp_path / "csv")
+                 if Path(f).name.startswith("roc_") and f.endswith(".csv")]
+        for f, mr in zip(files, res.report.model_results.values()):
+            rows = [line.split(",") for line in open(f).read().splitlines()[1:]]
+            got = np.array([[float(cell) for cell in row] for row in rows])
+            want = np.column_stack([mr.roc.fpr, mr.roc.tpr, mr.roc.thresholds])
+            assert np.array_equal(got, want)
 
     def test_svg_is_wellformed(self, sensor_files, tmp_path):
         import xml.etree.ElementTree as ET
