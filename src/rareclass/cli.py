@@ -12,15 +12,9 @@ import sys
 from pathlib import Path
 
 from . import models
-from .config import ConfigError, PipelineConfig, load_config
+from .config import ConfigError, load_config
 from .data import column_stats, load_secom
 from .pipeline import PipelineError, emit_report, reproduce, run_pipeline, write_drops
-
-
-def _cfg_from_args(args) -> PipelineConfig:
-    if not args.config:
-        raise ConfigError("--config FILE is required for this subcommand")
-    return load_config(args.config)
 
 
 def cmd_eda(args) -> int:
@@ -41,46 +35,47 @@ def cmd_eda(args) -> int:
     return 0
 
 
-def cmd_preprocess(args) -> int:
-    cfg = _cfg_from_args(args)
-    res = run_pipeline(cfg, stop_after="prune")
-    path = write_drops(res.drop_logs, cfg.out_dir)
+def _write_drops(res, out: Path) -> None:
+    path = write_drops(res.drop_logs, out)
     print(f"{res.pruned.n_cols} columns survive pruning; drop log in {path}")
-    return 0
 
 
-def cmd_select(args) -> int:
-    cfg = _cfg_from_args(args)
-    res = run_pipeline(cfg, stop_after="select")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_votes(res, out: Path) -> None:
     if res.ledger is None:
         print("selector roster is 'none'; nothing to vote on")
-        return 0
+        return
     (out / "votes.csv").write_text(res.ledger.to_csv())
     print(f"{len(res.ledger.selected)} features selected at threshold "
           f"{res.ledger.threshold}; ledger in {out / 'votes.csv'}")
-    return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _cfg_from_args(args)
-    res = run_pipeline(cfg, stop_after="train")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_models(res, out: Path) -> None:
     for fam, m in res.trained.items():
         path = out / f"model_{fam}.json"
         path.write_text(models.model_to_json(m))
         print(f"trained {fam} -> {path}")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _cfg_from_args(args)
-    res = run_pipeline(cfg)
-    files = emit_report(res.report, cfg.out_dir, result=res)
-    for f in files:
-        print(f)
+def _write_report(res, out: Path) -> None:
+    print("\n".join(emit_report(res.report, out, result=res)))
+
+
+# subcommand -> (last stage it runs, writer of that stage's output)
+_STAGE_COMMANDS = {
+    "preprocess": ("prune", _write_drops),
+    "select": ("select", _write_votes),
+    "train": ("train", _write_models),
+    "evaluate": ("evaluate", _write_report),
+}
+
+
+def _run_stages(args) -> int:
+    cfg = load_config(args.config)
+    stop_after, write = _STAGE_COMMANDS[args.command]
+    res = run_pipeline(cfg, stop_after=stop_after)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write(res, out)
     return 0
 
 
@@ -103,11 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("labels")
     p.set_defaults(func=cmd_eda)
 
-    for name, func in (("preprocess", cmd_preprocess), ("select", cmd_select),
-                       ("train", cmd_train), ("evaluate", cmd_evaluate)):
+    for name in _STAGE_COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_run_stages)
 
     p = sub.add_parser("reproduce", help="run one of the three fixed testing scenarios")
     p.add_argument("--scenario", type=int, required=True, choices=(1, 2, 3))

@@ -87,9 +87,9 @@ class PipelineConfig:
         for fam, hp in self.model_overrides.items():
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r} in section [model.{fam}]")
-            _check(f"model.{fam}", ModelSpec, fam, hp)
-        _check("impute", impute.KnnImputeParams, k=self.knn_k)
-        _check("impute", impute.MiceParams, n_iterations=self.mice_iterations,
+            _check(f"[model.{fam}]", ModelSpec, fam, hp)
+        _check("[impute]", impute.KnnImputeParams, k=self.knn_k)
+        _check("[impute]", impute.MiceParams, n_iterations=self.mice_iterations,
                initial_fill=self.mice_initial_fill, noise_mode=self.mice_noise_mode)
 
     def digest(self) -> str:
@@ -99,13 +99,14 @@ class PipelineConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _check(section: str, build, *args, **kwargs) -> None:
-    """Build a stage's parameter object now, so that a bad value fails at
-    load time as a ConfigError naming its section, not in a later stage."""
+def _check(where: str, build, *args, **kwargs):
+    """Build a stage's parameter object, or parse one INI value, now, so
+    that a bad value fails at load time as a ConfigError saying where it
+    is, not in a later stage."""
     try:
-        build(*args, **kwargs)
+        return build(*args, **kwargs)
     except ValueError as e:
-        raise ConfigError(f"[{section}]: {e}") from e
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _parse_overrides(value: str) -> dict:
@@ -154,7 +155,7 @@ def load_config(path) -> PipelineConfig:
         if section.startswith("model."):
             family = section.split(".", 1)[1]
             cfg.model_overrides[family] = {
-                k: float(v) if "." in v or "e" in v.lower() else int(v)
+                k: _check(f"[{section}] {k}", float if "." in v or "e" in v.lower() else int, v)
                 for k, v in parser.items(section)}
             continue
         if section not in CONFIG_KEYS:
@@ -164,6 +165,6 @@ def load_config(path) -> PipelineConfig:
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             name, parse = keys[key]
-            setattr(cfg, name, parse(value))
+            setattr(cfg, name, _check(f"[{section}] {key}", parse, value))
     cfg.validate()
     return cfg

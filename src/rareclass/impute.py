@@ -18,7 +18,6 @@ __all__ = [
     "KnnImputeParams",
     "MiceParams",
     "ImputeError",
-    "ImputeLogEntry",
     "assign_simple_strategies",
     "fit_simple_plan",
     "fit_skew_refined_plan",
@@ -33,15 +32,6 @@ SIMPLE_STRATEGIES = ("mean", "median", "most_frequent", "forward", "backward",
 
 class ImputeError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ImputeLogEntry:
-    row: int
-    column_id: int
-    method: str
-    value: float
-    fallback: bool = False
 
 
 @dataclass
@@ -93,27 +83,29 @@ def assign_simple_strategies(train_stats: list[ColumnStats], skew_threshold: flo
     return SimpleImputePlan(strategies)
 
 
+def _train_stats(train: Dataset) -> list[ColumnStats]:
+    """column_stats of the training rows, none of them all missing."""
+    stats = column_stats(train)
+    for s in stats:
+        if s.mean is None:
+            raise ImputeError(f"column {s.column_id} entirely missing in training data")
+    return stats
+
+
 def fit_simple_plan(plan: SimpleImputePlan, train: Dataset) -> SimpleImputePlan:
     """Fit fill values on the training rows for every column of the plan."""
-    v = train.features.values
     fills = {}
-    for j, cid in enumerate(train.column_ids):
-        cid = int(cid)
-        if cid not in plan.strategies:
-            raise ImputeError(f"plan does not cover column {cid}")
-        col = v[:, j]
-        present = col[~np.isnan(col)]
-        if len(present) == 0:
-            raise ImputeError(f"column {cid} entirely missing in training data")
-        strat = plan.strategies[cid]
-        if strat == "median":
-            fills[cid] = float(np.median(present))
-        elif strat == "most_frequent":
-            vals, counts = np.unique(present, return_counts=True)
-            fills[cid] = float(vals[np.argmax(counts)])
+    for j, s in enumerate(_train_stats(train)):
+        if s.column_id not in plan.strategies:
+            raise ImputeError(f"plan does not cover column {s.column_id}")
+        strat = plan.strategies[s.column_id]
+        if strat == "most_frequent":
+            col = train.features.values[:, j]
+            vals, counts = np.unique(col[~np.isnan(col)], return_counts=True)
+            fills[s.column_id] = float(vals[np.argmax(counts)])
         else:
-            # mean fill; also the boundary fallback for the order-based strategies
-            fills[cid] = float(present.mean())
+            # the mean is also the boundary fallback of the order-based strategies
+            fills[s.column_id] = s.median if strat == "median" else s.mean
     return SimpleImputePlan(dict(plan.strategies), fills)
 
 
@@ -199,26 +191,21 @@ def simple_impute(plan: SimpleImputePlan, d: Dataset) -> Dataset:
     return d.with_values(v)
 
 
-def knn_impute(p: KnnImputeParams, train: Dataset, target: Dataset,
-               log: list | None = None) -> Dataset:
+def knn_impute(p: KnnImputeParams, train: Dataset, target: Dataset) -> Dataset:
     """Fill each missing cell with the mean of the column's values among the
     k nearest training rows.
 
     Distance is Euclidean over mutually present features, normalised by the
     shared-feature count.  Neighbours missing the needed column are skipped
-    in favour of the next nearest; with no eligible neighbour the column
-    mean is used and logged as a fallback.
+    in favour of the next nearest; with no eligible neighbour the column's
+    training mean is used.
     """
     if not np.array_equal(train.column_ids, target.column_ids):
         raise ImputeError("train and target column ids differ")
+    col_means = [s.mean for s in _train_stats(train)]
     tv = train.features.values
     tp = ~np.isnan(tv)
-    col_means = np.array([tv[tp[:, j], j].mean() if tp[:, j].any() else np.nan
-                          for j in range(train.n_cols)])
-    if np.isnan(col_means).any():
-        raise ImputeError("a training column is entirely missing")
-    n_present = tp.sum(axis=0)
-    short = n_present < p.k
+    short = tp.sum(axis=0) < p.k
     if short.any():
         cid = int(train.column_ids[np.nonzero(short)[0][0]])
         raise ImputeError(f"column {cid} has fewer than k={p.k} present training rows")
@@ -245,30 +232,8 @@ def knn_impute(p: KnnImputeParams, train: Dataset, target: Dataset,
         order = order[np.isfinite(dist[order])]
         for j in np.nonzero(missing)[0]:
             donors = order[tp[order, j]][: p.k]
-            cid = int(target.column_ids[j])
-            if len(donors) == p.k:
-                val = float(tv[donors, j].mean())
-                fb = False
-            else:
-                val = float(col_means[j])
-                fb = True
-            out[r, j] = val
-            if log is not None:
-                log.append(ImputeLogEntry(r, cid, "knn", val, fallback=fb))
+            out[r, j] = tv[donors, j].mean() if len(donors) == p.k else col_means[j]
     return target.with_values(out)
-
-
-def _initial_fill(values: np.ndarray, mode: str, train_mask: np.ndarray) -> np.ndarray:
-    """Fill NaNs, in place, with train-row column means or medians."""
-    for j in range(values.shape[1]):
-        col = values[:, j]
-        tcol = col[train_mask]
-        present = tcol[~np.isnan(tcol)]
-        if len(present) == 0:
-            raise ImputeError(f"column index {j} entirely missing in training data")
-        fill = float(np.median(present)) if mode == "median" else float(present.mean())
-        col[np.isnan(col)] = fill
-    return values
 
 
 def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
@@ -285,22 +250,21 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
     if train.n_cols < 2:
         raise ImputeError("chained-equation imputation needs at least 2 columns")
 
+    fills = [s.median if p.initial_fill == "median" else s.mean for s in _train_stats(train)]
     n_train = train.n_rows
-    values = np.vstack([train.features.values, target.features.values])
-    orig_missing = np.isnan(values)
-    train_mask = np.zeros(len(values), dtype=bool)
-    train_mask[:n_train] = True
+    state = np.vstack([train.features.values, target.features.values])
+    orig_missing = np.isnan(state)
+    np.copyto(state, fills, where=orig_missing)
 
-    state = _initial_fill(values, p.initial_fill, train_mask)
     rng = np.random.default_rng(p.seed)
-    incomplete = [j for j in range(values.shape[1]) if orig_missing[:, j].any()]
-    n_cols = values.shape[1]
+    n_cols = state.shape[1]
+    incomplete = [j for j in range(n_cols) if orig_missing[:, j].any()]
 
     for _ in range(p.n_iterations):
         for j in incomplete:
             others = [c for c in range(n_cols) if c != j]
-            obs = train_mask & ~orig_missing[:, j]
-            if obs.sum() < 2:
+            obs = np.flatnonzero(~orig_missing[:n_train, j])    # observed training rows
+            if len(obs) < 2:
                 raise ImputeError(f"column index {j} has fewer than 2 observed training rows")
             Xc = state[obs][:, others]
             y = state[obs, j]
@@ -308,14 +272,13 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
             Xc -= Xm
             yc = y - ym
             gram = Xc.T @ Xc + p.ridge * np.eye(len(others))
+            miss = orig_missing[:, j]
             try:
                 beta = np.linalg.solve(gram, Xc.T @ yc)
             except np.linalg.LinAlgError:
                 # singular even after damping: column-mean refill this sweep
-                miss = orig_missing[:, j]
                 state[miss, j] = ym
                 continue
-            miss = orig_missing[:, j]
             # one row-wise sum over a C-ordered operand: each row's prediction
             # is the same bits whatever other rows share the batch (a matrix
             # product, or the F-ordered fancy-index result, would not be)

@@ -42,18 +42,25 @@ def logistic_loss_grad(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     return loss, grad
 
 
-def train_logistic(X, y, sw, lr: float, epochs: int, l2: float):
-    params = np.zeros(X.shape[1] + 1)
+def _descend(loss_grad, n_params: int, lr: float, epochs: int, name: str):
+    """Full-batch (sub)gradient descent from zero; returns (w, b, loss trace).
+    Overflow goes unwarned: a non-finite loss raises TrainingDiverged."""
+    params = np.zeros(n_params)
     trace = []
-    for _ in range(epochs):
-        loss, grad = logistic_loss_grad(params, X, y, sw, l2)
-        trace.append(loss)
-        if not np.isfinite(loss):
-            raise TrainingDiverged("logistic training diverged", trace)
-        params = params - lr * grad
-    loss, _ = logistic_loss_grad(params, X, y, sw, l2)
-    trace.append(loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            loss, grad = loss_grad(params)
+            trace.append(loss)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"{name} training diverged", trace)
+            params = params - lr * grad
+        trace.append(loss_grad(params)[0])
     return params[:-1], float(params[-1]), trace
+
+
+def train_logistic(X, y, sw, lr: float, epochs: int, l2: float):
+    return _descend(lambda p: logistic_loss_grad(p, X, y, sw, l2),
+                    X.shape[1] + 1, lr, epochs, "logistic")
 
 
 def hinge_loss_grad(params: np.ndarray, X: np.ndarray, t: np.ndarray,
@@ -79,14 +86,5 @@ def hinge_loss_grad(params: np.ndarray, X: np.ndarray, t: np.ndarray,
 
 def train_linear_svm(X, y, sw, c: float, lr: float, epochs: int):
     t = np.where(y == 1, 1.0, -1.0)
-    params = np.zeros(X.shape[1] + 1)
-    trace = []
-    for _ in range(epochs):
-        loss, grad = hinge_loss_grad(params, X, t, sw, c)
-        trace.append(loss)
-        if not np.isfinite(loss):
-            raise TrainingDiverged("linear SVM training diverged", trace)
-        params = params - lr * grad
-    loss, _ = hinge_loss_grad(params, X, t, sw, c)
-    trace.append(loss)
-    return params[:-1], float(params[-1]), trace
+    return _descend(lambda p: hinge_loss_grad(p, X, t, sw, c),
+                    X.shape[1] + 1, lr, epochs, "linear SVM")

@@ -142,20 +142,12 @@ def drop_correlated(d: Dataset, threshold: float) -> tuple[Dataset, DropLog]:
 
 def fit_scaler(train: Dataset) -> ScalerParams:
     """Per-column min, max, and average over present training values."""
-    v = train.features.values
-    mins, maxs, aves = [], [], []
-    for j, cid in enumerate(train.column_ids):
-        col = v[:, j]
-        present = col[~np.isnan(col)]
-        if len(present) == 0 or present.min() == present.max():
-            raise PreprocessError(f"cannot scale constant or empty column {int(cid)}")
-        mins.append(present.min())
-        maxs.append(present.max())
-        aves.append(present.mean())
-    return ScalerParams(
-        column_ids=train.column_ids.copy(),
-        min_x=np.array(mins), max_x=np.array(maxs), ave_x=np.array(aves),
-    )
+    stats = column_stats(train)
+    for s in stats:
+        if s.min is None or s.min == s.max:
+            raise PreprocessError(f"cannot scale constant or empty column {s.column_id}")
+    return ScalerParams(train.column_ids.copy(), np.array([s.min for s in stats]),
+                        np.array([s.max for s in stats]), np.array([s.mean for s in stats]))
 
 
 def apply_scaler(p: ScalerParams, d: Dataset) -> Dataset:

@@ -150,6 +150,15 @@ out_dir = results
         with pytest.raises(ConfigError, match=rf"\[{section}\]"):
             load_config(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("where, text", [
+        (r"\[impute\] k:", "[impute]\nk = five\n"),
+        (r"\[impute\] overrides:", "[impute]\noverrides = 3-median\n"),
+        (r"\[model\.logistic\] learning_rate:", "[model.logistic]\nlearning_rate = fast\n"),
+    ], ids=["int", "overrides", "model"])
+    def test_unparseable_value_names_section_and_key(self, tmp_path, where, text):
+        with pytest.raises(ConfigError, match=where):
+            load_config(_write(tmp_path, text))
+
     def test_invalid_value_caught_at_load(self, tmp_path):
         with pytest.raises(ConfigError, match="scenario"):
             load_config(_write(tmp_path, "[resample]\nscenario = adasyn\n"))

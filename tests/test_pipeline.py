@@ -201,7 +201,7 @@ class TestEmitReport:
                  if Path(f).name.startswith("roc_") and f.endswith(".csv")]
         assert len(files) == len(res.report.model_results)
         for f in files:
-            first = open(f).readline().strip()
+            first = Path(f).read_text().splitlines()[0]
             assert first == "fpr,tpr,threshold"
 
     def test_roc_csv_cells_are_plain_floats(self, sensor_files, tmp_path):
@@ -209,7 +209,7 @@ class TestEmitReport:
         files = [f for f in emit_report(res.report, tmp_path / "csv")
                  if Path(f).name.startswith("roc_") and f.endswith(".csv")]
         for f, mr in zip(files, res.report.model_results.values()):
-            rows = [line.split(",") for line in open(f).read().splitlines()[1:]]
+            rows = [line.split(",") for line in Path(f).read_text().splitlines()[1:]]
             got = np.array([[float(cell) for cell in row] for row in rows])
             want = np.column_stack([mr.roc.fpr, mr.roc.tpr, mr.roc.thresholds])
             assert np.array_equal(got, want)
@@ -265,6 +265,45 @@ out_dir = {tmp_path / 'out'}
         (tmp_path / "pout" / "drops.csv").unlink()
         assert main(["evaluate", "--config", str(ini)]) == 0
         assert (tmp_path / "pout" / "drops.csv").read_bytes() == drops
+
+    def _ini(self, sensor_files, tmp_path, roster="fast"):
+        data, labels = sensor_files
+        ini = tmp_path / f"{roster}.ini"
+        ini.write_text(f"[data]\ndata_path = {data}\nlabels_path = {labels}\n"
+                       f"[featsel]\nroster = {roster}\nvote_threshold = 2\nn_keep = 7\n"
+                       "[models]\nfamilies = logistic, decision_tree\n"
+                       "[model.logistic]\nepochs = 100\n"
+                       f"[run]\nout_dir = {tmp_path / roster}\n")
+        return str(ini), tmp_path / roster
+
+    def test_select_writes_the_evaluate_ledger(self, sensor_files, tmp_path, capsys):
+        ini, out = self._ini(sensor_files, tmp_path)
+        assert main(["select", "--config", ini]) == 0
+        assert "features selected at threshold 2; ledger in" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["votes.csv"]
+        votes = (out / "votes.csv").read_bytes()
+        assert votes.startswith(b"column_id,")
+        (out / "votes.csv").unlink()
+        assert main(["evaluate", "--config", ini]) == 0
+        assert (out / "votes.csv").read_bytes() == votes
+
+    def test_select_without_a_roster(self, sensor_files, tmp_path, capsys):
+        ini, out = self._ini(sensor_files, tmp_path, roster="none")
+        assert main(["select", "--config", ini]) == 0
+        assert "selector roster is 'none'; nothing to vote on" in capsys.readouterr().out
+        assert not (out / "votes.csv").exists()
+
+    def test_train_writes_one_model_per_family(self, sensor_files, tmp_path, capsys):
+        from rareclass.models import model_from_json
+        ini, out = self._ini(sensor_files, tmp_path)
+        assert main(["train", "--config", ini]) == 0
+        printed = capsys.readouterr().out
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["model_decision_tree.json", "model_logistic.json"]
+        for fam in ("logistic", "decision_tree"):
+            assert f"trained {fam} -> {out / f'model_{fam}.json'}" in printed
+            m = model_from_json((out / f"model_{fam}.json").read_text())
+            assert m.spec.family == fam
 
     def test_reproduce_cli(self, sensor_files, tmp_path, capsys):
         data, labels = sensor_files
