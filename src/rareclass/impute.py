@@ -242,51 +242,79 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
 
     Regressions are ridge-damped least squares fitted on training rows where
     the column is observed.  gaussian_residual_draw mode adds seeded noise
-    with the training residual scale; the default is the deterministic
-    fitted mean.
+    with the training residual scale, drawn from one stream for the
+    training rows and another for the target rows, so the fits depend on
+    the training rows alone; the default is the deterministic fitted mean.
+
+    The fitting rows are kept as Z = training rows minus their initial
+    fills, with S = Z'Z and the column sums of Z.  Column j's system takes
+    out the k_j rows where j is missing and centres with n_obs * mu mu';
+    after its fill, row and column j of S are fresh dot products.  A step
+    costs O(k_j * p^2 + n * p) plus the solve, not O(n * p^2).
     """
     if not np.array_equal(train.column_ids, target.column_ids):
         raise ImputeError("train and target column ids differ")
     if train.n_cols < 2:
         raise ImputeError("chained-equation imputation needs at least 2 columns")
 
-    fills = [s.median if p.initial_fill == "median" else s.mean for s in _train_stats(train)]
+    fills = np.array([s.median if p.initial_fill == "median" else s.mean
+                      for s in _train_stats(train)])
     n_train = train.n_rows
     state = np.vstack([train.features.values, target.features.values])
     orig_missing = np.isnan(state)
     np.copyto(state, fills, where=orig_missing)
 
-    rng = np.random.default_rng(p.seed)
     n_cols = state.shape[1]
     incomplete = [j for j in range(n_cols) if orig_missing[:, j].any()]
+    n_obs = n_train - orig_missing[:n_train].sum(axis=0)
+    for j in incomplete:
+        if n_obs[j] < 2:
+            raise ImputeError(f"column {int(train.column_ids[j])} has fewer than 2 "
+                              "observed training rows")
+
+    Z = state[:n_train] - fills
+    S = Z.T @ Z
+    sums = Z.sum(axis=0)
+    fit_rng, target_rng = (np.random.default_rng([p.seed, k]) for k in (0, 1))
 
     for _ in range(p.n_iterations):
         for j in incomplete:
-            others = [c for c in range(n_cols) if c != j]
-            obs = np.flatnonzero(~orig_missing[:n_train, j])    # observed training rows
-            if len(obs) < 2:
-                raise ImputeError(f"column index {j} has fewer than 2 observed training rows")
-            Xc = state[obs][:, others]
-            y = state[obs, j]
-            Xm, ym = Xc.mean(axis=0), y.mean()
-            Xc -= Xm
-            yc = y - ym
-            gram = Xc.T @ Xc + p.ridge * np.eye(len(others))
-            miss = orig_missing[:, j]
+            rows = np.flatnonzero(orig_missing[:, j])
+            k = int(np.searchsorted(rows, n_train))     # rows[:k] are fitting rows
+            Zm = Z[rows[:k]]
+            mu = (sums - Zm.sum(axis=0)) / n_obs[j]       # mean of Z over observed rows
+            C = S - Zm.T @ Zm
+            C -= n_obs[j] * mu[:, None] * mu
+            # a column constant on the observed rows (a regressor filled
+            # there, say) is left with the downdate's rounding; zero its row
+            # and column as direct centring would, so its weight is 0
+            flat = np.diagonal(C) <= 1e-9 * np.diagonal(S)
+            C[flat] = 0.0
+            C[:, flat] = 0.0
+            gram = np.delete(np.delete(C, j, 0), j, 1)
+            gram.flat[::n_cols] += p.ridge                 # diagonal of the (p-1)x(p-1) system
+            means = mu + fills
+            Xm, ym = np.delete(means, j), means[j]
             try:
-                beta = np.linalg.solve(gram, Xc.T @ yc)
+                beta = np.linalg.solve(gram, np.delete(C[j], j))
             except np.linalg.LinAlgError:
                 # singular even after damping: column-mean refill this sweep
-                state[miss, j] = ym
-                continue
-            # one row-wise sum over a C-ordered operand: each row's prediction
-            # is the same bits whatever other rows share the batch (a matrix
-            # product, or the F-ordered fancy-index result, would not be)
-            pred = (np.ascontiguousarray(state[miss][:, others] - Xm) * beta).sum(axis=1) + ym
-            if p.noise_mode == "gaussian_residual_draw":
-                resid = yc - Xc @ beta
-                sigma = float(np.sqrt((resid ** 2).mean()))
-                pred = pred + rng.normal(0.0, sigma, size=len(pred))
-            state[miss, j] = pred
+                state[rows, j] = ym
+            else:
+                # one row-wise sum over a C-ordered operand: each row's
+                # prediction is the same bits whatever other rows share the
+                # batch (a matrix product would not be)
+                pred = (np.ascontiguousarray(np.delete(state[rows], j, 1) - Xm) * beta).sum(axis=1) + ym
+                if p.noise_mode == "gaussian_residual_draw":
+                    # y - ym - (X - Xm) beta over the observed training rows
+                    resid = (Z[~orig_missing[:n_train, j]] - mu) @ np.insert(-beta, j, 1.0)
+                    sigma = float(np.sqrt((resid ** 2).mean()))
+                    pred[:k] += fit_rng.normal(0.0, sigma, size=k)
+                    pred[k:] += target_rng.normal(0.0, sigma, size=len(pred) - k)
+                state[rows, j] = pred
+            if k:     # S's bits must not follow which target cells are missing
+                Z[rows[:k], j] = state[rows[:k], j] - fills[j]
+                S[:, j] = S[j] = Z[:, j] @ Z
+                sums[j] = Z[:, j].sum()
 
     return target.with_values(state[n_train:])

@@ -121,8 +121,10 @@ def _eda(cfg: PipelineConfig, res: PipelineResult, work) -> None:
 
 
 def _prune(cfg: PipelineConfig, res: PipelineResult, work) -> None:
-    d, log_m = preprocess.drop_high_missing(res.raw, cfg.missing_drop_threshold)
-    d, log_c = preprocess.drop_constant(d)
+    stats = {s.column_id: s for s in column_stats(res.raw)}     # one pass serves both drops
+    d, log_m = preprocess.drop_high_missing(res.raw, cfg.missing_drop_threshold,
+                                            list(stats.values()))
+    d, log_c = preprocess.drop_constant(d, [stats[int(c)] for c in d.column_ids])
     d, log_r = preprocess.drop_correlated(d, cfg.correlation_threshold)
     res.drop_logs = {"high_missing": log_m, "constant": log_c, "correlated": log_r}
     res.pruned = d
@@ -145,12 +147,12 @@ def _scale(cfg: PipelineConfig, res: PipelineResult, work) -> None:
     test_d = res.pruned.take_rows(work.test_idx)
     # columns that became constant within the training partition
     # cannot be scaled; drop them from both partitions
-    keep = [s.column_id for s in column_stats(train_d)
-            if not s.is_constant and s.missing_fraction < 1.0]
+    keep = [s for s in column_stats(train_d) if not s.is_constant and s.missing_fraction < 1.0]
     if len(keep) < train_d.n_cols:
-        train_d = train_d.select_columns(keep)
-        test_d = test_d.select_columns(keep)
-    res.scaler = preprocess.fit_scaler(train_d)
+        ids = [s.column_id for s in keep]
+        train_d = train_d.select_columns(ids)
+        test_d = test_d.select_columns(ids)
+    res.scaler = preprocess.fit_scaler(train_d, keep)
     work.train = preprocess.apply_scaler(res.scaler, train_d)
     work.test = preprocess.apply_scaler(res.scaler, test_d)
 

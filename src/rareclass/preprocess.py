@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, column_stats, correlation_matrix
+from .data import ColumnStats, Dataset, column_stats, correlation_matrix
 
 __all__ = [
     "DropLog",
@@ -83,11 +83,13 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def drop_high_missing(d: Dataset, threshold: float) -> tuple[Dataset, DropLog]:
-    """Remove columns whose missing fraction strictly exceeds the threshold."""
+def drop_high_missing(d: Dataset, threshold: float,
+                      stats: list[ColumnStats] | None = None) -> tuple[Dataset, DropLog]:
+    """Remove columns whose missing fraction strictly exceeds the threshold.
+    `stats`, if given, is column_stats(d)."""
     if not 0 < threshold <= 1:
         raise PreprocessError("threshold must be in (0, 1]")
-    stats = column_stats(d)
+    stats = column_stats(d) if stats is None else stats
     removed = [s.column_id for s in stats if s.missing_fraction > threshold]
     kept = [s.column_id for s in stats if s.missing_fraction <= threshold]
     if not kept:
@@ -96,10 +98,11 @@ def drop_high_missing(d: Dataset, threshold: float) -> tuple[Dataset, DropLog]:
     return d.select_columns(kept), log
 
 
-def drop_constant(d: Dataset) -> tuple[Dataset, DropLog]:
+def drop_constant(d: Dataset, stats: list[ColumnStats] | None = None) -> tuple[Dataset, DropLog]:
     """Remove constant columns; all-missing columns are dropped under the
-    same reason since they carry no signal either."""
-    stats = column_stats(d)
+    same reason since they carry no signal either.  `stats`, if given, is
+    column_stats(d)."""
+    stats = column_stats(d) if stats is None else stats
     removed = [s.column_id for s in stats if s.is_constant or s.missing_fraction >= 1.0]
     kept = [s.column_id for s in stats if not (s.is_constant or s.missing_fraction >= 1.0)]
     if not kept:
@@ -140,9 +143,10 @@ def drop_correlated(d: Dataset, threshold: float) -> tuple[Dataset, DropLog]:
     return d.select_columns(kept), DropLog(tuple(entries))
 
 
-def fit_scaler(train: Dataset) -> ScalerParams:
-    """Per-column min, max, and average over present training values."""
-    stats = column_stats(train)
+def fit_scaler(train: Dataset, stats: list[ColumnStats] | None = None) -> ScalerParams:
+    """Per-column min, max, and average over present training values.
+    `stats`, if given, is column_stats(train)."""
+    stats = column_stats(train) if stats is None else stats
     for s in stats:
         if s.min is None or s.min == s.max:
             raise PreprocessError(f"cannot scale constant or empty column {s.column_id}")

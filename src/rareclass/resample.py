@@ -4,7 +4,7 @@ majority under-sampling, and the combined over/under strategy."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,6 +171,11 @@ def combined_resample(train: Dataset, over_ratio: float, under_ratio: float,
     over, plan1 = smote(train, SmoteParams(over_ratio, k_neighbors, seed))
     out, plan2 = random_undersample(over, under_ratio, seed + 1,
                                     synthetic_flags=plan1.synthetic_flags)
+    # only majority rows are removed, all of them ahead of the synthetic
+    # rows at the end, so each synthetic row moves up by the removed count
+    removed = over.n_rows - out.n_rows
+    records = tuple(replace(s, output_row=s.output_row - removed)
+                    for s in plan1.synthetic_records)
     plan = ResamplePlan(
         strategy="combined",
         over_ratio=over_ratio,
@@ -178,6 +183,6 @@ def combined_resample(train: Dataset, over_ratio: float, under_ratio: float,
         counts_before=plan1.counts_before,
         counts_after=plan2.counts_after,
         synthetic_flags=plan2.synthetic_flags,
-        synthetic_records=plan1.synthetic_records,
+        synthetic_records=records,
     )
     return out, plan

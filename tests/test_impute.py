@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rareclass.data import ColumnStats, Dataset, FeatureMatrix, column_stats
 from rareclass.impute import (ImputeError, KnnImputeParams, MiceParams,
@@ -8,12 +10,14 @@ from rareclass.impute import (ImputeError, KnnImputeParams, MiceParams,
                               simple_impute)
 
 
-def _ds(values, labels=None):
+def _ds(values, labels=None, column_ids=None):
     values = np.asarray(values, dtype=float)
     if labels is None:
         labels = np.zeros(len(values), dtype=int)
         labels[: max(1, len(values) // 3)] = 1
-    return Dataset(FeatureMatrix(values, np.arange(values.shape[1])), labels)
+    if column_ids is None:
+        column_ids = np.arange(values.shape[1])
+    return Dataset(FeatureMatrix(values, np.asarray(column_ids)), labels)
 
 
 def _stat(cid, skew):
@@ -279,3 +283,156 @@ class TestMiceImpute:
         mask = d.features.present
         assert np.array_equal(out.features.values[mask], d.features.values[mask])
         assert not np.isnan(out.features.values).any()
+
+    def test_one_observed_training_row_rejected_before_any_sweep(self, monkeypatch):
+        v = np.arange(24, dtype=float).reshape(8, 3) % 5
+        v[[1, 4], 0] = np.nan
+        v[1:, 2] = np.nan                  # one observed training row
+        solves = []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a))
+        with pytest.raises(ImputeError, match="column 12 has fewer than 2 observed training rows"):
+            mice_impute(MiceParams(2), _ds(v, column_ids=[10, 11, 12]),
+                        _ds(v[:2], column_ids=[10, 11, 12]))
+        assert solves == []
+
+    def test_gaussian_fits_ignore_the_target_rows(self, monkeypatch):
+        # the regressions see the fitting rows' noise only; the targets
+        # differ in how many cells they miss, which moved that noise's
+        # stream when both drew from one
+        rng = np.random.default_rng(12)
+        v = rng.normal(size=(30, 4)) @ rng.normal(size=(4, 4))
+        train = v[:24].copy()
+        train[rng.random(train.shape) < 0.2] = np.nan
+        train[0] = v[0]
+        few, many = v[24:].copy(), v[24:].copy()
+        few[0, 1] = np.nan
+        many[rng.random(many.shape) < 0.5] = np.nan
+        solve = np.linalg.solve
+        p = MiceParams(3, seed=4, noise_mode="gaussian_residual_draw")
+        systems = []
+        for target in (few, many):
+            seen = []
+            monkeypatch.setattr(np.linalg, "solve",
+                                lambda a, b, seen=seen: seen.append((a.copy(), b.copy())) or solve(a, b))
+            mice_impute(p, _ds(train), _ds(target))
+            systems.append(seen)
+        assert len(systems[0]) == len(systems[1]) == 3 * 4
+        for (a0, b0), (a1, b1) in zip(*systems):
+            assert np.array_equal(a0, a1) and np.array_equal(b0, b1)
+
+    def test_ridge_free_singular_system_refills_the_mean(self, monkeypatch):
+        # column 1 is constant on the rows where column 0 is observed, so
+        # with no ridge column 0's system is singular; the values are small
+        # integers, so the reference's direct centring is exact too
+        v = np.array([[1, 2, 1], [2, 2, 3], [4, 2, 2], [3, 2, 5], [5, 2, 4], [9, 2, 6],
+                      [np.nan, 6, 2], [np.nan, 6, 3]], dtype=float)
+        solve, failed = np.linalg.solve, []
+
+        def recording(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                failed.append(a)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        p = MiceParams(2, ridge=0.0)
+        got = mice_impute(p, _ds(v), _ds(v)).features.values
+        assert len(failed) == 2                     # one per sweep
+        assert list(got[6:, 0]) == [4.0, 4.0]       # the observed mean
+        assert np.array_equal(got, _reference_mice(p, _ds(v), _ds(v)))
+
+
+    def test_regressor_constant_on_the_observed_rows_gets_no_weight(self):
+        # column 1 is observed on two rows, both missing column 0, so on
+        # the rows that fit column 0 it is its fill: column 0 is refilled
+        # with its mean, which differs from its median fill, and is then
+        # constant on the two rows that fit column 1
+        rng = np.random.default_rng(21)
+        v = rng.normal(size=(21, 2)) * [0.3, 2.0] + [92.6, 24.0]
+        v[[7, 10, 14, 15, 16], 0] = np.nan
+        v[np.setdiff1d(np.arange(21), [10, 16]), 1] = np.nan
+        d = _ds(v)
+        got = mice_impute(MiceParams(2, initial_fill="median"), d, d).features.values
+        for j in (0, 1):
+            holes = np.isnan(v[:, j])
+            assert np.allclose(got[holes, j], np.nanmean(v[:, j]), rtol=1e-14, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# reference: every column step rebuilds its centred ridge system from the
+# observed training rows
+
+
+def _reference_mice(p, train, target):
+    stats = column_stats(train)
+    fills = [s.median if p.initial_fill == "median" else s.mean for s in stats]
+    n_train = train.n_rows
+    state = np.vstack([train.features.values, target.features.values])
+    missing = np.isnan(state)
+    np.copyto(state, fills, where=missing)
+    n_cols = state.shape[1]
+    for _ in range(p.n_iterations):
+        for j in [j for j in range(n_cols) if missing[:, j].any()]:
+            others = [c for c in range(n_cols) if c != j]
+            obs = np.flatnonzero(~missing[:n_train, j])
+            X, y = state[obs][:, others], state[obs, j]
+            Xm, ym = X.mean(axis=0), y.mean()
+            Xc, yc = X - Xm, y - ym
+            try:
+                beta = np.linalg.solve(Xc.T @ Xc + p.ridge * np.eye(n_cols - 1), Xc.T @ yc)
+            except np.linalg.LinAlgError:
+                state[missing[:, j], j] = ym
+                continue
+            state[missing[:, j], j] = (state[missing[:, j]][:, others] - Xm) @ beta + ym
+    return state[n_train:]
+
+
+@st.composite
+def mice_problems(draw):
+    """A training and a target partition of correlated columns with offsets,
+    some columns fully observed, one column observed exactly where another
+    is missing, and one observed on exactly two training rows.
+
+    The last two only where every system stays well posed.  With two
+    observed rows and more than one regressor a system is singular but for
+    the ridge; so is the second of two complementary columns, whose
+    regressors include the first one's fills, a linear function of the
+    others on exactly the rows that fit it.  At ridge 1e-8 two solvers
+    exact in theory then agree only to rounding times |Z'Z| / ridge."""
+    p = MiceParams(draw(st.integers(1, 3)), initial_fill=draw(st.sampled_from(["mean", "median"])),
+                   ridge=draw(st.sampled_from([1e-8, 1.0])))
+    n_cols = draw(st.integers(2, 7))
+    n_train = draw(st.integers(2 * n_cols + 4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mix = np.eye(n_cols) + 0.5 * rng.normal(size=(n_cols, n_cols))
+    v = (rng.normal(size=(n_train + draw(st.integers(1, 6)), n_cols)) @ mix
+         * rng.uniform(0.5, 5.0, size=n_cols) + rng.uniform(-100.0, 100.0, size=n_cols))
+    holes = rng.random(v.shape) < draw(st.sampled_from([0.05, 0.15, 0.3]))
+    holes[:, rng.random(n_cols) < draw(st.sampled_from([0.0, 0.3]))] = False   # fully observed
+    holes[:n_cols + 2] = False      # enough observed rows for every regression
+    well_posed = p.ridge == 1.0
+    if n_cols >= 3 and well_posed and draw(st.booleans()):
+        # in the first sweep column b is constant (its fill) on the rows
+        # that fit column a
+        a, b = rng.choice(n_cols, size=2, replace=False)
+        holes[:n_train, a] = False
+        holes[rng.permutation(n_train)[:n_train // 2], a] = True
+        holes[:n_train, b] = ~holes[:n_train, a]
+    if (well_posed or n_cols == 2) and draw(st.booleans()):
+        j = draw(st.integers(0, n_cols - 1))
+        holes[:n_train, j] = True
+        holes[rng.choice(n_train, size=2, replace=False), j] = False
+    v[holes] = np.nan
+    return p, _ds(v[:n_train]), _ds(v[n_train:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mice_problems())
+def test_mice_matches_the_per_column_reference(problem):
+    p, train, target = problem
+    got = mice_impute(p, train, target).features.values
+    ref = _reference_mice(p, train, target)
+    # relative to the column's magnitude: a prediction sums terms of that
+    # size, so a value near 0 carries their rounding
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref).max(axis=0))

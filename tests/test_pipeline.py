@@ -106,6 +106,18 @@ class TestRunPipeline:
         assert exc.value.stage == stage
         assert exc.value.__cause__ is injected
 
+    def test_one_column_stats_pass_per_dataset(self, sensor_files, monkeypatch):
+        seen = []
+        for name in ("pipeline", "preprocess"):
+            module = importlib.import_module(f"rareclass.{name}")
+            real = module.column_stats
+            monkeypatch.setattr(module, "column_stats",
+                                lambda d, real=real: seen.append(d.features.values.shape) or real(d))
+        res = run_pipeline(_cfg(sensor_files), stop_after="scale")
+        # the raw data in prune, the training partition in scale
+        assert seen == [res.raw.features.values.shape,
+                        (len(res.split.train_row_indices), res.pruned.n_cols)]
+
     def test_kfold_mode(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files, split_mode="kfold", k_folds=4))
         assert res.report is not None
@@ -173,9 +185,9 @@ class TestGoldenBytes:
     GOLDEN = {
         "scenario_1": "25602824c73b9ec93a8b1104c6fdd1b4ba02b114e0bacb7eead544d7bd3f2ce1",
         "scenario_2": "00d10527a144ff1d1f19abf27369d01eab786b33bf2a31c14e1b0f3e05585868",
-        "scenario_3": "86231d81e0b04084ab126c6c50a173a85054b690fa6e759e745a8a7641266b2d",
+        "scenario_3": "06003e935d9888671ed14a392263adc8bff8383ae88f52d9799e80eba5c3d70b",
         "simple": "b8443fea1d776babb563aa6aef2e07cec76006b0825c33c0a867b23cbe8730f8",
-        "mice": "5b6297b5513fd6313dac8d0f3831d037f36ffc3dce79714d63d62a591550ebaa",
+        "mice": "c580c6e0a2d699d18cb99c081bbb7a7c4308e2d157e864e3eb8ee1e5f2390df2",
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))

@@ -123,6 +123,18 @@ class TestCombined:
             c, plan = combined_resample(d, 0.7, 0.7, seed=4)
         assert np.array_equal(a.features.values, c.features.values)
 
+    def test_records_point_at_their_synthetic_rows(self):
+        d = _imbalanced(70, 980, seed=1)   # 1:14
+        out, plan = combined_resample(d, 0.4, 0.8, seed=1)
+        assert out.n_rows < d.n_rows + len(plan.synthetic_records)   # rows were removed
+        v_in, v_out = d.features.values, out.features.values
+        for rec in plan.synthetic_records:
+            assert plan.synthetic_flags[rec.output_row]
+            xi, xj = v_in[rec.parent_row], v_in[rec.neighbor_row]
+            assert np.array_equal(v_out[rec.output_row], xi + rec.lam * (xj - xi))
+        assert sorted(r.output_row for r in plan.synthetic_records) == \
+            list(np.flatnonzero(plan.synthetic_flags))
+
     def test_synthetic_flags_survive_undersampling(self):
         d = _imbalanced(20, 200)
         out, plan = combined_resample(d, 0.5, 0.9, seed=5)
