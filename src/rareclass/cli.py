@@ -14,7 +14,8 @@ from pathlib import Path
 from . import models
 from .config import ConfigError, load_config
 from .data import column_stats, load_secom
-from .pipeline import PipelineError, emit_report, reproduce, run_pipeline, write_drops
+from .pipeline import (SCENARIOS, PipelineError, emit_report, format_report_table,
+                       reproduce, run_pipeline, write_drops)
 
 
 def cmd_eda(args) -> int:
@@ -83,7 +84,6 @@ def cmd_reproduce(args) -> int:
     report = reproduce(args.scenario, args.seed, args.out,
                        data_path=args.data, labels_path=args.labels,
                        roster=args.roster)
-    from .pipeline import format_report_table
     print(format_report_table(report))
     return 0
 
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_run_stages)
 
     p = sub.add_parser("reproduce", help="run one of the three fixed testing scenarios")
-    p.add_argument("--scenario", type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--scenario", type=int, required=True, choices=sorted(SCENARIOS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--data", required=True)

@@ -7,7 +7,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field, asdict
 
-from . import impute
+from . import impute, resample
 from .models import FAMILIES, ModelSpec
 
 
@@ -81,6 +81,8 @@ class PipelineConfig:
                 raise ConfigError("resampling ratios must be in (0, 1]")
         if self.vote_threshold < 1:
             raise ConfigError("vote_threshold must be >= 1")
+        if self.featsel_n_keep is not None and self.featsel_n_keep < 1:
+            raise ConfigError(f"[featsel] n_keep: must be >= 1, got {self.featsel_n_keep}")
         for fam in self.model_families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r}")
@@ -91,6 +93,9 @@ class PipelineConfig:
         _check("[impute]", impute.KnnImputeParams, k=self.knn_k)
         _check("[impute]", impute.MiceParams, n_iterations=self.mice_iterations,
                initial_fill=self.mice_initial_fill, noise_mode=self.mice_noise_mode)
+        for cid, strategy in self.impute_overrides.items():     # checks SIMPLE_STRATEGIES
+            _check("[impute] overrides", impute.SimpleImputePlan({}).override, cid, strategy)
+        _check("[resample]", resample.SmoteParams, self.over_ratio, self.smote_k_neighbors)
 
     def digest(self) -> str:
         # out_dir is where results land, not part of what was computed

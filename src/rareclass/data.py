@@ -60,16 +60,13 @@ class FeatureMatrix:
         """Boolean mask of present (non-missing) cells."""
         return ~np.isnan(self.values)
 
-    def column_index(self, column_id: int) -> int:
-        pos = np.nonzero(self.column_ids == column_id)[0]
-        if len(pos) == 0:
-            raise KeyError(f"unknown column id {column_id}")
-        return int(pos[0])
-
     def select_columns(self, keep_ids) -> "FeatureMatrix":
         """Subset to the given column ids, preserving their identifiers."""
-        keep = np.asarray(keep_ids, dtype=np.int64)
-        idx = [self.column_index(c) for c in keep]
+        pos = {c: k for k, c in enumerate(self.column_ids.tolist())}
+        try:
+            idx = [pos[c] for c in np.asarray(keep_ids, dtype=np.int64).tolist()]
+        except KeyError as e:
+            raise KeyError(f"unknown column id {e.args[0]}") from None
         return FeatureMatrix(self.values[:, idx], self.column_ids[idx])
 
     def take_rows(self, row_idx) -> "FeatureMatrix":
@@ -121,11 +118,9 @@ class ColumnStats:
     missing_fraction: float
     mean: float | None
     median: float | None
-    std: float | None
     skewness: float | None
     min: float | None
     max: float | None
-    n_unique: int
     is_constant: bool
 
 
@@ -247,20 +242,17 @@ def column_stats(d: Dataset) -> list[ColumnStats]:
         present = col[~np.isnan(col)]
         miss = 1.0 - len(present) / len(col) if len(col) else 1.0
         if len(present) == 0:
-            out.append(ColumnStats(int(cid), 1.0, None, None, None, None, None, None, 0, False))
+            out.append(ColumnStats(int(cid), 1.0, None, None, None, None, None, False))
             continue
-        std = float(present.std())
         constant = bool(np.all(present == present[0]))
         out.append(ColumnStats(
             column_id=int(cid),
             missing_fraction=float(miss),
             mean=float(present.mean()),
             median=float(np.median(present)),
-            std=0.0 if constant else std,
             skewness=_skewness(present),
             min=float(present.min()),
             max=float(present.max()),
-            n_unique=int(len(np.unique(present))),
             is_constant=constant,
         ))
     return out

@@ -31,6 +31,7 @@ __all__ = [
     "select_rfe",
     "select_sfs",
     "vote",
+    "default_n_keep",
     "run_default_roster",
 ]
 
@@ -89,9 +90,8 @@ def _minority_weight(labels: np.ndarray) -> float:
 
 
 def _top_by_score(column_ids, score: np.ndarray, n_keep: int) -> tuple:
-    # stable: descending score, ties to the lower column id
-    order = sorted(range(len(score)), key=lambda i: (-score[i], column_ids[i]))
-    return tuple(int(column_ids[i]) for i in order[:n_keep])
+    # descending score, ties to the lower column id
+    return tuple(int(c) for c in column_ids[np.lexsort((column_ids, -score))[:n_keep]])
 
 
 def select_f_score(train: Dataset, n_keep: int) -> SelectorDecision:
@@ -126,16 +126,13 @@ def _mutual_info_column(col: np.ndarray, y: np.ndarray, n_bins: int) -> float:
     edges = np.unique(edges)
     bins = np.searchsorted(edges, col, side="right")
     n = len(y)
+    joint = np.bincount(bins * 2 + y, minlength=2 * len(edges) + 2).reshape(-1, 2)
+    p_bin, p_cls = joint.sum(axis=1) / n, joint.sum(axis=0) / n
     mi = 0.0
-    for b in np.unique(bins):
-        for cls in (0, 1):
-            nij = np.sum((bins == b) & (y == cls))
-            if nij == 0:
-                continue
-            pij = nij / n
-            pi = np.sum(bins == b) / n
-            pj = np.sum(y == cls) / n
-            mi += pij * math.log(pij / (pi * pj))
+    # bins ascending, class 0 before class 1, empty cells skipped
+    for b, cls in zip(*np.nonzero(joint)):
+        pij = joint[b, cls] / n
+        mi += pij * math.log(pij / (p_bin[b] * p_cls[cls]))
     return max(mi, 0.0)
 
 
@@ -201,15 +198,9 @@ def select_lasso(train: Dataset, lam: float,
         if delta < tol:
             break
 
-    grad = -(Z.T @ r) / n
-    kkt = 0.0
-    for j in range(p):
-        if not live[j]:
-            continue
-        if w[j] != 0:
-            kkt = max(kkt, abs(grad[j] + lam * math.copysign(1.0, w[j])))
-        else:
-            kkt = max(kkt, max(abs(grad[j]) - lam, 0.0))
+    grad, wl = -(Z.T @ r)[live] / n, w[live]
+    kkt = float(np.max(np.where(wl != 0, np.abs(grad + lam * np.sign(wl)), np.abs(grad) - lam),
+                       initial=0.0))
 
     selected = tuple(int(c) for c, wj in zip(train.column_ids, w) if wj != 0)
     return SelectorDecision(
@@ -309,9 +300,7 @@ def select_rfe(train: Dataset, estimator: str, n_keep: int, seed: int = 0) -> Se
         score = (m.state["importance"] if spec.family == "random_forest"
                  else np.abs(m.state["weights"]))
         # weakest feature; tie -> higher column id dropped
-        order = sorted(range(current.n_cols),
-                       key=lambda i: (score[i], -current.column_ids[i]))
-        drop = int(current.column_ids[order[0]])
+        drop = int(current.column_ids[np.lexsort((-current.column_ids, score))[0]])
         elimination_order.append(drop)
         keep = [int(c) for c in current.column_ids if int(c) != drop]
         current = current.select_columns(keep)
@@ -353,14 +342,11 @@ def select_sfs(train: Dataset, estimator: str, n_keep: int,
     chosen: list[int] = []
     remaining = list(all_ids)
     while len(chosen) < n_keep:
-        best = None
         scores = pmap(_cv_balanced_accuracy,
                       [(train, chosen + [c], spec, folds) for c in remaining])
-        for c, s in zip(remaining, scores):
-            if best is None or s > best[0] or (s == best[0] and c < best[1]):
-                best = (s, c)
-        chosen.append(best[1])
-        remaining.remove(best[1])
+        _, best = max(zip(scores, remaining), key=lambda sc: (sc[0], -sc[1]))
+        chosen.append(best)
+        remaining.remove(best)
 
     return SelectorDecision(
         f"sfs_{estimator}_forward", tuple(sorted(chosen)),
@@ -392,6 +378,11 @@ def vote(decisions: list[SelectorDecision], threshold: int) -> FeatureVoteLedger
                              threshold, selected)
 
 
+def default_n_keep(n_cols: int) -> int:
+    """Per-selector budget when none is set: half the surviving columns."""
+    return max(1, n_cols // 2)
+
+
 def run_default_roster(train: Dataset, master_seed: int = 0,
                        n_keep: int | None = None,
                        sfs_n_keep: int | None = None) -> list[SelectorDecision]:
@@ -407,7 +398,7 @@ def run_default_roster(train: Dataset, master_seed: int = 0,
     _check_train(train)
     p = train.n_cols
     if n_keep is None:
-        n_keep = max(1, p // 2)
+        n_keep = default_n_keep(p)
     if sfs_n_keep is None:
         sfs_n_keep = max(1, min(20, n_keep))
 

@@ -133,39 +133,26 @@ def fit_skew_refined_plan(train: Dataset, skew_threshold: float = 1.0,
 
 
 def _fill_ordered(col: np.ndarray, strategy: str, fallback: float) -> np.ndarray:
-    """Forward / backward / linear interpolation over row order."""
-    out = col.copy()
-    present = ~np.isnan(out)
+    """Forward / backward / linear interpolation over row order.  A forward
+    fill's leading gap takes the next present value; a backward fill's
+    trailing gap and an interpolation's edges take the fallback."""
+    present = ~np.isnan(col)
     if not present.any():
-        out[:] = fallback
-        return out
-    idx = np.arange(len(out))
+        return np.full_like(col, fallback)
+    n, idx = len(col), np.arange(len(col))
+    prev = np.maximum.accumulate(np.where(present, idx, -1))          # -1: leading gap
+    nxt = np.minimum.accumulate(np.where(present, idx, n)[::-1])[::-1]   # n: trailing gap
     if strategy == "forward":
-        # last present value at or before each row
-        last = np.where(present, idx, -1)
-        last = np.maximum.accumulate(last)
-        filled = np.where(last >= 0, out[np.maximum(last, 0)], np.nan)
-        out = np.where(present, out, filled)
-        # leading gap: backward fill, then mean
-        still = np.isnan(out)
-        if still.any():
-            out = _fill_ordered(out, "backward", fallback)
-    elif strategy == "backward":
-        nxt = np.where(present, idx, len(out))
-        nxt = np.minimum.accumulate(nxt[::-1])[::-1]
-        filled = np.where(nxt < len(out), out[np.minimum(nxt, len(out) - 1)], np.nan)
-        out = np.where(present, out, filled)
-        still = np.isnan(out)
-        if still.any():
-            out[still] = fallback
+        return col[np.where(prev >= 0, prev, nxt)]
+    if strategy == "backward":
+        out = col[np.minimum(nxt, n - 1)]
     elif strategy == "linear_interpolation":
-        out[~present] = np.interp(idx[~present], idx[present], out[present])
-        # np.interp extends flat at the edges; replace pure extrapolation with mean
-        first, last = idx[present][0], idx[present][-1]
-        edge = (~present) & ((idx < first) | (idx > last))
-        out[edge] = fallback
+        out = col.copy()
+        out[~present] = np.interp(idx[~present], idx[present], col[present])
+        out[prev < 0] = fallback
     else:
         raise ImputeError(f"unknown ordered strategy {strategy!r}")
+    out[nxt == n] = fallback
     return out
 
 

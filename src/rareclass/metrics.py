@@ -36,8 +36,6 @@ class MetricSet:
     recall: float
     far: float
     precision_defined: bool = True
-    recall_defined: bool = True
-    far_defined: bool = True
 
 
 @dataclass(frozen=True)
@@ -74,23 +72,20 @@ def confusion(labels, scores, threshold: float) -> ConfusionMatrix:
     )
 
 
-def _ratio(num: int, den: int) -> tuple[float, bool]:
-    if den == 0:
-        return 0.0, False
-    return num / den, True
+def _ratio(num: int, den: int) -> float:
+    return num / den if den else 0.0
 
 
 def metric_set(c: ConfusionMatrix) -> MetricSet:
     """Precision, recall, false-alarm rate, and balanced accuracy.
 
-    Zero-denominator ratios are reported as 0 with their defined-flag
-    cleared rather than omitted.
+    Zero-denominator ratios are reported as 0 rather than omitted; an
+    undefined precision, the one the report marks, clears its flag.
     """
-    precision, p_ok = _ratio(c.tp, c.tp + c.fp)
-    recall, r_ok = _ratio(c.tp, c.tp + c.fn)
-    far, f_ok = _ratio(c.fp, c.fp + c.tn)
+    recall = _ratio(c.tp, c.tp + c.fn)
+    far = _ratio(c.fp, c.fp + c.tn)
     ba = (recall + (1.0 - far)) / 2.0
-    return MetricSet(ba, precision, recall, far, p_ok, r_ok, f_ok)
+    return MetricSet(ba, _ratio(c.tp, c.tp + c.fp), recall, far, c.tp + c.fp > 0)
 
 
 def roc_curve(labels, scores) -> RocCurve:

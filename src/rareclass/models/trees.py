@@ -69,10 +69,6 @@ class Tree:
             node_of[inner] = np.where(go_left, left[nodes], right[nodes])
         return val[node_of]
 
-    @staticmethod
-    def empty() -> "Tree":
-        return Tree([], [], [], [], [])
-
 
 def column_ranks(X: np.ndarray) -> np.ndarray:
     """Per-column dense ranks of X (0 for each column's smallest value),
@@ -107,7 +103,7 @@ def _grow(X: np.ndarray, ranks: np.ndarray, stats: np.ndarray, node_fn, gain_fn,
     per split with rng (forest mode), in the same depth-first pre-order as
     the nodes are created.  fitted, if given, receives each row's leaf value.
     """
-    tree = Tree.empty()
+    tree = Tree([], [], [], [], [])
     ranks_t = np.ascontiguousarray(ranks.T)            # one row of ranks per column
     n, all_cols = len(X), np.arange(X.shape[1])
     subsample = n_subsample is not None and n_subsample < len(all_cols)

@@ -22,6 +22,7 @@ __all__ = [
     "ModelResult",
     "EvalReport",
     "run_pipeline",
+    "SCENARIOS",
     "reproduce",
     "emit_report",
     "write_drops",
@@ -42,7 +43,6 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class ModelResult:
-    family: str
     confusion: ConfusionMatrix
     metrics: MetricSet
     roc: RocCurve
@@ -82,7 +82,6 @@ class PipelineResult:
     resample_plan = None
     trained: dict = field(default_factory=dict)
     report: EvalReport = None
-    timings: dict = field(default_factory=dict)
 
 
 def _hash_rows(d: Dataset, idx: np.ndarray) -> str:
@@ -186,7 +185,7 @@ def _select(cfg: PipelineConfig, res: PipelineResult, work) -> None:
         res.decisions = featsel.run_default_roster(
             work.train, master_seed=cfg.seed, n_keep=cfg.featsel_n_keep)
     elif cfg.roster == "fast":  # the three filter selectors only
-        n_keep = cfg.featsel_n_keep or max(1, work.train.n_cols // 2)
+        n_keep = cfg.featsel_n_keep or featsel.default_n_keep(work.train.n_cols)
         res.decisions = [
             featsel.select_f_score(work.train, n_keep),
             featsel.select_mutual_info(work.train, n_keep, n_bins=8),
@@ -226,8 +225,7 @@ def _evaluate(cfg: PipelineConfig, res: PipelineResult, work) -> None:
     for fam, m in res.trained.items():
         scores = models.predict_scores(m, res.test_set.features)
         c = confusion(res.test_set.labels, scores, 0.5)
-        results[fam] = ModelResult(fam, c, metric_set(c),
-                                   roc_curve(res.test_set.labels, scores))
+        results[fam] = ModelResult(c, metric_set(c), roc_curve(res.test_set.labels, scores))
     res.report = EvalReport(
         model_results=results,
         config_digest=cfg.digest(),
@@ -252,12 +250,12 @@ STAGES = tuple(name for name, _ in _STAGE_TABLE)
 
 def run_pipeline(cfg: PipelineConfig, stop_after: str = "evaluate") -> PipelineResult:
     """Execute the pipeline stages in order, stopping after `stop_after`.
-    A failing stage raises PipelineError naming it; every stage that ran,
-    failed or not, is timed in `res.timings`."""
+    A failing stage raises PipelineError naming it; a full run's stage
+    times are in `res.report.stage_timings`."""
     cfg.validate()
     if stop_after not in STAGES:
         raise ConfigError(f"unknown stage {stop_after!r}")
-    res, work = PipelineResult(), SimpleNamespace()
+    res, work, timings = PipelineResult(), SimpleNamespace(), {}
     for name, stage in _STAGE_TABLE[:STAGES.index(stop_after) + 1]:
         t0 = time.perf_counter()
         try:
@@ -266,10 +264,9 @@ def run_pipeline(cfg: PipelineConfig, stop_after: str = "evaluate") -> PipelineR
             raise
         except Exception as e:
             raise PipelineError(name, e) from e
-        finally:
-            res.timings[name] = time.perf_counter() - t0
+        timings[name] = time.perf_counter() - t0
     if res.report is not None:
-        res.report.stage_timings = dict(res.timings)
+        res.report.stage_timings = timings
     return res
 
 
@@ -298,19 +295,22 @@ def _resample_summary(plan) -> dict:
     }
 
 
+# the three fixed testing scenarios: id -> the resampling fields it sets
+SCENARIOS = {
+    1: {"scenario": "none"},
+    2: {"scenario": "smote", "over_ratio": 0.7},
+    3: {"scenario": "combined", "over_ratio": 0.4, "under_ratio": 0.8},
+}
+
+
 def scenario_config(scenario_id: int, seed: int, data_path, labels_path,
                     out_dir="out", roster="default") -> PipelineConfig:
-    if scenario_id not in (1, 2, 3):
-        raise ConfigError(f"unknown scenario id {scenario_id}; expected 1, 2, or 3")
-    cfg = PipelineConfig(data_path=str(data_path), labels_path=str(labels_path),
-                         seed=seed, out_dir=str(out_dir), roster=roster)
-    if scenario_id == 1:
-        cfg.scenario = "none"
-    elif scenario_id == 2:
-        cfg.scenario, cfg.over_ratio = "smote", 0.7
-    else:
-        cfg.scenario, cfg.over_ratio, cfg.under_ratio = "combined", 0.4, 0.8
-    return cfg
+    if scenario_id not in SCENARIOS:
+        raise ConfigError(f"unknown scenario id {scenario_id}; expected one of "
+                          f"{sorted(SCENARIOS)}")
+    return PipelineConfig(data_path=str(data_path), labels_path=str(labels_path),
+                          seed=seed, out_dir=str(out_dir), roster=roster,
+                          **SCENARIOS[scenario_id])
 
 
 def reproduce(scenario_id: int, seed: int, out_dir, data_path, labels_path,
@@ -362,11 +362,9 @@ def write_drops(drop_logs: dict, out_dir) -> Path:
     """Write the prune stage's drop logs, in stage order, to one drops.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["column_id,reason,threshold,kept_partner"]
-    for log in drop_logs.values():
-        lines.extend(log.to_csv().splitlines()[1:])
     path = out / "drops.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(preprocess.DropLog(
+        tuple(e for log in drop_logs.values() for e in log.entries)).to_csv())
     return path
 
 

@@ -40,10 +40,6 @@ class DropEntry:
 class DropLog:
     entries: tuple
 
-    @property
-    def removed_column_ids(self) -> list[int]:
-        return [e.column_id for e in self.entries]
-
     def to_csv(self) -> str:
         lines = ["column_id,reason,threshold,kept_partner"]
         for e in self.entries:
@@ -67,7 +63,6 @@ class ScalerParams:
 class SplitPlan:
     train_row_indices: np.ndarray
     test_row_indices: np.ndarray
-    seed: int
     fold_assignments: np.ndarray | None = None
 
     def fold(self, fold_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,24 +116,19 @@ def drop_correlated(d: Dataset, threshold: float) -> tuple[Dataset, DropLog]:
     """
     if not 0 < threshold < 1:
         raise PreprocessError("threshold must be in (0, 1)")
-    r = correlation_matrix(d)
-    order = np.argsort(d.column_ids, kind="stable")
-    alive = {int(c): True for c in d.column_ids}
+    r, ids = correlation_matrix(d), d.column_ids
+    alive = np.ones(len(ids), dtype=bool)
     entries = []
-    for ii in order:
-        ci = int(d.column_ids[ii])
-        if not alive[ci]:
+    for i in np.argsort(ids, kind="stable"):
+        if not alive[i]:
             continue
-        for jj in order:
-            cj = int(d.column_ids[jj])
-            if cj <= ci or not alive[cj]:
-                continue
-            rij = r[ii, jj]
-            if np.isfinite(rij) and abs(rij) > threshold:
-                alive[cj] = False
-                entries.append(DropEntry(cj, "correlated", threshold, kept_partner=ci))
-    kept = [c for c in d.column_ids if alive[int(c)]]
-    if not kept:
+        # NaN correlations compare False
+        hit = np.flatnonzero(alive & (ids > ids[i]) & (np.abs(r[i]) > threshold))
+        alive[hit] = False
+        entries.extend(DropEntry(int(c), "correlated", threshold, kept_partner=int(ids[i]))
+                       for c in np.sort(ids[hit]))
+    kept = ids[alive]
+    if not len(kept):
         raise PreprocessError("no features remain after correlation pruning")
     return d.select_columns(kept), DropLog(tuple(entries))
 
@@ -194,7 +184,7 @@ def stratified_split(d: Dataset, test_fraction: float, seed: int) -> SplitPlan:
         train_parts.append(shuffled[cls][n_test:])
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
-    return SplitPlan(train, test, seed)
+    return SplitPlan(train, test)
 
 
 def stratified_kfold(d: Dataset, k: int, seed: int) -> SplitPlan:
@@ -210,4 +200,4 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> SplitPlan:
         idx = shuffled[cls]
         folds[idx] = np.arange(len(idx)) % k
     train, test = np.nonzero(folds != 0)[0], np.nonzero(folds == 0)[0]
-    return SplitPlan(train, test, seed, fold_assignments=folds)
+    return SplitPlan(train, test, fold_assignments=folds)

@@ -43,6 +43,10 @@ class TestValidation:
         {"mice_noise_mode": "gausian"},
         {"model_overrides": {"logistic": {"epochs": 1.5}}},
         {"model_overrides": {"random_forest": {"max_depth": 0}}},
+        {"featsel_n_keep": 0},
+        {"featsel_n_keep": -3},
+        {"smote_k_neighbors": 0},
+        {"impute_overrides": {3: "bogus"}},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
@@ -156,6 +160,20 @@ out_dir = results
         (r"\[model\.logistic\] learning_rate:", "[model.logistic]\nlearning_rate = fast\n"),
     ], ids=["int", "overrides", "model"])
     def test_unparseable_value_names_section_and_key(self, tmp_path, where, text):
+        with pytest.raises(ConfigError, match=where):
+            load_config(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("where, text", [
+        (r"\[featsel\] n_keep", "[featsel]\nroster = fast\nn_keep = 0\n"),
+        (r"\[featsel\] n_keep", "[featsel]\nn_keep = -1\n"),
+        (r"\[resample\].*k_neighbors", "[resample]\nscenario = smote\nk_neighbors = 0\n"),
+        (r"\[impute\] overrides.*'bogus'", "[impute]\nmethod = simple\noverrides = 3:bogus\n"),
+        (r"\[impute\] overrides.*'bogus'", "[impute]\nmethod = mice\noverrides = 3:bogus\n"),
+    ], ids=["n_keep_zero", "n_keep_negative", "k_neighbors", "override_simple",
+            "override_mice"])
+    def test_late_failing_value_rejected_at_load(self, tmp_path, where, text):
+        # each failed only in its stage, after imputation or the whole
+        # roster, or (an override under knn or mice) never
         with pytest.raises(ConfigError, match=where):
             load_config(_write(tmp_path, text))
 

@@ -74,7 +74,7 @@ class TestColumnStats:
         d = Dataset(FeatureMatrix(np.array([[5.0], [5.0], [5.0], [5.0]]), [0]),
                     np.array([0, 0, 1, 1]))
         s = column_stats(d)[0]
-        assert s.is_constant and s.std == 0.0 and s.skewness == 0.0
+        assert s.is_constant and s.skewness == 0.0
 
     def test_with_missing(self):
         d = Dataset(FeatureMatrix(np.array([[1.0], [2.0], [3.0], [np.nan]]), [0]),
@@ -88,7 +88,7 @@ class TestColumnStats:
         s = column_stats(d)[0]
         assert s.missing_fraction == 1.0
         assert not s.is_constant
-        assert s.mean is None and s.std is None
+        assert s.mean is None and s.median is None
 
     def test_skewness_sign(self):
         right_skewed = np.array([[1.0], [1.0], [1.0], [1.0], [100.0]])
@@ -140,6 +140,12 @@ class TestFeatureMatrixInvariants:
         sub = d.select_columns([3, 7, 11])
         assert list(sub.column_ids) == [3, 7, 11]
         assert set(sub.column_ids) <= set(d.column_ids)
+
+    def test_selection_by_unknown_id_raises(self):
+        m = FeatureMatrix(np.zeros((2, 3)), [5, 2, 9])
+        assert m.select_columns([9, 5]).values.shape == (2, 2)
+        with pytest.raises(KeyError, match="unknown column id 4"):
+            m.select_columns([9, 4])
 
     def test_unique_column_ids_enforced(self):
         with pytest.raises(DataError):

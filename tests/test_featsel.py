@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rareclass import featsel, parallel
 from rareclass.data import Dataset, FeatureMatrix
@@ -285,3 +289,107 @@ class TestRoster:
         decs = run_default_roster(d, master_seed=0, n_keep=3, sfs_n_keep=2)
         led = vote(decs, threshold=3)
         assert {0, 1, 2} <= set(led.selected)
+
+
+# -- references: the per-element loops the vectorised selectors replaced ----
+
+def _reference_mutual_info(col, y, n_bins):
+    """Three full-column scans per (bin, class) cell."""
+    edges = np.unique(np.quantile(col, np.linspace(0, 1, n_bins + 1)[1:-1]))
+    bins = np.searchsorted(edges, col, side="right")
+    n = len(y)
+    mi = 0.0
+    for b in np.unique(bins):
+        for cls in (0, 1):
+            nij = np.sum((bins == b) & (y == cls))
+            if nij == 0:
+                continue
+            pij = nij / n
+            pi = np.sum(bins == b) / n
+            pj = np.sum(y == cls) / n
+            mi += pij * math.log(pij / (pi * pj))
+    return max(mi, 0.0)
+
+
+def _reference_top(column_ids, score, n_keep):
+    order = sorted(range(len(score)), key=lambda i: (-score[i], column_ids[i]))
+    return tuple(int(column_ids[i]) for i in order[:n_keep])
+
+
+def _reference_lasso(X, labels, lam, tol=1e-7, max_sweeps=10_000):
+    """Cyclic coordinate descent, then the KKT residual column by column."""
+    y = np.where(labels == 1, 1.0, -1.0)
+    y = y - y.mean()
+    n, p = X.shape
+    mu, sd = X.mean(axis=0), X.std(axis=0)
+    live = sd > 0
+    Z = np.zeros_like(X)
+    Z[:, live] = (X[:, live] - mu[live]) / sd[live]
+    w, r = np.zeros(p), y.copy()
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for j in range(p):
+            if not live[j]:
+                continue
+            rho = (Z[:, j] @ r) / n + w[j]
+            new = math.copysign(max(abs(rho) - lam, 0.0), rho)
+            if new != w[j]:
+                r += Z[:, j] * (w[j] - new)
+                delta = max(delta, abs(new - w[j]))
+                w[j] = new
+        if delta < tol:
+            break
+    grad = -(Z.T @ r) / n
+    kkt = 0.0
+    for j in range(p):
+        if not live[j]:
+            continue
+        if w[j] != 0:
+            kkt = max(kkt, abs(grad[j] + lam * math.copysign(1.0, w[j])))
+        else:
+            kkt = max(kkt, max(abs(grad[j]) - lam, 0.0))
+    return w, kkt
+
+
+def _selector_problem(seed, n, n_cols):
+    """Continuous, constant and few-level (tied) columns, unsorted column
+    ids, and labels with both classes."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < 0.3).astype(np.int64)
+    y[:2] = [0, 1]
+    cols = []
+    for kind in rng.choice(["continuous", "constant", "2", "3", "copy"], size=n_cols):
+        if kind == "continuous":
+            cols.append(rng.normal(size=n) + y * rng.normal())
+        elif kind == "constant":
+            cols.append(np.full(n, 0.3))
+        elif kind == "copy" and cols:
+            cols.append(cols[-1].copy())                  # a tie in every score
+        else:
+            cols.append(rng.integers(0, 3 if kind == "3" else 2, size=n) * 0.7)
+    ids = rng.permutation(3 * n_cols)[:n_cols]
+    return Dataset(FeatureMatrix(np.column_stack(cols), ids), y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 80), n_cols=st.integers(1, 8),
+       n_bins=st.sampled_from([2, 3, 4, 8, 16]))
+def test_mutual_info_matches_the_per_cell_reference(seed, n, n_cols, n_bins):
+    d = _selector_problem(seed, n, n_cols)
+    n_keep = 1 + seed % n_cols
+    dec = select_mutual_info(d, n_keep, n_bins=n_bins)
+    want = [_reference_mutual_info(d.features.values[:, j], d.labels, n_bins)
+            for j in range(n_cols)]
+    assert [dec.scores[int(c)].hex() for c in d.column_ids] == [float(v).hex() for v in want]
+    assert dec.selected == _reference_top(d.column_ids, want, n_keep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 60), n_cols=st.integers(1, 6),
+       lam=st.sampled_from([0.0, 0.005, 0.02, 0.1, 10.0]))
+def test_lasso_kkt_matches_the_per_column_reference(seed, n, n_cols, lam):
+    d = _selector_problem(seed, n, n_cols)
+    dec = select_lasso(d, lam=lam)
+    w, kkt = _reference_lasso(d.features.values, d.labels, lam)
+    assert float(dec.diagnostics["kkt_residual"]).hex() == float(kkt).hex()
+    assert dec.selected == tuple(int(c) for c, wj in zip(d.column_ids, w) if wj != 0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rareclass.data import ColumnStats, Dataset, FeatureMatrix, column_stats
-from rareclass.impute import (ImputeError, KnnImputeParams, MiceParams,
+from rareclass.impute import (ImputeError, _fill_ordered, KnnImputeParams, MiceParams,
                               assign_simple_strategies, fit_simple_plan,
                               fit_skew_refined_plan, knn_impute, mice_impute,
                               simple_impute)
@@ -21,7 +21,7 @@ def _ds(values, labels=None, column_ids=None):
 
 
 def _stat(cid, skew):
-    return ColumnStats(cid, 0.0, 0.0, 0.0, 1.0, skew, 0.0, 1.0, 5, False)
+    return ColumnStats(cid, 0.0, 0.0, 0.0, skew, 0.0, 1.0, False)
 
 
 class TestStrategyAssignment:
@@ -436,3 +436,48 @@ def test_mice_matches_the_per_column_reference(problem):
     # relative to the column's magnitude: a prediction sums terms of that
     # size, so a value near 0 carries their rounding
     assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref).max(axis=0))
+
+
+def _reference_fill_ordered(col, strategy, fallback):
+    """Forward fill falls through to a recursive backward fill."""
+    out = col.copy()
+    present = ~np.isnan(out)
+    if not present.any():
+        out[:] = fallback
+        return out
+    idx = np.arange(len(out))
+    if strategy == "forward":
+        last = np.maximum.accumulate(np.where(present, idx, -1))
+        filled = np.where(last >= 0, out[np.maximum(last, 0)], np.nan)
+        out = np.where(present, out, filled)
+        if np.isnan(out).any():
+            out = _reference_fill_ordered(out, "backward", fallback)
+    elif strategy == "backward":
+        nxt = np.minimum.accumulate(np.where(present, idx, len(out))[::-1])[::-1]
+        filled = np.where(nxt < len(out), out[np.minimum(nxt, len(out) - 1)], np.nan)
+        out = np.where(present, out, filled)
+        out[np.isnan(out)] = fallback
+    else:
+        out[~present] = np.interp(idx[~present], idx[present], out[present])
+        first, last = idx[present][0], idx[present][-1]
+        out[(~present) & ((idx < first) | (idx > last))] = fallback
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
+       missing=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       strategy=st.sampled_from(["forward", "backward", "linear_interpolation"]),
+       edges=st.sampled_from(["none", "leading", "trailing", "both"]))
+def test_fill_ordered_matches_the_recursive_reference(seed, n, missing, strategy, edges):
+    rng = np.random.default_rng(seed)
+    # signed zeros and tied levels among continuous values
+    col = np.where(rng.random(n) < 0.5, rng.choice(np.array([-0.0, 0.0, 1.5, 1e300]), size=n),
+                   rng.normal(size=n))
+    col[rng.random(n) < missing] = np.nan
+    if edges in ("leading", "both"):
+        col[:max(1, n // 3)] = np.nan
+    if edges in ("trailing", "both"):
+        col[n - max(1, n // 3):] = np.nan
+    got = _fill_ordered(col.copy(), strategy, -7.5)
+    assert got.tobytes() == _reference_fill_ordered(col.copy(), strategy, -7.5).tobytes()

@@ -55,6 +55,11 @@ class TestRunPipeline:
         assert 0 < ms["missing_fraction_all_cells"] < 0.2
         assert ms["missing_fraction_affected_columns"] >= ms["missing_fraction_all_cells"]
 
+    def test_unset_n_keep_keeps_half_the_columns(self, sensor_files):
+        res = run_pipeline(_cfg(sensor_files, featsel_n_keep=None), stop_after="select")
+        half = max(1, len(res.scaler.column_ids) // 2)
+        assert [len(d.selected) for d in res.decisions[:2]] == [half, half]
+
     def test_stop_after_prune_skips_training(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files), stop_after="prune")
         assert res.pruned is not None
@@ -188,6 +193,10 @@ class TestGoldenBytes:
         "scenario_3": "06003e935d9888671ed14a392263adc8bff8383ae88f52d9799e80eba5c3d70b",
         "simple": "b8443fea1d776babb563aa6aef2e07cec76006b0825c33c0a867b23cbe8730f8",
         "mice": "c580c6e0a2d699d18cb99c081bbb7a7c4308e2d157e864e3eb8ee1e5f2390df2",
+        # the only golden run under the 12-voter roster: it pins the bytes
+        # of the 4- and 16-bin filters, both lasso strengths, Boruta, RFE
+        # and SFS
+        "scenario_3_default": "39146a64b07cd8b0f16ddfdcbda35bffb09f758ff058077b827665531d319b71",
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -199,7 +208,8 @@ class TestGoldenBytes:
         rel = ("s.data", "s_labels.data")
         out = Path("out")
         if case.startswith("scenario_"):
-            reproduce(int(case[-1]), 0, out, *rel, roster="fast")
+            _, sid, *roster = case.split("_")
+            reproduce(int(sid), 0, out, *rel, roster=roster[0] if roster else "fast")
         else:
             res = run_pipeline(_cfg(rel, impute_method=case))
             emit_report(res.report, out, result=res)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rareclass.data import Dataset, FeatureMatrix, correlation_matrix
-from rareclass.preprocess import (PreprocessError, apply_scaler, drop_constant,
-                                  drop_correlated, drop_high_missing, fit_scaler,
-                                  stratified_kfold, stratified_split)
+from rareclass.preprocess import (DropEntry, DropLog, PreprocessError, apply_scaler,
+                                  drop_constant, drop_correlated, drop_high_missing,
+                                  fit_scaler, stratified_kfold, stratified_split)
 
 
 def _ds(values, labels=None):
@@ -15,29 +17,33 @@ def _ds(values, labels=None):
     return Dataset(FeatureMatrix(values, np.arange(values.shape[1])), labels)
 
 
+def _removed(log):
+    return [e.column_id for e in log.entries]
+
+
 class TestDrops:
     def test_high_missing_direct(self):
         v = np.array([[1, np.nan], [2, np.nan], [3, np.nan], [4, 1.0]])
         d = _ds(v)
         out, log = drop_high_missing(d, 0.5)
-        assert log.removed_column_ids == [1]
+        assert _removed(log) == [1]
         assert list(out.column_ids) == [0]
 
     def test_vacuous_threshold(self, messy_imbalanced):
         out, log = drop_high_missing(messy_imbalanced, 1.0)
-        assert log.removed_column_ids == []
+        assert _removed(log) == []
         assert out.n_cols == messy_imbalanced.n_cols
 
     def test_constant_and_all_missing_dropped(self):
         v = np.array([[1.0, 7.0, np.nan], [2.0, 7.0, np.nan], [3.0, 7.0, np.nan]])
         d = _ds(v)
         out, log = drop_constant(d)
-        assert sorted(log.removed_column_ids) == [1, 2]
+        assert sorted(_removed(log)) == [1, 2]
         assert all(e.reason == "constant" for e in log.entries)
 
     def test_constant_identity_when_none(self, clean_imbalanced):
         out, log = drop_constant(clean_imbalanced)
-        assert log.removed_column_ids == []
+        assert _removed(log) == []
 
     def test_single_constant_column_errors(self):
         d = _ds(np.array([[3.0], [3.0], [3.0]]))
@@ -54,7 +60,7 @@ class TestDrops:
     def test_orthogonal_columns_identity(self):
         v = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         out, log = drop_correlated(_ds(v), 0.7)
-        assert log.removed_column_ids == []
+        assert _removed(log) == []
 
     def test_no_surviving_pair_above_threshold(self, messy_imbalanced):
         d, _ = drop_high_missing(messy_imbalanced, 0.5)
@@ -67,13 +73,13 @@ class TestDrops:
     def test_pruning_idempotent(self, messy_imbalanced):
         d1, _ = drop_high_missing(messy_imbalanced, 0.5)
         d2, log = drop_high_missing(d1, 0.5)
-        assert log.removed_column_ids == []
+        assert _removed(log) == []
         c1, _ = drop_constant(d1)
         c2, log = drop_constant(c1)
-        assert log.removed_column_ids == []
+        assert _removed(log) == []
         r1, _ = drop_correlated(c1, 0.7)
         r2, log = drop_correlated(r1, 0.7)
-        assert log.removed_column_ids == []
+        assert _removed(log) == []
 
 
 class TestScaler:
@@ -182,3 +188,52 @@ class TestKFold:
         d = _ds(np.arange(30, dtype=float).reshape(-1, 1), labels)
         with pytest.raises(PreprocessError):
             stratified_kfold(d, 5, seed=0)
+
+
+def _reference_drop_correlated(d, threshold):
+    """The O(p^2) pair walk in ascending column-id order: (kept ids, log)."""
+    r = correlation_matrix(d)
+    order = np.argsort(d.column_ids, kind="stable")
+    alive = {int(c): True for c in d.column_ids}
+    entries = []
+    for ii in order:
+        ci = int(d.column_ids[ii])
+        if not alive[ci]:
+            continue
+        for jj in order:
+            cj = int(d.column_ids[jj])
+            if cj <= ci or not alive[cj]:
+                continue
+            rij = r[ii, jj]
+            if np.isfinite(rij) and abs(rij) > threshold:
+                alive[cj] = False
+                entries.append(DropEntry(cj, "correlated", threshold, kept_partner=ci))
+    return [int(c) for c in d.column_ids if alive[int(c)]], DropLog(tuple(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40), n_cols=st.integers(1, 10),
+       threshold=st.sampled_from([0.05, 0.3, 0.7, 0.95]))
+def test_drop_correlated_matches_the_pair_walk(seed, n, n_cols, threshold):
+    # near-copies, exact and negated copies, tied levels, constant and
+    # all-missing columns (NaN correlations), missing cells, shuffled ids
+    rng = np.random.default_rng(seed)
+    cols = [rng.normal(size=n)]
+    for kind in rng.choice(["noise", "near", "copy", "negated", "levels", "constant",
+                            "empty"], size=n_cols - 1):
+        base = cols[int(rng.integers(len(cols)))]
+        cols.append({"noise": lambda: rng.normal(size=n),
+                     "near": lambda: base + rng.normal(0, 0.5, size=n),
+                     "copy": lambda: base.copy(),
+                     "negated": lambda: -2.0 * base,
+                     "levels": lambda: rng.integers(0, 2, size=n) * 1.0,
+                     "constant": lambda: np.full(n, 4.0),
+                     "empty": lambda: np.full(n, np.nan)}[kind]())
+    v = np.column_stack(cols)
+    v[rng.random(v.shape) < 0.1] = np.nan
+    d = Dataset(FeatureMatrix(v, rng.permutation(2 * n_cols)[:n_cols]),
+                np.arange(n) % 2)
+    out, log = drop_correlated(d, threshold)
+    kept, want = _reference_drop_correlated(d, threshold)
+    assert [int(c) for c in out.column_ids] == kept
+    assert log.to_csv() == want.to_csv()
