@@ -70,6 +70,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown split mode {self.split_mode!r}")
         if not 0 < self.test_fraction < 1:
             raise ConfigError("test_fraction must be in (0, 1)")
+        if self.k_folds < 2:
+            raise ConfigError(f"[split] k: must be >= 2, got {self.k_folds}")
         if self.impute_method not in IMPUTE_METHODS:
             raise ConfigError(f"unknown imputation method {self.impute_method!r}")
         if self.roster not in ROSTERS:

@@ -8,6 +8,7 @@ unchanged through any downstream pruning.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,42 @@ def _parse_float(token: str, path: str, line_no: int) -> float:
         raise DataError(f"{path}:{line_no}: unparseable numeric token {token!r}") from None
 
 
+def _tokenize_secom(fh, path) -> np.ndarray:
+    """Parse the sensor file one token at a time; slow, but every error
+    names the file and line."""
+    rows = []
+    for line_no, line in enumerate(fh, 1):
+        if not line.strip():
+            continue
+        rows.append([_parse_float(t, str(path), line_no) for t in line.split()])
+    if not rows:
+        raise DataError(f"empty input: {path}")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise DataError(f"{path}: inconsistent column counts {sorted(widths)}")
+    return np.array(rows, dtype=np.float64)
+
+
+def _read_secom_values(path) -> np.ndarray:
+    """The sensor matrix, parsed by numpy's C reader, which converts each
+    token with the same routine as `float()`.  A file it rejects (a bad
+    token, ragged rows, no rows at all) is parsed again by
+    `_tokenize_secom`, so the same input accepted before loads to the same
+    bits and a bad one raises the same DataError."""
+    with open(path) as fh:
+        try:
+            with warnings.catch_warnings():
+                # an empty file: the tokenizer raises for it below
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+            if values.shape[0]:
+                return values
+        except ValueError:
+            pass
+        fh.seek(0)
+        return _tokenize_secom(fh, path)
+
+
 def load_secom(data_path, labels_path) -> Dataset:
     """Load the whitespace-separated sensor file and its labels file.
 
@@ -140,17 +177,7 @@ def load_secom(data_path, labels_path) -> Dataset:
     labels line starts with -1 (pass) or 1 (fail); trailing tokens (a
     timestamp) are ignored.
     """
-    rows = []
-    with open(data_path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            rows.append([_parse_float(t, str(data_path), line_no) for t in line.split()])
-    if not rows:
-        raise DataError(f"empty input: {data_path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataError(f"{data_path}: inconsistent column counts {sorted(widths)}")
+    values = _read_secom_values(data_path)
 
     labels = []
     with open(labels_path) as fh:
@@ -163,10 +190,8 @@ def load_secom(data_path, labels_path) -> Dataset:
             labels.append(0 if tokens[0] == "-1" else 1)
     if not labels:
         raise DataError(f"empty input: {labels_path}")
-    if len(labels) != len(rows):
-        raise DataError(f"row-count mismatch: {len(rows)} data rows vs {len(labels)} labels")
-
-    values = np.array(rows, dtype=np.float64)
+    if len(labels) != len(values):
+        raise DataError(f"row-count mismatch: {len(values)} data rows vs {len(labels)} labels")
     return Dataset(FeatureMatrix(values, np.arange(values.shape[1])), np.array(labels))
 
 
@@ -221,12 +246,12 @@ def _skewness(x: np.ndarray) -> float:
     """Fisher population skewness; 0 for constant or n < 3 samples."""
     if len(x) < 3:
         return 0.0
-    m = x.mean()
-    m2 = np.mean((x - m) ** 2)
+    d = x - x.mean()
+    d2 = d * d
+    m2 = d2.mean()
     if m2 <= 0:
         return 0.0
-    m3 = np.mean((x - m) ** 3)
-    return float(m3 / m2 ** 1.5)
+    return float((d2 * d).mean() / m2 ** 1.5)
 
 
 def column_stats(d: Dataset) -> list[ColumnStats]:
@@ -267,13 +292,14 @@ def correlation_matrix(d: Dataset) -> np.ndarray:
     columns.
     """
     v = d.features.values
-    m = (~np.isnan(v)).astype(np.float64)
-    x = np.where(np.isnan(v), 0.0, v)
+    missing = np.isnan(v)
+    m = (~missing).astype(np.float64)
+    x = np.where(missing, 0.0, v)
 
     n = m.T @ m                      # shared present counts
     sx = x.T @ m                     # sx[i,j] = sum of col i over rows where j present
     sxy = x.T @ x
-    sxx = (x * x).T @ m
+    sxx = np.multiply(x, x, out=x).T @ m     # x is not read again
 
     with np.errstate(invalid="ignore", divide="ignore"):
         cov = sxy - sx * sx.T / n

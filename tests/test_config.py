@@ -47,6 +47,7 @@ class TestValidation:
         {"featsel_n_keep": -3},
         {"smote_k_neighbors": 0},
         {"impute_overrides": {3: "bogus"}},
+        {"k_folds": 1},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
@@ -169,8 +170,9 @@ out_dir = results
         (r"\[resample\].*k_neighbors", "[resample]\nscenario = smote\nk_neighbors = 0\n"),
         (r"\[impute\] overrides.*'bogus'", "[impute]\nmethod = simple\noverrides = 3:bogus\n"),
         (r"\[impute\] overrides.*'bogus'", "[impute]\nmethod = mice\noverrides = 3:bogus\n"),
+        (r"\[split\] k: must be >= 2, got 1", "[split]\nmode = kfold\nk = 1\n"),
     ], ids=["n_keep_zero", "n_keep_negative", "k_neighbors", "override_simple",
-            "override_mice"])
+            "override_mice", "split_k"])
     def test_late_failing_value_rejected_at_load(self, tmp_path, where, text):
         # each failed only in its stage, after imputation or the whole
         # roster, or (an override under knn or mice) never

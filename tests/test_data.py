@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from rareclass import data
 from rareclass.data import (DataError, Dataset, FeatureMatrix, column_stats,
                             correlation_matrix, load_delimited, load_secom)
 
@@ -44,6 +49,142 @@ class TestLoadSecom:
         labels = _write(tmp_path / "l.txt", "-1 19/07/2008 11:55:00\n1 20/07/2008 00:01:00\n")
         d = load_secom(data, labels)
         assert list(d.labels) == [0, 1]
+
+
+def _reference_load_secom(data_path, labels_path):
+    """The token-by-token loader that `load_secom` replaced, kept as the
+    oracle for its values and error texts."""
+    rows = []
+    with open(data_path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            rows.append([math.nan if t == "NaN" else _reference_float(t, data_path, line_no)
+                         for t in line.split()])
+    if not rows:
+        raise DataError(f"empty input: {data_path}")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise DataError(f"{data_path}: inconsistent column counts {sorted(widths)}")
+    labels = []
+    with open(labels_path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if tokens[0] not in ("-1", "1"):
+                raise DataError(f"{labels_path}:{line_no}: label must be -1 or 1, got {tokens[0]!r}")
+            labels.append(0 if tokens[0] == "-1" else 1)
+    if not labels:
+        raise DataError(f"empty input: {labels_path}")
+    if len(labels) != len(rows):
+        raise DataError(f"row-count mismatch: {len(rows)} data rows vs {len(labels)} labels")
+    values = np.array(rows, dtype=np.float64)
+    return Dataset(FeatureMatrix(values, np.arange(values.shape[1])), np.array(labels))
+
+
+def _reference_float(token, path, line_no):
+    try:
+        return float(token)
+    except ValueError:
+        raise DataError(f"{path}:{line_no}: unparseable numeric token {token!r}") from None
+
+
+def _outcome(load, data_path, labels_path):
+    """What a loader does with a file pair: the error text, or the bits."""
+    try:
+        d = load(data_path, labels_path)
+    except DataError as e:
+        return "error", str(e)
+    return d.features.values.shape, d.features.values.tobytes(), d.labels.tobytes()
+
+
+# a cell: NaN, or a float written as the sensor file (4 decimals), as repr
+# (up to 17 significant digits), in exponent form, or with an explicit sign
+_cell = st.one_of(
+    st.just("NaN"),
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(lambda x: st.sampled_from(
+        [f"{x:.4f}", repr(x), f"{x:.16e}", f"{x:+.3E}", f"{x:.17g}"])),
+    st.sampled_from(["-0.0", "0", "-0", "1e-320", "2.2250738585072014e-308",
+                     "0.30000000000000004", "1.7976931348623157e+308", "nan", "-inf"]))
+
+
+@st.composite
+def _secom_text(draw, max_rows=6, max_cols=5):
+    """A SECOM-format sensor file: whitespace-separated cells with runs of
+    spaces and tabs, leading and trailing blanks, blank lines, and an
+    optional final newline."""
+    n_rows = draw(st.integers(1, max_rows))
+    n_cols = draw(st.integers(1, max_cols))
+    sep = st.text(" \t", min_size=1, max_size=3)
+    edge = st.text(" \t", max_size=2)
+    lines = []
+    for _ in range(n_rows):
+        for _ in range(draw(st.integers(0, 1))):
+            lines.append(draw(edge))                 # a blank line
+        cells = [draw(_cell) for _ in range(n_cols)]
+        line = draw(edge)
+        for k, c in enumerate(cells):
+            line += (draw(sep) if k else "") + c
+        lines.append(line + draw(edge))
+    text = "\n".join(lines)
+    return text + ("\n" if draw(st.booleans()) else ""), n_rows
+
+
+def _write_pair(dir_path, text, n_labels):
+    data_path, labels_path = dir_path / "d.data", dir_path / "l.labels"
+    data_path.write_text(text)
+    labels_path.write_text("".join("-1 19/07/2008 11:55:00\n" if i % 3 else "1 ts\n"
+                                   for i in range(n_labels)))
+    return str(data_path), str(labels_path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_secom_text())
+def test_c_reader_loads_the_tokenizers_bits(tmp_path_factory, case):
+    text, n_rows = case
+    data_path, labels_path = _write_pair(tmp_path_factory.mktemp("secom"), text, n_rows)
+    with open(data_path) as fh:
+        c_path = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+    with open(data_path) as fh:
+        tokenized = data._tokenize_secom(fh, data_path)
+    # the C reader accepts every such file, so the bits below are its own
+    assert c_path.shape == tokenized.shape and c_path.tobytes() == tokenized.tobytes()
+    assert (_outcome(load_secom, data_path, labels_path)
+            == _outcome(_reference_load_secom, data_path, labels_path))
+
+
+_FAULTS = ("bad_token", "underscore", "ragged", "empty", "blank_only", "label_count")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_secom_text(), fault=st.sampled_from(_FAULTS), where=st.integers(0, 10 ** 6))
+def test_rejected_files_fail_as_before(tmp_path_factory, case, fault, where):
+    """Files the C reader rejects load, or fail with the same DataError
+    text, as with the token-by-token loader."""
+    text, n_rows = case
+    lines = text.split("\n")
+    rows = [i for i, ln in enumerate(lines) if ln.strip()]
+    i = rows[where % len(rows)]
+    tokens = lines[i].split()
+    k = where % len(tokens)
+    if fault == "bad_token":
+        tokens[k] = "oops"
+    elif fault == "underscore":                      # float() reads 1_000.5
+        tokens[k] = "1_000.5"
+    elif fault == "ragged":
+        assume(len(rows) > 1)
+        if where % 2 or len(tokens) == 1:
+            tokens.append("1.0")
+        else:
+            del tokens[k]
+    lines[i] = " ".join(tokens)
+    text = {"empty": "", "blank_only": "\n \t\n\n"}.get(fault, "\n".join(lines))
+    n_labels = n_rows + 1 if fault == "label_count" else n_rows
+    data_path, labels_path = _write_pair(tmp_path_factory.mktemp("secom"), text, n_labels)
+    got = _outcome(load_secom, data_path, labels_path)
+    assert got == _outcome(_reference_load_secom, data_path, labels_path)
+    assert got[0] == "error" or fault == "underscore"
 
 
 class TestLoadDelimited:
@@ -94,6 +235,32 @@ class TestColumnStats:
         right_skewed = np.array([[1.0], [1.0], [1.0], [1.0], [100.0]])
         d = Dataset(FeatureMatrix(right_skewed, [0]), np.array([0, 0, 0, 1, 1]))
         assert column_stats(d)[0].skewness > 1.0
+
+
+def _reference_skewness(x):
+    m = x.mean()
+    m2 = np.mean((x - m) ** 2)
+    return 0.0 if m2 <= 0 else float(np.mean((x - m) ** 3) / m2 ** 1.5)
+
+
+_sample = st.one_of(
+    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=3, max_size=400).map(
+        lambda v: np.array(v, dtype=np.float64) / 1000.0),
+    st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(3, 2000),
+              st.sampled_from([1e-3, 1.0, 1e4]), st.sampled_from([0.0, 1e3])).map(
+        lambda a: np.random.default_rng(a[0]).lognormal(size=a[1]) * a[2] + a[3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_sample, sign=st.sampled_from([1.0, -1.0]))
+def test_skewness_matches_the_pow_form(x, sign):
+    # skewness is scale-free, so its rounding error is measured against 1
+    # when |skew| is smaller
+    x = sign * x
+    got, want = data._skewness(x), _reference_skewness(x)
+    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+    if abs(want) > 1e-9:
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 class TestCorrelationMatrix:

@@ -242,12 +242,25 @@ class TestVote:
         led = vote(decs, threshold=1)
         assert set(led.selected) == {0, 3}
 
-    def test_permutation_invariance(self):
-        decs = [self._dec("a", [0, 1]), self._dec("b", [1, 2]), self._dec("c", [2])]
-        led1 = vote(decs, 2)
-        led2 = vote(decs[::-1], 2)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_permutation_invariance(self, data, n):
+        # each selector picks from its own universe (an empty one stands for
+        # its picks); the order the selectors ran in must not change the
+        # ledger, only the order of its contributor lists
+        decs = []
+        for i in range(n):
+            universe = sorted(data.draw(st.sets(st.integers(0, 15), max_size=10)))
+            picked = data.draw(st.sets(st.sampled_from(universe or list(range(16)))))
+            decs.append(self._dec(f"s{i}", sorted(picked), universe=universe))
+        order = data.draw(st.permutations(range(n)))
+        threshold = data.draw(st.integers(1, n))
+        led1 = vote(decs, threshold)
+        led2 = vote([decs[i] for i in order], threshold)
         assert led1.selected == led2.selected
         assert led1.votes == led2.votes
+        assert ({c: set(v) for c, v in led1.contributors.items()}
+                == {c: set(v) for c, v in led2.contributors.items()})
 
     def test_selected_monotone_in_threshold(self):
         decs = [self._dec(n, c) for n, c in
