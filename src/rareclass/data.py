@@ -150,24 +150,21 @@ def _tokenize_secom(fh, path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _read_secom_values(path) -> np.ndarray:
-    """The sensor matrix, parsed by numpy's C reader, which converts each
-    token with the same routine as `float()`.  A file it rejects (a bad
-    token, ragged rows, no rows at all) is parsed again by
-    `_tokenize_secom`, so the same input accepted before loads to the same
-    bits and a bad one raises the same DataError."""
-    with open(path) as fh:
-        try:
-            with warnings.catch_warnings():
-                # an empty file: the tokenizer raises for it below
-                warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
-            if values.shape[0]:
-                return values
-        except ValueError:
-            pass
-        fh.seek(0)
-        return _tokenize_secom(fh, path)
+def _c_read(fh, **kw) -> np.ndarray | None:
+    """The table from the rest of `fh`, parsed by numpy's C reader, which
+    converts each cell with the same routine as `float()` after stripping
+    its blanks; None when the reader rejects the text (a bad cell, ragged
+    rows) or finds no rows.  Each loader then parses the file again with
+    its token loop, so an accepted file loads to the loop's bits and a
+    rejected one raises the loop's DataError."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file: the token loop raises for it
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2, **kw)
+    except ValueError:
+        return None
+    return values if values.shape[0] else None
 
 
 def load_secom(data_path, labels_path) -> Dataset:
@@ -177,7 +174,11 @@ def load_secom(data_path, labels_path) -> Dataset:
     labels line starts with -1 (pass) or 1 (fail); trailing tokens (a
     timestamp) are ignored.
     """
-    values = _read_secom_values(data_path)
+    with open(data_path) as fh:
+        values = _c_read(fh)
+        if values is None:
+            fh.seek(0)
+            values = _tokenize_secom(fh, data_path)
 
     labels = []
     with open(labels_path) as fh:
@@ -195,17 +196,41 @@ def load_secom(data_path, labels_path) -> Dataset:
     return Dataset(FeatureMatrix(values, np.arange(values.shape[1])), np.array(labels))
 
 
-def load_delimited(path, label_column: str, delimiter: str = ",",
-                   missing_tokens=("", "NaN", "NA")) -> Dataset:
-    """Load a delimited text file with a header row.
+def _read_delimited(fh, label_column, delimiter, missing_tokens):
+    """The feature values and stripped label cells by the C reader, or None
+    for `_tokenize_delimited` to read the file.  The C reader takes only a
+    one-character delimiter, cannot honour a missing token that parses to
+    a number, and reads a line of blanks as a row when the label is the
+    only column, so such calls go to the loop too."""
+    if len(delimiter) != 1 or not all(map(_rejected_or_nan, missing_tokens)):
+        return None
+    header = next((ln.rstrip("\n") for ln in fh if ln.strip()), "").split(delimiter)
+    if len(header) < 2 or label_column not in header:
+        return None
+    label_pos = header.index(label_column)
+    raw_labels = []
+    values = _c_read(fh, delimiter=delimiter, converters={
+        label_pos: lambda cell: raw_labels.append(cell.strip()) or 0.0})
+    if values is None or values.shape != (len(raw_labels), len(header)):
+        return None
+    return np.delete(values, label_pos, axis=1), raw_labels
 
-    The label column must hold exactly two distinct values; the less
-    frequent one becomes class 1.  A frequency tie is broken by mapping the
-    lexicographically larger value to class 1.
-    """
+
+def _rejected_or_nan(token: str) -> bool:
+    """Whether a cell holding `token` fails the C reader (which accepts no
+    more than `float()`) or reads as the NaN the token loop gives it."""
+    try:
+        v = float(token)
+    except ValueError:
+        return True
+    return math.isnan(v) and math.copysign(1.0, v) > 0
+
+
+def _tokenize_delimited(fh, path, label_column, delimiter, missing_tokens):
+    """Parse the delimited file one cell at a time; every error names the
+    file and, for a row, its number among the non-blank lines."""
     missing = set(missing_tokens)
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise DataError(f"empty input: {path}")
     header = lines[0].split(delimiter)
@@ -229,6 +254,23 @@ def load_delimited(path, label_column: str, delimiter: str = ",",
         rows.append(row)
     if not rows:
         raise DataError(f"empty input: {path}")
+    return np.array(rows, dtype=np.float64), raw_labels
+
+
+def load_delimited(path, label_column: str, delimiter: str = ",",
+                   missing_tokens=("", "NaN", "NA")) -> Dataset:
+    """Load a delimited text file with a header row.
+
+    The label column must hold exactly two distinct values; the less
+    frequent one becomes class 1.  A frequency tie is broken by mapping the
+    lexicographically larger value to class 1.
+    """
+    with open(path) as fh:
+        parsed = _read_delimited(fh, label_column, delimiter, missing_tokens)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _tokenize_delimited(fh, path, label_column, delimiter, missing_tokens)
+    values, raw_labels = parsed
 
     distinct = sorted(set(raw_labels))
     if len(distinct) != 2:
@@ -237,8 +279,6 @@ def load_delimited(path, label_column: str, delimiter: str = ",",
     # minority value -> positive class; lexicographic tie-break
     positive = distinct[1] if counts[distinct[0]] == counts[distinct[1]] else min(distinct, key=lambda v: counts[v])
     labels = np.array([1 if v == positive else 0 for v in raw_labels])
-
-    values = np.array(rows, dtype=np.float64)
     return Dataset(FeatureMatrix(values, np.arange(values.shape[1])), labels)
 
 

@@ -48,11 +48,15 @@ def make_imbalanced(n_rows: int = 400, n_informative: int = 5, n_noise: int = 15
 
 def write_secom_like(d: Dataset, data_path, labels_path, seed: int = 0) -> None:
     """Serialize a dataset in the whitespace/NaN sensor file format with a
-    matching labels file."""
+    matching labels file.  Each cell is written with 4 decimals, or as
+    `NaN` when missing; the file is streamed one row per line, each line
+    formatted by one `%` call on that row alone."""
     rng = np.random.default_rng(seed)
+    line = " ".join(["%.4f"] * d.n_cols) + "\n"
     with open(data_path, "w") as fh:
-        for row in d.features.values:
-            fh.write(" ".join("NaN" if np.isnan(v) else f"{v:.4f}" for v in row) + "\n")
+        # "%.4f" writes any NaN as "nan", and no other cell holds "nan"
+        fh.writelines((line % tuple(row.tolist())).replace("nan", "NaN")
+                      for row in d.features.values)
     with open(labels_path, "w") as fh:
         for i, label in enumerate(d.labels):
             stamp = f"19/07/2008 {rng.integers(0, 24):02d}:{rng.integers(0, 60):02d}:00"

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import require_secom
+from model_checks import gradient_check
 from rareclass.data import Dataset, FeatureMatrix, load_secom
 from rareclass.featsel import run_default_roster, vote
 from rareclass.metrics import ConfusionMatrix, metric_set, roc_curve
-from rareclass.models import ModelSpec, gradient_check
+from rareclass.models import ModelSpec
 from rareclass.pipeline import reproduce, run_pipeline, scenario_config
 from rareclass.preprocess import (drop_constant, drop_correlated,
                                   drop_high_missing, stratified_split)

@@ -210,6 +210,155 @@ class TestLoadDelimited:
         assert all(s.missing_fraction == 1.0 for s in stats)
 
 
+def _reference_load_delimited(path, label_column, delimiter=",",
+                              missing_tokens=("", "NaN", "NA")):
+    """The cell-by-cell loader that `load_delimited` replaced, kept as the
+    oracle for its values and error texts."""
+    missing = set(missing_tokens)
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise DataError(f"empty input: {path}")
+    header = lines[0].split(delimiter)
+    if label_column not in header:
+        raise DataError(f"label column {label_column!r} not found in header")
+    label_pos = header.index(label_column)
+    raw_labels, rows = [], []
+    for line_no, line in enumerate(lines[1:], 2):
+        tokens = line.split(delimiter)
+        if len(tokens) != len(header):
+            raise DataError(f"{path}:{line_no}: expected {len(header)} fields, got {len(tokens)}")
+        raw_labels.append(tokens[label_pos].strip())
+        row = []
+        for i, tok in enumerate(tokens):
+            if i == label_pos:
+                continue
+            tok = tok.strip()
+            if tok in missing or tok == "NaN" or tok == "":
+                row.append(math.nan)
+            else:
+                row.append(_reference_float(tok, str(path), line_no))
+        rows.append(row)
+    if not rows:
+        raise DataError(f"empty input: {path}")
+    distinct = sorted(set(raw_labels))
+    if len(distinct) != 2:
+        raise DataError(f"label column must have exactly 2 distinct values, got {len(distinct)}")
+    counts = {v: raw_labels.count(v) for v in distinct}
+    positive = (distinct[1] if counts[distinct[0]] == counts[distinct[1]]
+                else min(distinct, key=lambda v: counts[v]))
+    values = np.array(rows, dtype=np.float64)
+    return Dataset(FeatureMatrix(values, np.arange(values.shape[1])),
+                   np.array([1 if v == positive else 0 for v in raw_labels]))
+
+
+_DELIMITERS = (",", ";", "\t")
+_LABEL_PAIRS = (("pass", "fail"), ("-1", "1"), ("A", " B "), ("", "x"))
+
+
+@st.composite
+def _delimited_text(draw, max_rows=6, max_features=4):
+    """A delimited file with a header and a label column first, in the
+    middle or last: number cells as in the sensor file, `NaN`, and (unless
+    `clean`) empty and `NA` cells, all padded with spaces, with blank lines
+    before the header and between rows.  Returns the text, the delimiter,
+    and whether the C reader should accept the file: it rejects empty and
+    `NA` cells and blank lines that hold blanks."""
+    delimiter = draw(st.sampled_from(_DELIMITERS))
+    n_features = draw(st.integers(1, max_features))
+    label_pos = draw(st.integers(0, n_features))
+    clean = draw(st.booleans())
+    cell = _cell if clean else st.one_of(_cell, st.sampled_from(["", "NA", "NaN"]))
+    blank = st.just("") if clean else st.sampled_from(["", " ", "  "])
+    pad = st.text(" ", max_size=2)
+    pair = draw(st.sampled_from(_LABEL_PAIRS))
+    names = [f"c{j}" for j in range(n_features)]
+    names.insert(label_pos, "cls")
+    lines = [draw(st.sampled_from(["", " ", "\t"])) for _ in range(draw(st.integers(0, 1)))]
+    lines.append(delimiter.join(names))
+    for _ in range(draw(st.integers(1, max_rows))):
+        lines += [draw(blank) for _ in range(draw(st.integers(0, 1)))]
+        cells = [draw(pad) + draw(cell) + draw(pad) for _ in range(n_features)]
+        cells.insert(label_pos, draw(st.sampled_from(pair)))
+        lines.append(delimiter.join(cells))
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else ""), delimiter, clean
+
+
+def _delimited_outcome(load, path, delimiter, missing_tokens=("", "NaN", "NA")):
+    try:
+        d = load(path, "cls", delimiter, missing_tokens)
+    except DataError as e:
+        return "error", str(e)
+    return d.features.values.shape, d.features.values.tobytes(), d.labels.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_delimited_text())
+def test_delimited_c_reader_loads_the_loops_bits(tmp_path_factory, case):
+    text, delimiter, clean = case
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_text(text)
+    with open(path) as fh:
+        c_path = data._read_delimited(fh, "cls", delimiter, ("", "NaN", "NA"))
+    with open(path) as fh:
+        looped = data._tokenize_delimited(fh, str(path), "cls", delimiter, ("", "NaN", "NA"))
+    assert c_path is not None or not clean
+    if c_path is not None:
+        assert c_path[0].shape == looped[0].shape
+        assert c_path[0].tobytes() == looped[0].tobytes() and c_path[1] == looped[1]
+    assert (_delimited_outcome(load_delimited, str(path), delimiter)
+            == _delimited_outcome(_reference_load_delimited, str(path), delimiter))
+
+
+_DELIMITED_FAULTS = ("bad_token", "underscore", "ragged", "extra_field", "header_only", "empty",
+                     "no_label_column", "multi_char", "label_only", "numeric_missing_token")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_delimited_text(), fault=st.sampled_from(_DELIMITED_FAULTS),
+       where=st.integers(0, 10 ** 6))
+def test_delimited_rejected_files_fail_as_before(tmp_path_factory, case, fault, where):
+    """Files the C reader rejects, or may not read, load or fail with the
+    same DataError text as with the cell-by-cell loader."""
+    text, delimiter, _ = case
+    lines = text.split("\n")
+    header, *rows = [i for i, ln in enumerate(lines) if ln.strip()]
+    i = rows[where % len(rows)]
+    cells = lines[i].split(delimiter)
+    features = [j for j, name in enumerate(lines[header].split(delimiter)) if name != "cls"]
+    k = features[where % len(features)]
+    missing_tokens = ("", "NaN", "NA")
+    if fault == "bad_token":
+        cells[k] = "oops"
+    elif fault == "underscore":                      # float() reads 1_000.5
+        cells[k] = "1_000.5"
+    elif fault == "ragged":
+        del cells[k]
+    elif fault == "extra_field":
+        cells.append("1.0")
+    elif fault == "numeric_missing_token":           # float() reads it, the loop as missing
+        token = ("-999", "-nan")[where // 7 % 2]
+        cells[k] = f" {token} "
+        missing_tokens = (token, "")
+    elif fault == "multi_char":
+        lines = [ln.replace(delimiter, "::") for ln in lines]
+        cells = lines[i].split("::")
+        delimiter = "::"
+    lines[i] = delimiter.join(cells)
+    if fault == "label_only":                        # blank lines are not rows
+        lines = ["cls", "a", " ", "b", "\t", "a"]
+    text = "\n".join(lines)
+    text = {"empty": "", "header_only": lines[header] + "\n",
+            "no_label_column": text.replace("cls", "class")}.get(fault, text)
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_text(text)
+    got = _delimited_outcome(load_delimited, str(path), delimiter, missing_tokens)
+    assert got == _delimited_outcome(_reference_load_delimited, str(path), delimiter,
+                                     missing_tokens)
+    assert got[0] == "error" or fault in ("underscore", "numeric_missing_token",
+                                          "multi_char", "label_only")
+
+
 class TestColumnStats:
     def test_constant_column(self):
         d = Dataset(FeatureMatrix(np.array([[5.0], [5.0], [5.0], [5.0]]), [0]),

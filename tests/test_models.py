@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from rareclass.data import Dataset, FeatureMatrix
+from model_checks import gradient_check
 from rareclass.models import (FAMILIES, ModelError, ModelSpec, TrainingDiverged,
-                              feature_importances, gradient_check,
-                              model_from_json, model_to_json, predict_scores,
-                              train)
+                              feature_importances, model_from_json,
+                              model_to_json, predict_scores, train)
 from rareclass.models.linear import logistic_loss_grad
 
 
