@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+# cells `load_delimited` reads as missing
+_MISSING_TOKENS = frozenset(("", "NaN", "NA"))
+
+
 class DataError(ValueError):
     """Raised for malformed or inconsistent input files."""
 
@@ -196,13 +200,13 @@ def load_secom(data_path, labels_path) -> Dataset:
     return Dataset(FeatureMatrix(values, np.arange(values.shape[1])), np.array(labels))
 
 
-def _read_delimited(fh, label_column, delimiter, missing_tokens):
+def _read_delimited(fh, label_column, delimiter):
     """The feature values and stripped label cells by the C reader, or None
-    for `_tokenize_delimited` to read the file.  The C reader takes only a
-    one-character delimiter, cannot honour a missing token that parses to
-    a number, and reads a line of blanks as a row when the label is the
-    only column, so such calls go to the loop too."""
-    if len(delimiter) != 1 or not all(map(_rejected_or_nan, missing_tokens)):
+    for `_tokenize_delimited` to read the file.  The C reader rejects the
+    empty and `NA` missing cells and reads `NaN` as the loop does; it takes
+    only a one-character delimiter, and reads a line of blanks as a row
+    when the label is the only column, so such files go to the loop too."""
+    if len(delimiter) != 1:
         return None
     header = next((ln.rstrip("\n") for ln in fh if ln.strip()), "").split(delimiter)
     if len(header) < 2 or label_column not in header:
@@ -216,20 +220,9 @@ def _read_delimited(fh, label_column, delimiter, missing_tokens):
     return np.delete(values, label_pos, axis=1), raw_labels
 
 
-def _rejected_or_nan(token: str) -> bool:
-    """Whether a cell holding `token` fails the C reader (which accepts no
-    more than `float()`) or reads as the NaN the token loop gives it."""
-    try:
-        v = float(token)
-    except ValueError:
-        return True
-    return math.isnan(v) and math.copysign(1.0, v) > 0
-
-
-def _tokenize_delimited(fh, path, label_column, delimiter, missing_tokens):
+def _tokenize_delimited(fh, path, label_column, delimiter):
     """Parse the delimited file one cell at a time; every error names the
     file and, for a row, its number among the non-blank lines."""
-    missing = set(missing_tokens)
     lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise DataError(f"empty input: {path}")
@@ -250,26 +243,26 @@ def _tokenize_delimited(fh, path, label_column, delimiter, missing_tokens):
             if i == label_pos:
                 continue
             tok = tok.strip()
-            row.append(math.nan if tok in missing else _parse_float(tok, str(path), line_no))
+            row.append(math.nan if tok in _MISSING_TOKENS else _parse_float(tok, str(path), line_no))
         rows.append(row)
     if not rows:
         raise DataError(f"empty input: {path}")
     return np.array(rows, dtype=np.float64), raw_labels
 
 
-def load_delimited(path, label_column: str, delimiter: str = ",",
-                   missing_tokens=("", "NaN", "NA")) -> Dataset:
-    """Load a delimited text file with a header row.
+def load_delimited(path, label_column: str, delimiter: str = ",") -> Dataset:
+    """Load a delimited text file with a header row.  An empty, `NA` or
+    `NaN` cell is missing.
 
     The label column must hold exactly two distinct values; the less
     frequent one becomes class 1.  A frequency tie is broken by mapping the
     lexicographically larger value to class 1.
     """
     with open(path) as fh:
-        parsed = _read_delimited(fh, label_column, delimiter, missing_tokens)
+        parsed = _read_delimited(fh, label_column, delimiter)
         if parsed is None:
             fh.seek(0)
-            parsed = _tokenize_delimited(fh, path, label_column, delimiter, missing_tokens)
+            parsed = _tokenize_delimited(fh, path, label_column, delimiter)
     values, raw_labels = parsed
 
     distinct = sorted(set(raw_labels))

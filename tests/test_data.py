@@ -210,11 +210,9 @@ class TestLoadDelimited:
         assert all(s.missing_fraction == 1.0 for s in stats)
 
 
-def _reference_load_delimited(path, label_column, delimiter=",",
-                              missing_tokens=("", "NaN", "NA")):
+def _reference_load_delimited(path, label_column, delimiter=","):
     """The cell-by-cell loader that `load_delimited` replaced, kept as the
     oracle for its values and error texts."""
-    missing = set(missing_tokens)
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
@@ -234,7 +232,7 @@ def _reference_load_delimited(path, label_column, delimiter=",",
             if i == label_pos:
                 continue
             tok = tok.strip()
-            if tok in missing or tok == "NaN" or tok == "":
+            if tok in ("", "NaN", "NA"):
                 row.append(math.nan)
             else:
                 row.append(_reference_float(tok, str(path), line_no))
@@ -284,9 +282,9 @@ def _delimited_text(draw, max_rows=6, max_features=4):
     return "\n".join(lines) + ("\n" if draw(st.booleans()) else ""), delimiter, clean
 
 
-def _delimited_outcome(load, path, delimiter, missing_tokens=("", "NaN", "NA")):
+def _delimited_outcome(load, path, delimiter):
     try:
-        d = load(path, "cls", delimiter, missing_tokens)
+        d = load(path, "cls", delimiter)
     except DataError as e:
         return "error", str(e)
     return d.features.values.shape, d.features.values.tobytes(), d.labels.tobytes()
@@ -299,9 +297,9 @@ def test_delimited_c_reader_loads_the_loops_bits(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("csv") / "f.csv"
     path.write_text(text)
     with open(path) as fh:
-        c_path = data._read_delimited(fh, "cls", delimiter, ("", "NaN", "NA"))
+        c_path = data._read_delimited(fh, "cls", delimiter)
     with open(path) as fh:
-        looped = data._tokenize_delimited(fh, str(path), "cls", delimiter, ("", "NaN", "NA"))
+        looped = data._tokenize_delimited(fh, str(path), "cls", delimiter)
     assert c_path is not None or not clean
     if c_path is not None:
         assert c_path[0].shape == looped[0].shape
@@ -311,7 +309,7 @@ def test_delimited_c_reader_loads_the_loops_bits(tmp_path_factory, case):
 
 
 _DELIMITED_FAULTS = ("bad_token", "underscore", "ragged", "extra_field", "header_only", "empty",
-                     "no_label_column", "multi_char", "label_only", "numeric_missing_token")
+                     "no_label_column", "multi_char", "label_only")
 
 
 @settings(max_examples=300, deadline=None)
@@ -327,7 +325,6 @@ def test_delimited_rejected_files_fail_as_before(tmp_path_factory, case, fault, 
     cells = lines[i].split(delimiter)
     features = [j for j, name in enumerate(lines[header].split(delimiter)) if name != "cls"]
     k = features[where % len(features)]
-    missing_tokens = ("", "NaN", "NA")
     if fault == "bad_token":
         cells[k] = "oops"
     elif fault == "underscore":                      # float() reads 1_000.5
@@ -336,10 +333,6 @@ def test_delimited_rejected_files_fail_as_before(tmp_path_factory, case, fault, 
         del cells[k]
     elif fault == "extra_field":
         cells.append("1.0")
-    elif fault == "numeric_missing_token":           # float() reads it, the loop as missing
-        token = ("-999", "-nan")[where // 7 % 2]
-        cells[k] = f" {token} "
-        missing_tokens = (token, "")
     elif fault == "multi_char":
         lines = [ln.replace(delimiter, "::") for ln in lines]
         cells = lines[i].split("::")
@@ -352,11 +345,9 @@ def test_delimited_rejected_files_fail_as_before(tmp_path_factory, case, fault, 
             "no_label_column": text.replace("cls", "class")}.get(fault, text)
     path = tmp_path_factory.mktemp("csv") / "f.csv"
     path.write_text(text)
-    got = _delimited_outcome(load_delimited, str(path), delimiter, missing_tokens)
-    assert got == _delimited_outcome(_reference_load_delimited, str(path), delimiter,
-                                     missing_tokens)
-    assert got[0] == "error" or fault in ("underscore", "numeric_missing_token",
-                                          "multi_char", "label_only")
+    got = _delimited_outcome(load_delimited, str(path), delimiter)
+    assert got == _delimited_outcome(_reference_load_delimited, str(path), delimiter)
+    assert got[0] == "error" or fault in ("underscore", "multi_char", "label_only")
 
 
 class TestColumnStats:
