@@ -222,18 +222,18 @@ def _read_delimited(fh, label_column, delimiter):
 
 def _tokenize_delimited(fh, path, label_column, delimiter):
     """Parse the delimited file one cell at a time; every error names the
-    file and, for a row, its number among the non-blank lines."""
-    lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    file and, for a row, its line in the file."""
+    lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise DataError(f"empty input: {path}")
-    header = lines[0].split(delimiter)
+    header = lines[0][1].split(delimiter)
     if label_column not in header:
         raise DataError(f"label column {label_column!r} not found in header")
     label_pos = header.index(label_column)
 
     raw_labels = []
     rows = []
-    for line_no, line in enumerate(lines[1:], 2):
+    for line_no, line in lines[1:]:
         tokens = line.split(delimiter)
         if len(tokens) != len(header):
             raise DataError(f"{path}:{line_no}: expected {len(header)} fields, got {len(tokens)}")

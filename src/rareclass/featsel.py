@@ -153,8 +153,10 @@ def select_mutual_info(train: Dataset, n_keep: int, n_bins: int = 8) -> Selector
         universe=tuple(int(c) for c in train.column_ids))
 
 
-def select_lasso(train: Dataset, lam: float,
-                 tol: float = 1e-7, max_sweeps: int = 10_000) -> SelectorDecision:
+LASSO_TOL, LASSO_MAX_SWEEPS = 1e-7, 10_000     # stop at a sweep moving no weight by tol
+
+
+def select_lasso(train: Dataset, lam: float) -> SelectorDecision:
     """L1-regularized least squares on the +/-1 label, solved by cyclic
     coordinate descent on internally standardized columns.
 
@@ -182,7 +184,7 @@ def select_lasso(train: Dataset, lam: float,
         return float((r @ r) / (2 * n) + lam * np.abs(w).sum())
 
     objective.append(obj())
-    for _ in range(max_sweeps):
+    for _ in range(LASSO_MAX_SWEEPS):
         delta = 0.0
         for j in range(p):
             if not live[j]:
@@ -195,7 +197,7 @@ def select_lasso(train: Dataset, lam: float,
                 delta = max(delta, abs(new - w[j]))
                 w[j] = new
         objective.append(obj())
-        if delta < tol:
+        if delta < LASSO_TOL:
             break
 
     grad, wl = -(Z.T @ r)[live] / n, w[live]
@@ -211,8 +213,10 @@ def select_lasso(train: Dataset, lam: float,
                      "n_sweeps": len(objective) - 1})
 
 
-def _boruta_round(train: Dataset, seed: int, it: int, n_trees: int,
-                  max_depth: int) -> np.ndarray:
+BORUTA_ALPHA, BORUTA_MAX_DEPTH = 0.05, 5       # binomial test level, shadow forest depth
+
+
+def _boruta_round(train: Dataset, seed: int, it: int, n_trees: int) -> np.ndarray:
     """One shadow round, seeded by its index (a pmap task): which real
     columns beat the best shadow column's importance."""
     X, p = train.features.values, train.n_cols
@@ -222,7 +226,7 @@ def _boruta_round(train: Dataset, seed: int, it: int, n_trees: int,
         shadows[:, j] = rng.permutation(X[:, j])
     both = Dataset(FeatureMatrix(np.hstack([X, shadows]), np.arange(2 * p)), train.labels)
     spec = models.ModelSpec("random_forest",
-                            {"n_trees": n_trees, "max_depth": max_depth, "min_leaf": 5},
+                            {"n_trees": n_trees, "max_depth": BORUTA_MAX_DEPTH, "min_leaf": 5},
                             seed=int(rng.integers(2 ** 31)))
     imp = models.train(spec, both, class_weight=_minority_weight(train.labels)).state["importance"]
     real, shadow = imp[:p], imp[p:]
@@ -234,8 +238,8 @@ def _half_binom_mass(n: int, ks) -> float:
     return sum(math.comb(n, k) for k in ks) / 2 ** n
 
 
-def select_boruta(train: Dataset, max_iterations: int = 20, alpha: float = 0.05,
-                  seed: int = 0, n_trees: int = 40, max_depth: int = 5) -> SelectorDecision:
+def select_boruta(train: Dataset, max_iterations: int = 20, seed: int = 0,
+                  n_trees: int = 40) -> SelectorDecision:
     """Shadow-feature wrapper: each round pits random-forest importances
     against per-column permuted copies; a binomial test over rounds
     classifies features as confirmed, rejected, or tentative.  Only
@@ -244,7 +248,7 @@ def select_boruta(train: Dataset, max_iterations: int = 20, alpha: float = 0.05,
     if max_iterations < 5:
         raise FeatselError("max_iterations must be >= 5")
     hits = np.zeros(train.n_cols, dtype=np.int64)
-    for beat in pmap(_boruta_round, [(train, seed, it, n_trees, max_depth)
+    for beat in pmap(_boruta_round, [(train, seed, it, n_trees)
                                      for it in range(max_iterations)]):
         hits += beat
 
@@ -252,9 +256,9 @@ def select_boruta(train: Dataset, max_iterations: int = 20, alpha: float = 0.05,
     confirmed, rejected, tentative = [], [], []
     for j, cid in enumerate(train.column_ids):
         h = int(hits[j])
-        if _half_binom_mass(n, range(h, n + 1)) < alpha:            # P(X >= h)
+        if _half_binom_mass(n, range(h, n + 1)) < BORUTA_ALPHA:     # P(X >= h)
             confirmed.append(int(cid))
-        elif _half_binom_mass(n, range(h + 1)) < alpha:             # P(X <= h)
+        elif _half_binom_mass(n, range(h + 1)) < BORUTA_ALPHA:      # P(X <= h)
             rejected.append(int(cid))
         else:
             tentative.append(int(cid))
@@ -263,7 +267,7 @@ def select_boruta(train: Dataset, max_iterations: int = 20, alpha: float = 0.05,
         scores={int(c): int(h) for c, h in zip(train.column_ids, hits)},
         universe=tuple(int(c) for c in train.column_ids),
         diagnostics={"rejected": tuple(rejected), "tentative": tuple(tentative),
-                     "max_iterations": max_iterations, "alpha": alpha})
+                     "max_iterations": max_iterations, "alpha": BORUTA_ALPHA})
 
 
 # estimator name -> (model family, hyperparameters) of the selector's fits
@@ -416,7 +420,7 @@ def run_default_roster(train: Dataset, master_seed: int = 0,
         select_mutual_info(train, n_keep, n_bins=16),
         select_lasso(train, lam=0.005),
         select_lasso(train, lam=0.02),
-        select_boruta(train, max_iterations=20, alpha=0.05, seed=seed_for("boruta")),
+        select_boruta(train, max_iterations=20, seed=seed_for("boruta")),
         select_rfe(train, "logistic", n_keep, seed=seed_for("rfe_logistic")),
         select_rfe(train, "linear_svm", n_keep, seed=seed_for("rfe_linear_svm")),
         select_rfe(train, "forest", n_keep, seed=seed_for("rfe_forest")),

@@ -28,7 +28,6 @@ __all__ = [
     "TrainingDiverged",
     "train",
     "predict_scores",
-    "feature_importances",
     "model_to_json",
     "model_from_json",
 ]
@@ -203,23 +202,6 @@ def predict_scores(m: TrainedModel, rows: FeatureMatrix) -> np.ndarray:
     for tree in m.state["trees"]:
         f += m.state["shrinkage"] * tree.apply(X)
     return sigmoid(f)
-
-
-def feature_importances(m: TrainedModel) -> np.ndarray:
-    """Impurity-gain importances, normalised to sum 1 (tree families only)."""
-    fam = m.spec.family
-    if fam == "random_forest":
-        imp = m.state["importance"].copy()
-    elif fam == "decision_tree":
-        t = m.state["tree"]
-        if len(t.gain) != len(t.feature):
-            raise ModelError("a decision tree loaded from JSON has no split gains")
-        imp = np.zeros(len(m.column_ids))
-        trees.add_gains(imp, t)
-    else:
-        raise ModelError(f"no importances for family {fam}")
-    s = imp.sum()
-    return imp / s if s > 0 else imp
 
 
 # ---------------------------------------------------------------------------

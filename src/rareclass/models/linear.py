@@ -64,19 +64,13 @@ def train_logistic(X, y, sw, lr: float, epochs: int, l2: float):
 
 
 def hinge_loss_grad(params: np.ndarray, X: np.ndarray, t: np.ndarray,
-                    sw: np.ndarray, c: float, include=None):
-    """0.5||w||^2 + C * mean_w(hinge); t in {-1, +1}; params = [w, b].
-
-    `include` masks out rows (used by the gradient check to exclude points
-    sitting exactly on the margin, where hinge is not differentiable).
-    """
+                    sw: np.ndarray, c: float):
+    """0.5||w||^2 + C * mean_w(hinge); t in {-1, +1}; params = [w, b]."""
     w, b = params[:-1], params[-1]
     z = X @ w + b
     margin = 1.0 - t * z
-    if include is None:
-        include = np.ones(len(t), dtype=bool)
-    active = (margin > 0) & include
-    wsum = sw[include].sum()
+    active = margin > 0
+    wsum = sw.sum()
     loss = 0.5 * float(w @ w) + c * float((sw[active] * margin[active]).sum()) / wsum
     coef = np.zeros(len(t))
     coef[active] = -c * sw[active] * t[active] / wsum

@@ -8,7 +8,6 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,18 +67,22 @@ class EvalReport:
 
 @dataclass
 class PipelineResult:
-    """All stage artifacts of one run; `report` is filled at completion."""
+    """The one state object the stages fill in order; `report` is filled
+    at completion.  `train_set` and `test_set` hold the partitions as
+    scale, impute and select replace them."""
     raw: Dataset = None
+    missing_stats: dict = field(default_factory=dict)    # before_prune, after_prune
     pruned: Dataset = None
     drop_logs: dict = field(default_factory=dict)
     split: preprocess.SplitPlan = None
+    hash_at_split: str = None
     scaler: preprocess.ScalerParams = None
     train_set: Dataset = None
     test_set: Dataset = None
     decisions: list = field(default_factory=list)
     ledger: featsel.FeatureVoteLedger = None
     resampled_train: Dataset = None
-    resample_plan = None
+    resample_plan: resample.ResamplePlan = None
     trained: dict = field(default_factory=dict)
     report: EvalReport = None
 
@@ -104,22 +107,21 @@ def _missing_stats(d: Dataset) -> dict:
     }
 
 
-# Each stage is fn(cfg, res, work): it fills its PipelineResult fields and
-# passes what later stages need (test row indices, the split hash, the
-# scaled and imputed partitions, missing stats) on the `work` namespace.
+# Each stage is fn(cfg, res): it reads and fills fields of the one
+# PipelineResult.
 
-def _load(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+def _load(cfg: PipelineConfig, res: PipelineResult) -> None:
     if cfg.loader == "secom":
         res.raw = load_secom(cfg.data_path, cfg.labels_path)
     else:
         res.raw = load_delimited(cfg.data_path, cfg.label_column, cfg.delimiter)
 
 
-def _eda(cfg: PipelineConfig, res: PipelineResult, work) -> None:
-    work.missing_before = _missing_stats(res.raw)
+def _eda(cfg: PipelineConfig, res: PipelineResult) -> None:
+    res.missing_stats["before_prune"] = _missing_stats(res.raw)
 
 
-def _prune(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+def _prune(cfg: PipelineConfig, res: PipelineResult) -> None:
     stats = {s.column_id: s for s in column_stats(res.raw)}     # one pass serves both drops
     d, log_m = preprocess.drop_high_missing(res.raw, cfg.missing_drop_threshold,
                                             list(stats.values()))
@@ -127,23 +129,21 @@ def _prune(cfg: PipelineConfig, res: PipelineResult, work) -> None:
     d, log_r = preprocess.drop_correlated(d, cfg.correlation_threshold)
     res.drop_logs = {"high_missing": log_m, "constant": log_c, "correlated": log_r}
     res.pruned = d
-    work.missing_after = _missing_stats(d)
+    res.missing_stats["after_prune"] = _missing_stats(d)
 
 
-def _split(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+def _split(cfg: PipelineConfig, res: PipelineResult) -> None:
+    # a k-fold plan's train/test partition is fold 0, the only fold scored
     if cfg.split_mode == "kfold":
         res.split = preprocess.stratified_kfold(res.pruned, cfg.k_folds, cfg.seed)
-        work.train_idx, work.test_idx = res.split.fold(0)
     else:
         res.split = preprocess.stratified_split(res.pruned, cfg.test_fraction, cfg.seed)
-        work.train_idx = res.split.train_row_indices
-        work.test_idx = res.split.test_row_indices
-    work.hash_at_split = _hash_rows(res.pruned, work.test_idx)
+    res.hash_at_split = _hash_rows(res.pruned, res.split.test_row_indices)
 
 
-def _scale(cfg: PipelineConfig, res: PipelineResult, work) -> None:
-    train_d = res.pruned.take_rows(work.train_idx)
-    test_d = res.pruned.take_rows(work.test_idx)
+def _scale(cfg: PipelineConfig, res: PipelineResult) -> None:
+    train_d = res.pruned.take_rows(res.split.train_row_indices)
+    test_d = res.pruned.take_rows(res.split.test_row_indices)
     # columns that became constant within the training partition
     # cannot be scaled; drop them from both partitions
     keep = [s for s in column_stats(train_d) if not s.is_constant and s.missing_fraction < 1.0]
@@ -152,17 +152,17 @@ def _scale(cfg: PipelineConfig, res: PipelineResult, work) -> None:
         train_d = train_d.select_columns(ids)
         test_d = test_d.select_columns(ids)
     res.scaler = preprocess.fit_scaler(train_d, keep)
-    work.train = preprocess.apply_scaler(res.scaler, train_d)
-    work.test = preprocess.apply_scaler(res.scaler, test_d)
+    res.train_set = preprocess.apply_scaler(res.scaler, train_d)
+    res.test_set = preprocess.apply_scaler(res.scaler, test_d)
 
 
-def _impute(cfg: PipelineConfig, res: PipelineResult, work) -> None:
-    train, test = work.train, work.test
+def _impute(cfg: PipelineConfig, res: PipelineResult) -> None:
+    train, test = res.train_set, res.test_set
     if cfg.impute_method == "simple":
         # order-based strategies fill along row order, so each partition
         # is filled on its own
         plan = impute.fit_skew_refined_plan(train, cfg.skew_threshold, cfg.impute_overrides)
-        work.train, work.test = impute.simple_impute(plan, train), impute.simple_impute(plan, test)
+        res.train_set, res.test_set = impute.simple_impute(plan, train), impute.simple_impute(plan, test)
         return
     if cfg.impute_method == "knn":
         fill, p = impute.knn_impute, impute.KnnImputeParams(k=cfg.knn_k)
@@ -176,31 +176,31 @@ def _impute(cfg: PipelineConfig, res: PipelineResult, work) -> None:
                                  train.column_ids),
                    np.concatenate([train.labels, test.labels]))
     filled = fill(p, train, both)
-    work.train = filled.take_rows(np.arange(train.n_rows))
-    work.test = filled.take_rows(np.arange(train.n_rows, both.n_rows))
+    res.train_set = filled.take_rows(np.arange(train.n_rows))
+    res.test_set = filled.take_rows(np.arange(train.n_rows, both.n_rows))
 
 
-def _select(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+def _select(cfg: PipelineConfig, res: PipelineResult) -> None:
+    train = res.train_set
     if cfg.roster == "default":
         res.decisions = featsel.run_default_roster(
-            work.train, master_seed=cfg.seed, n_keep=cfg.featsel_n_keep)
+            train, master_seed=cfg.seed, n_keep=cfg.featsel_n_keep)
     elif cfg.roster == "fast":  # the three filter selectors only
-        n_keep = cfg.featsel_n_keep or featsel.default_n_keep(work.train.n_cols)
+        n_keep = cfg.featsel_n_keep or featsel.default_n_keep(train.n_cols)
         res.decisions = [
-            featsel.select_f_score(work.train, n_keep),
-            featsel.select_mutual_info(work.train, n_keep, n_bins=8),
-            featsel.select_lasso(work.train, lam=0.01),
+            featsel.select_f_score(train, n_keep),
+            featsel.select_mutual_info(train, n_keep, n_bins=8),
+            featsel.select_lasso(train, lam=0.01),
         ]
     if res.decisions:
         res.ledger = featsel.vote(res.decisions, cfg.vote_threshold)
         if res.ledger.selected:
             keep = list(res.ledger.selected)
-            work.train = work.train.select_columns(keep)
-            work.test = work.test.select_columns(keep)
-    res.train_set, res.test_set = work.train, work.test
+            res.train_set = train.select_columns(keep)
+            res.test_set = res.test_set.select_columns(keep)
 
 
-def _resample(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+def _resample(cfg: PipelineConfig, res: PipelineResult) -> None:
     if cfg.scenario == "smote":
         res.resampled_train, res.resample_plan = resample.smote(
             res.train_set, resample.SmoteParams(cfg.over_ratio, cfg.smote_k_neighbors, cfg.seed))
@@ -208,18 +208,18 @@ def _resample(cfg: PipelineConfig, res: PipelineResult, work) -> None:
         res.resampled_train, res.resample_plan = resample.combined_resample(
             res.train_set, cfg.over_ratio, cfg.under_ratio, cfg.smote_k_neighbors, cfg.seed)
     else:
-        res.resampled_train, res.resample_plan = res.train_set, None
+        res.resampled_train = res.train_set
 
 
-def _train(cfg: PipelineConfig, res: PipelineResult, work) -> None:
+def _train(cfg: PipelineConfig, res: PipelineResult) -> None:
     for fam in cfg.model_families:
         spec = models.ModelSpec(fam, cfg.model_overrides.get(fam, {}), seed=cfg.seed)
         res.trained[fam] = models.train(spec, res.resampled_train)
 
 
-def _evaluate(cfg: PipelineConfig, res: PipelineResult, work) -> None:
-    hash_at_eval = _hash_rows(res.pruned, work.test_idx)
-    if hash_at_eval != work.hash_at_split:
+def _evaluate(cfg: PipelineConfig, res: PipelineResult) -> None:
+    hash_at_eval = _hash_rows(res.pruned, res.split.test_row_indices)
+    if hash_at_eval != res.hash_at_split:
         raise RuntimeError("leakage guard tripped: test partition changed")
     results = {}
     for fam, m in res.trained.items():
@@ -233,11 +233,10 @@ def _evaluate(cfg: PipelineConfig, res: PipelineResult, work) -> None:
         stage_timings={},                # set once every stage is timed
         prune_counts={**{reason: len(log.entries) for reason, log in res.drop_logs.items()},
                       "surviving": res.pruned.n_cols},
-        missing_stats={"before_prune": work.missing_before,
-                       "after_prune": work.missing_after},
+        missing_stats=res.missing_stats,
         vote_summary=_vote_summary(res.ledger),
         resample_summary=_resample_summary(res.resample_plan),
-        leakage_hash_at_split=work.hash_at_split,
+        leakage_hash_at_split=res.hash_at_split,
         leakage_hash_at_eval=hash_at_eval,
     )
 
@@ -249,17 +248,17 @@ STAGES = tuple(name for name, _ in _STAGE_TABLE)
 
 
 def run_pipeline(cfg: PipelineConfig, stop_after: str = "evaluate") -> PipelineResult:
-    """Execute the pipeline stages in order, stopping after `stop_after`.
-    A failing stage raises PipelineError naming it; a full run's stage
-    times are in `res.report.stage_timings`."""
+    """Execute the pipeline stages in order on one PipelineResult, stopping
+    after `stop_after`.  A failing stage raises PipelineError naming it; a
+    full run's stage times are in `res.report.stage_timings`."""
     cfg.validate()
     if stop_after not in STAGES:
         raise ConfigError(f"unknown stage {stop_after!r}")
-    res, work, timings = PipelineResult(), SimpleNamespace(), {}
+    res, timings = PipelineResult(), {}
     for name, stage in _STAGE_TABLE[:STAGES.index(stop_after) + 1]:
         t0 = time.perf_counter()
         try:
-            stage(cfg, res, work)
+            stage(cfg, res)
         except PipelineError:
             raise
         except Exception as e:

@@ -63,15 +63,7 @@ class ScalerParams:
 class SplitPlan:
     train_row_indices: np.ndarray
     test_row_indices: np.ndarray
-    fold_assignments: np.ndarray | None = None
-
-    def fold(self, fold_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """(train, test) row indices for one cross-validation fold."""
-        if self.fold_assignments is None:
-            raise PreprocessError("plan has no fold assignments")
-        test = np.nonzero(self.fold_assignments == fold_id)[0]
-        train = np.nonzero(self.fold_assignments != fold_id)[0]
-        return train, test
+    fold_assignments: np.ndarray | None = None   # k-fold plans; the partition is fold 0
 
 
 def _round_half_up(x: float) -> int:

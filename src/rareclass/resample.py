@@ -53,7 +53,6 @@ class ResamplePlan:
     under_ratio: float | None
     counts_before: tuple                # (majority, minority)
     counts_after: tuple
-    synthetic_flags: np.ndarray         # per output row
     synthetic_records: tuple = ()
 
     def to_csv(self) -> str:
@@ -101,9 +100,7 @@ def smote(train: Dataset, p: SmoteParams) -> tuple[Dataset, ResamplePlan]:
     plan_base = dict(strategy="smote_only", over_ratio=p.target_ratio, under_ratio=None,
                      counts_before=(n_maj, n_min))
     if n_new <= 0:
-        plan = ResamplePlan(**plan_base, counts_after=(n_maj, n_min),
-                            synthetic_flags=np.zeros(train.n_rows, dtype=bool))
-        return train, plan
+        return train, ResamplePlan(**plan_base, counts_after=(n_maj, n_min))
 
     min_idx = np.nonzero(train.labels == 1)[0]
     minority = v[min_idx]
@@ -127,16 +124,14 @@ def smote(train: Dataset, p: SmoteParams) -> tuple[Dataset, ResamplePlan]:
 
     values = np.vstack([v, new_rows])
     labels = np.concatenate([train.labels, np.ones(n_new, dtype=np.int64)])
-    flags = np.concatenate([np.zeros(train.n_rows, dtype=bool), np.ones(n_new, dtype=bool)])
     out = Dataset(FeatureMatrix(values, train.column_ids.copy()), labels)
     plan = ResamplePlan(**plan_base, counts_after=(n_maj, target),
-                        synthetic_flags=flags, synthetic_records=tuple(records))
+                        synthetic_records=tuple(records))
     return out, plan
 
 
-def random_undersample(train: Dataset, target_ratio: float, seed: int,
-                       synthetic_flags: np.ndarray | None = None
-                       ) -> tuple[Dataset, ResamplePlan]:
+def random_undersample(train: Dataset, target_ratio: float,
+                       seed: int) -> tuple[Dataset, ResamplePlan]:
     """Reduce the majority class to floor(minority / target_ratio) rows by
     seeded sampling without replacement. Minority rows are untouched."""
     if not 0 < target_ratio <= 1:
@@ -145,21 +140,17 @@ def random_undersample(train: Dataset, target_ratio: float, seed: int,
     if n_min == 0:
         raise ResampleError("no minority rows present")
     target_maj = int(np.floor(n_min / target_ratio))
-    if synthetic_flags is None:
-        synthetic_flags = np.zeros(train.n_rows, dtype=bool)
 
     if target_maj >= n_maj:
         warnings.warn("target_ratio does not require removing any majority rows")
-        plan = ResamplePlan("under_only", None, target_ratio,
-                            (n_maj, n_min), (n_maj, n_min), synthetic_flags.copy())
-        return train, plan
+        return train, ResamplePlan("under_only", None, target_ratio,
+                                   (n_maj, n_min), (n_maj, n_min))
 
     rng = np.random.default_rng(seed)
     maj_idx = np.nonzero(train.labels == 0)[0]
     keep_maj = np.sort(rng.choice(maj_idx, size=target_maj, replace=False))
     keep = np.sort(np.concatenate([keep_maj, np.nonzero(train.labels == 1)[0]]))
-    plan = ResamplePlan("under_only", None, target_ratio,
-                        (n_maj, n_min), (target_maj, n_min), synthetic_flags[keep])
+    plan = ResamplePlan("under_only", None, target_ratio, (n_maj, n_min), (target_maj, n_min))
     return train.take_rows(keep), plan
 
 
@@ -169,8 +160,7 @@ def combined_resample(train: Dataset, over_ratio: float, under_ratio: float,
     to under_ratio. With 1:14 input and ratios 0.4/0.8 the final balance is
     about 4:5."""
     over, plan1 = smote(train, SmoteParams(over_ratio, k_neighbors, seed))
-    out, plan2 = random_undersample(over, under_ratio, seed + 1,
-                                    synthetic_flags=plan1.synthetic_flags)
+    out, plan2 = random_undersample(over, under_ratio, seed + 1)
     # only majority rows are removed, all of them ahead of the synthetic
     # rows at the end, so each synthetic row moves up by the removed count
     removed = over.n_rows - out.n_rows
@@ -182,7 +172,6 @@ def combined_resample(train: Dataset, over_ratio: float, under_ratio: float,
         under_ratio=under_ratio,
         counts_before=plan1.counts_before,
         counts_after=plan2.counts_after,
-        synthetic_flags=plan2.synthetic_flags,
         synthetic_records=records,
     )
     return out, plan

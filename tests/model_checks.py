@@ -29,9 +29,10 @@ def gradient_check(spec: ModelSpec, data: Dataset, epsilon: float = 1e-5) -> flo
         t = np.where(y == 1, 1.0, -1.0)
         z = X @ params[:-1] + params[-1]
         include = np.abs(1.0 - t * z) > 10 * epsilon
+        X, t, sw = X[include], t[include], sw[include]
 
         def loss_grad(p):
-            return linear.hinge_loss_grad(p, X, t, sw, spec.hyperparams["c"], include=include)
+            return linear.hinge_loss_grad(p, X, t, sw, spec.hyperparams["c"])
 
     _, grad = loss_grad(params)
     worst = 0.0

@@ -209,20 +209,26 @@ class TestLoadDelimited:
         stats = column_stats(d)
         assert all(s.missing_fraction == 1.0 for s in stats)
 
+    def test_error_names_the_file_line_after_blank_lines(self, tmp_path):
+        p = _write(tmp_path / "f.csv", "a,b,cls\n\n\n1,2,A\n3,B\n")
+        with pytest.raises(DataError, match=r"f\.csv:5: expected 3 fields, got 2$"):
+            load_delimited(p, "cls")
+
 
 def _reference_load_delimited(path, label_column, delimiter=","):
     """The cell-by-cell loader that `load_delimited` replaced, kept as the
-    oracle for its values and error texts."""
+    oracle for its values and error texts.  A row's number is its line in
+    the file, blank lines included."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise DataError(f"empty input: {path}")
-    header = lines[0].split(delimiter)
+    header = lines[0][1].split(delimiter)
     if label_column not in header:
         raise DataError(f"label column {label_column!r} not found in header")
     label_pos = header.index(label_column)
     raw_labels, rows = [], []
-    for line_no, line in enumerate(lines[1:], 2):
+    for line_no, line in lines[1:]:
         tokens = line.split(delimiter)
         if len(tokens) != len(header):
             raise DataError(f"{path}:{line_no}: expected {len(header)} fields, got {len(tokens)}")
@@ -321,6 +327,7 @@ def test_delimited_rejected_files_fail_as_before(tmp_path_factory, case, fault, 
     text, delimiter, _ = case
     lines = text.split("\n")
     header, *rows = [i for i, ln in enumerate(lines) if ln.strip()]
+    assume(rows)                                     # every data row blank: no row to break
     i = rows[where % len(rows)]
     cells = lines[i].split(delimiter)
     features = [j for j, name in enumerate(lines[header].split(delimiter)) if name != "cls"]
@@ -331,6 +338,8 @@ def test_delimited_rejected_files_fail_as_before(tmp_path_factory, case, fault, 
         cells[k] = "1_000.5"
     elif fault == "ragged":
         del cells[k]
+        if not delimiter.join(cells).strip():        # a blank line would be no row at all
+            cells = ["0"] * len(cells)
     elif fault == "extra_field":
         cells.append("1.0")
     elif fault == "multi_char":

@@ -4,8 +4,7 @@ import pytest
 from rareclass.data import Dataset, FeatureMatrix
 from model_checks import gradient_check
 from rareclass.models import (FAMILIES, ModelError, ModelSpec, TrainingDiverged,
-                              feature_importances, model_from_json,
-                              model_to_json, predict_scores, train)
+                              model_from_json, model_to_json, predict_scores, train)
 from rareclass.models.linear import logistic_loss_grad
 
 
@@ -127,7 +126,7 @@ class TestTrees:
         b = predict_scores(train(spec, d), d.features)
         assert np.array_equal(a, b)
 
-    def test_importances_sum_to_one_and_find_signal(self):
+    def test_forest_importance_finds_signal(self):
         rng = np.random.default_rng(11)
         y = (rng.random(120) < 0.3).astype(int)
         y[:2] = [0, 1]
@@ -135,33 +134,7 @@ class TestTrees:
         x[:, 2] += 3.0 * y
         d = _ds(x, y)
         m = train(ModelSpec("random_forest", {"n_trees": 40}), d)
-        imp = feature_importances(m)
-        assert imp.sum() == pytest.approx(1.0)
-        assert imp.argmax() == 2
-
-    def test_decision_tree_importances_are_normalised_gains(self):
-        rng = np.random.default_rng(4)
-        y = (rng.random(150) < 0.3).astype(int)
-        x = rng.normal(size=(150, 4))
-        x[:, 1] += 2.0 * y
-        x[:, 3] += 0.7 * y
-        m = train(ModelSpec("decision_tree", {"max_depth": 4, "min_leaf": 3}), _ds(x, y))
-        t = m.state["tree"]
-        gains = np.zeros(4)
-        for j, g in zip(t.feature, t.gain):
-            if j >= 0:
-                gains[j] += g
-        assert np.count_nonzero(gains) >= 2
-        assert np.allclose(feature_importances(m), gains / gains.sum(), rtol=0, atol=1e-15)
-
-    def test_importances_of_a_loaded_decision_tree_rejected(self):
-        m = model_from_json(model_to_json(train(ModelSpec("decision_tree"), _separable())))
-        with pytest.raises(ModelError, match="split gains"):
-            feature_importances(m)
-
-    def test_importances_rejected_for_linear(self):
-        with pytest.raises(ModelError):
-            feature_importances(train(ModelSpec("logistic"), _separable()))
+        assert m.state["importance"].argmax() == 2
 
 
 class TestBoosting:

@@ -125,7 +125,15 @@ class TestRunPipeline:
 
     def test_kfold_mode(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files, split_mode="kfold", k_folds=4))
-        assert res.report is not None
+        r = res.report
+        assert r is not None
+        # the scored test partition is exactly fold 0's rows
+        fold0 = np.flatnonzero(res.split.fold_assignments == 0)
+        h = hashlib.sha256(res.pruned.features.values[fold0].tobytes())
+        h.update(res.pruned.labels[fold0].tobytes())
+        assert r.leakage_hash_at_eval == h.hexdigest()
+        assert r.leakage_hash_at_split == r.leakage_hash_at_eval
+        assert np.array_equal(res.test_set.labels, res.pruned.labels[fold0])
 
     def test_roster_none_keeps_all_columns(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files, roster="none"))

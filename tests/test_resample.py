@@ -45,8 +45,8 @@ class TestSmote:
         out, plan = smote(d, SmoteParams(0.8, 3, seed=4))
         n = d.n_rows
         assert np.array_equal(out.features.values[:n], d.features.values)
-        assert not plan.synthetic_flags[:n].any()
-        assert plan.synthetic_flags[n:].all()
+        # synthetic output rows start at the input row count
+        assert [r.output_row for r in plan.synthetic_records] == list(range(n, out.n_rows))
 
     def test_target_already_met_returns_input(self):
         d = _imbalanced(50, 60)
@@ -129,15 +129,19 @@ class TestCombined:
         assert out.n_rows < d.n_rows + len(plan.synthetic_records)   # rows were removed
         v_in, v_out = d.features.values, out.features.values
         for rec in plan.synthetic_records:
-            assert plan.synthetic_flags[rec.output_row]
             xi, xj = v_in[rec.parent_row], v_in[rec.neighbor_row]
             assert np.array_equal(v_out[rec.output_row], xi + rec.lam * (xj - xi))
-        assert sorted(r.output_row for r in plan.synthetic_records) == \
-            list(np.flatnonzero(plan.synthetic_flags))
+        # undersampling removes majority rows only, so the synthetic rows
+        # stay the last ones
+        n_new = len(plan.synthetic_records)
+        assert [r.output_row for r in plan.synthetic_records] == \
+            list(range(out.n_rows - n_new, out.n_rows))
 
     def test_synthetic_flags_survive_undersampling(self):
         d = _imbalanced(20, 200)
         out, plan = combined_resample(d, 0.5, 0.9, seed=5)
-        assert len(plan.synthetic_flags) == out.n_rows
-        # all flagged rows are minority
-        assert (out.labels[plan.synthetic_flags] == 1).all()
+        rows = [r.output_row for r in plan.synthetic_records]
+        assert rows and len(set(rows)) == len(rows)
+        assert max(rows) < out.n_rows
+        # every synthetic row is minority
+        assert (out.labels[rows] == 1).all()

@@ -1,19 +1,27 @@
 """The benchmark's tracer wraps module attributes of the package by name
 (`benchmarks/spans.py` SITES).  A renamed or inlined function would zero
-its per-layer metric without failing anything, so each site must resolve."""
+its per-layer metric without failing anything, so each site must resolve,
+and the pipeline must still call through the sites it is traced at."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from rareclass.pipeline import reproduce
+from rareclass.synth import make_imbalanced, write_secom_like
+
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
 
 
-def _sites():
+def _spans():
     spec = importlib.util.spec_from_file_location("_bench_spans", SPANS)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.SITES
+    return mod
+
+
+def _sites():
+    return _spans().SITES
 
 
 def test_every_traced_site_resolves():
@@ -22,3 +30,20 @@ def test_every_traced_site_resolves():
     missing = [f"{module}.{attr}" for module, attr, *_ in sites
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_traced_spans_fire_on_a_run(tmp_path):
+    d = make_imbalanced(n_rows=200, n_informative=3, n_noise=5, positive_fraction=0.15,
+                        missing_fraction=0.05, seed=0)
+    data, labels = str(tmp_path / "s.data"), str(tmp_path / "s_labels.data")
+    write_secom_like(d, data, labels)
+    spans = _spans()
+    with spans.installed(spans.Tracer()) as tracer:
+        reproduce(3, 0, tmp_path / "out", data, labels, roster="fast")
+    recorded = {name for name, *_ in tracer.spans}
+    expected = {"data.load_secom", "data.column_stats", "preprocess.prune",
+                "preprocess.split", "preprocess.scale", "impute.knn",
+                "featsel.vote", "resample.smote", "resample.undersample",
+                "models.predict", "metrics.roc_curve", "pipeline.emit_report"}
+    assert tracer.missing == []
+    assert expected <= recorded

@@ -6,8 +6,6 @@ deterministic MICE, which fill both partitions in one pass): one call on
 the stacked partitions equals the two separate calls, bit for bit.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +14,7 @@ from hypothesis import strategies as st
 from rareclass import impute, pipeline
 from rareclass.config import PipelineConfig
 from rareclass.data import Dataset, FeatureMatrix
+from rareclass.preprocess import SplitPlan
 
 FULL_ROWS = 3       # training rows with no missing cell, so every fit is defined
 
@@ -57,19 +56,19 @@ def partitions(draw):
 
 
 def _scaled_train(train, test):
-    res = SimpleNamespace(pruned=_dataset(np.vstack([train.features.values,
-                                                      test.features.values])))
-    work = SimpleNamespace(train_idx=np.arange(train.n_rows),
-                           test_idx=np.arange(train.n_rows, res.pruned.n_rows))
-    pipeline._scale(PipelineConfig(), res, work)
-    return work.train
+    n = train.n_rows + test.n_rows
+    res = pipeline.PipelineResult(
+        pruned=_dataset(np.vstack([train.features.values, test.features.values])),
+        split=SplitPlan(np.arange(train.n_rows), np.arange(train.n_rows, n)))
+    pipeline._scale(PipelineConfig(), res)
+    return res.train_set
 
 
 def _imputed_train(method, train, test):
     cfg = PipelineConfig(impute_method=method, knn_k=2, mice_iterations=2)
-    work = SimpleNamespace(train=train, test=test)
-    pipeline._impute(cfg, None, work)
-    return work.train
+    res = pipeline.PipelineResult(train_set=train, test_set=test)
+    pipeline._impute(cfg, res)
+    return res.train_set
 
 
 def _same(a: Dataset, b: Dataset) -> bool:
