@@ -13,7 +13,7 @@ from .impute import (KnnImputeParams, MiceParams, SimpleImputePlan,
 from .resample import (ResamplePlan, SmoteParams, combined_resample,
                        random_undersample, smote)
 from .featsel import (FeatureVoteLedger, SelectorDecision, run_default_roster,
-                      select_boruta, select_f_score, select_lasso,
+                      run_roster, select_boruta, select_f_score, select_lasso,
                       select_mutual_info, select_rfe, select_sfs, vote)
 from .metrics import (ConfusionMatrix, MetricSet, RocCurve, confusion,
                       metric_set, roc_curve)

@@ -11,8 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import models
-from .config import ROSTERS, ConfigError, load_config
+from . import featsel, models
+from .config import ConfigError, load_config
 from .data import column_stats, load_secom
 from .pipeline import (SCENARIOS, PipelineError, emit_report, format_report_table,
                        reproduce, run_pipeline, write_drops)
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--roster", default="default", choices=ROSTERS)
+    p.add_argument("--roster", default="default", choices=featsel.ROSTERS)
     p.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -7,7 +7,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field, asdict
 
-from . import impute, resample
+from . import featsel, impute, resample
 from .models import FAMILIES, ModelSpec
 
 
@@ -16,7 +16,6 @@ class ConfigError(ValueError):
 
 
 SCENARIOS = ("none", "smote", "combined")
-ROSTERS = ("default", "fast", "none")
 IMPUTE_METHODS = ("simple", "knn", "mice")
 
 
@@ -74,7 +73,7 @@ class PipelineConfig:
             raise ConfigError(f"[split] k: must be >= 2, got {self.k_folds}")
         if self.impute_method not in IMPUTE_METHODS:
             raise ConfigError(f"unknown imputation method {self.impute_method!r}")
-        if self.roster not in ROSTERS:
+        if self.roster not in featsel.ROSTERS:
             raise ConfigError(f"unknown selector roster {self.roster!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")

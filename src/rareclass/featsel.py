@@ -8,6 +8,7 @@ class up-weighted so the vote is biased toward rare-class signal.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -31,7 +32,8 @@ __all__ = [
     "select_rfe",
     "select_sfs",
     "vote",
-    "default_n_keep",
+    "ROSTERS",
+    "run_roster",
     "run_default_roster",
 ]
 
@@ -71,17 +73,25 @@ class FeatureVoteLedger:
         return "\n".join(lines) + "\n"
 
 
-def _check_train(train: Dataset):
+def _check(train: Dataset, n_keep: int | None = None):
+    """Imputed training data with both classes, and a budget, if given,
+    within the columns."""
     if np.isnan(train.features.values).any():
         raise FeatselError("training data must be imputed before feature selection")
     counts = np.bincount(train.labels, minlength=2)
     if counts[0] == 0 or counts[1] == 0:
         raise FeatselError("both classes required")
+    if n_keep is not None and not 1 <= n_keep <= train.n_cols:
+        raise FeatselError(f"n_keep must be in [1, {train.n_cols}], got {n_keep}")
 
 
-def _check_n_keep(n_keep: int, n_cols: int):
-    if not 1 <= n_keep <= n_cols:
-        raise FeatselError(f"n_keep must be in [1, {n_cols}], got {n_keep}")
+def _decision(name: str, train: Dataset, selected, scores=(), **diagnostics) -> SelectorDecision:
+    """A selector's decision over all of `train`'s columns; `scores` holds
+    one score per column, in column order."""
+    ids = train.column_ids.tolist()
+    return SelectorDecision(name, tuple(int(c) for c in selected),
+                            scores=dict(zip(ids, scores)), universe=tuple(ids),
+                            diagnostics=diagnostics)
 
 
 def _minority_weight(labels: np.ndarray) -> float:
@@ -89,15 +99,14 @@ def _minority_weight(labels: np.ndarray) -> float:
     return counts[0] / counts[1]
 
 
-def _top_by_score(column_ids, score: np.ndarray, n_keep: int) -> tuple:
+def _top_by_score(column_ids, score: np.ndarray, n_keep: int) -> np.ndarray:
     # descending score, ties to the lower column id
-    return tuple(int(c) for c in column_ids[np.lexsort((column_ids, -score))[:n_keep]])
+    return column_ids[np.lexsort((column_ids, -score))[:n_keep]]
 
 
 def select_f_score(train: Dataset, n_keep: int) -> SelectorDecision:
     """One-way ANOVA F statistic of each column between the two classes."""
-    _check_train(train)
-    _check_n_keep(n_keep, train.n_cols)
+    _check(train, n_keep)
     X = train.features.values
     y = train.labels
     n = len(y)
@@ -114,11 +123,8 @@ def select_f_score(train: Dataset, n_keep: int) -> SelectorDecision:
     zero_within = msw <= 0
     f_vals[zero_within & (np.abs(m0 - m1) > 0)] = np.inf
     f_vals[zero_within & (np.abs(m0 - m1) == 0)] = 0.0
-    selected = _top_by_score(train.column_ids, f_vals, n_keep)
-    return SelectorDecision(
-        "f_score", selected,
-        scores={int(c): float(v) for c, v in zip(train.column_ids, f_vals)},
-        universe=tuple(int(c) for c in train.column_ids))
+    return _decision("f_score", train, _top_by_score(train.column_ids, f_vals, n_keep),
+                     f_vals.tolist())
 
 
 def _mutual_info_column(col: np.ndarray, y: np.ndarray, n_bins: int) -> float:
@@ -139,18 +145,14 @@ def _mutual_info_column(col: np.ndarray, y: np.ndarray, n_bins: int) -> float:
 def select_mutual_info(train: Dataset, n_keep: int, n_bins: int = 8) -> SelectorDecision:
     """Plug-in mutual information with the label after equal-frequency
     discretization of each column."""
-    _check_train(train)
-    _check_n_keep(n_keep, train.n_cols)
+    _check(train, n_keep)
     if n_bins < 2:
         raise FeatselError("n_bins must be >= 2")
     X = train.features.values
     mi = np.array([_mutual_info_column(X[:, j], train.labels, n_bins)
                    for j in range(train.n_cols)])
-    selected = _top_by_score(train.column_ids, mi, n_keep)
-    return SelectorDecision(
-        f"mutual_info_{n_bins}", selected,
-        scores={int(c): float(v) for c, v in zip(train.column_ids, mi)},
-        universe=tuple(int(c) for c in train.column_ids))
+    return _decision(f"mutual_info_{n_bins}", train,
+                     _top_by_score(train.column_ids, mi, n_keep), mi.tolist())
 
 
 LASSO_TOL, LASSO_MAX_SWEEPS = 1e-7, 10_000     # stop at a sweep moving no weight by tol
@@ -163,7 +165,7 @@ def select_lasso(train: Dataset, lam: float) -> SelectorDecision:
     Objective: (1/2n) ||y - Xw||^2 + lam * ||w||_1.  Selected features are
     the nonzero coefficients.
     """
-    _check_train(train)
+    _check(train)
     if lam < 0:
         raise FeatselError("lambda must be >= 0")
     X = train.features.values
@@ -204,13 +206,8 @@ def select_lasso(train: Dataset, lam: float) -> SelectorDecision:
     kkt = float(np.max(np.where(wl != 0, np.abs(grad + lam * np.sign(wl)), np.abs(grad) - lam),
                        initial=0.0))
 
-    selected = tuple(int(c) for c, wj in zip(train.column_ids, w) if wj != 0)
-    return SelectorDecision(
-        f"lasso_{lam:g}", selected,
-        scores={int(c): abs(float(wj)) for c, wj in zip(train.column_ids, w)},
-        universe=tuple(int(c) for c in train.column_ids),
-        diagnostics={"objective_trace": objective, "kkt_residual": kkt,
-                     "n_sweeps": len(objective) - 1})
+    return _decision(f"lasso_{lam:g}", train, train.column_ids[w != 0], np.abs(w).tolist(),
+                     objective_trace=objective, kkt_residual=kkt, n_sweeps=len(objective) - 1)
 
 
 BORUTA_ALPHA, BORUTA_MAX_DEPTH = 0.05, 5       # binomial test level, shadow forest depth
@@ -244,7 +241,7 @@ def select_boruta(train: Dataset, max_iterations: int = 20, seed: int = 0,
     against per-column permuted copies; a binomial test over rounds
     classifies features as confirmed, rejected, or tentative.  Only
     confirmed features are selected."""
-    _check_train(train)
+    _check(train)
     if max_iterations < 5:
         raise FeatselError("max_iterations must be >= 5")
     hits = np.zeros(train.n_cols, dtype=np.int64)
@@ -262,12 +259,9 @@ def select_boruta(train: Dataset, max_iterations: int = 20, seed: int = 0,
             rejected.append(int(cid))
         else:
             tentative.append(int(cid))
-    return SelectorDecision(
-        "boruta", tuple(confirmed),
-        scores={int(c): int(h) for c, h in zip(train.column_ids, hits)},
-        universe=tuple(int(c) for c in train.column_ids),
-        diagnostics={"rejected": tuple(rejected), "tentative": tuple(tentative),
-                     "max_iterations": max_iterations, "alpha": BORUTA_ALPHA})
+    return _decision("boruta", train, confirmed, hits.tolist(), rejected=tuple(rejected),
+                     tentative=tuple(tentative), max_iterations=max_iterations,
+                     alpha=BORUTA_ALPHA)
 
 
 # estimator name -> (model family, hyperparameters) of the selector's fits
@@ -294,8 +288,7 @@ def select_rfe(train: Dataset, estimator: str, n_keep: int, seed: int = 0) -> Se
     """Recursive elimination: refit, drop the single weakest feature (ties
     drop the higher column id), repeat until n_keep remain.  Features are
     ranked by |coefficient|, or by split gain for the forest."""
-    _check_train(train)
-    _check_n_keep(n_keep, train.n_cols)
+    _check(train, n_keep)
     spec = _estimator_spec(_RFE_ESTIMATORS, estimator, seed)
     current = train
     elimination_order = []
@@ -308,10 +301,8 @@ def select_rfe(train: Dataset, estimator: str, n_keep: int, seed: int = 0) -> Se
         elimination_order.append(drop)
         keep = [int(c) for c in current.column_ids if int(c) != drop]
         current = current.select_columns(keep)
-    return SelectorDecision(
-        f"rfe_{estimator}", tuple(int(c) for c in current.column_ids),
-        universe=tuple(int(c) for c in train.column_ids),
-        diagnostics={"elimination_order": tuple(elimination_order)})
+    return _decision(f"rfe_{estimator}", train, current.column_ids,
+                     elimination_order=tuple(elimination_order))
 
 
 def _cv_balanced_accuracy(train: Dataset, col_ids, spec: models.ModelSpec,
@@ -335,16 +326,13 @@ def select_sfs(train: Dataset, estimator: str, n_keep: int,
                cv_folds: int = 3, seed: int = 0) -> SelectorDecision:
     """Greedy forward selection by mean cross-validated balanced accuracy;
     score ties go to the lowest column id."""
-    _check_train(train)
-    _check_n_keep(n_keep, train.n_cols)
+    _check(train, n_keep)
     spec = _estimator_spec(_SFS_ESTIMATORS, estimator, seed)
     if cv_folds < 2:
         raise FeatselError("cv_folds must be >= 2")
     folds = stratified_kfold(train, cv_folds, seed).fold_assignments
-    all_ids = [int(c) for c in train.column_ids]
-
     chosen: list[int] = []
-    remaining = list(all_ids)
+    remaining = train.column_ids.tolist()
     while len(chosen) < n_keep:
         scores = pmap(_cv_balanced_accuracy,
                       [(train, chosen + [c], spec, folds) for c in remaining])
@@ -352,10 +340,7 @@ def select_sfs(train: Dataset, estimator: str, n_keep: int,
         chosen.append(best)
         remaining.remove(best)
 
-    return SelectorDecision(
-        f"sfs_{estimator}_forward", tuple(sorted(chosen)),
-        universe=tuple(all_ids),
-        diagnostics={"cv_folds": cv_folds})
+    return _decision(f"sfs_{estimator}_forward", train, sorted(chosen), cv_folds=cv_folds)
 
 
 def vote(decisions: list[SelectorDecision], threshold: int) -> FeatureVoteLedger:
@@ -368,52 +353,62 @@ def vote(decisions: list[SelectorDecision], threshold: int) -> FeatureVoteLedger
     if threshold > len(decisions):
         warnings.warn(f"threshold {threshold} exceeds the {len(decisions)} selectors run; "
                       "selection is empty")
-    universe: set[int] = set()
-    for d in decisions:
-        universe |= set(d.universe if d.universe else d.selected)
-    votes = {c: 0 for c in sorted(universe)}
-    contributors = {c: [] for c in sorted(universe)}
-    for d in decisions:
-        for c in d.selected:
-            votes[c] += 1
-            contributors[c].append(d.name)
-    selected = tuple(c for c in sorted(universe) if votes[c] >= threshold)
-    return FeatureVoteLedger(votes, {c: tuple(v) for c, v in contributors.items()},
-                             threshold, selected)
+    chosen = [set(d.selected) for d in decisions]      # O(1) membership per column
+    universe = sorted(set().union(*(d.universe for d in decisions), *chosen))
+    contributors = {c: tuple(d.name for d, picked in zip(decisions, chosen) if c in picked)
+                    for c in universe}
+    votes = {c: len(names) for c, names in contributors.items()}
+    return FeatureVoteLedger(votes, contributors, threshold,
+                             tuple(c for c in universe if votes[c] >= threshold))
 
 
-def default_n_keep(n_cols: int) -> int:
-    """Per-selector budget when none is set: half the surviving columns."""
-    return max(1, n_cols // 2)
+ROSTERS = ("default", "fast", "none")
 
 
-def run_default_roster(train: Dataset, master_seed: int = 0,
-                       n_keep: int | None = None,
+def run_roster(roster: str, train: Dataset, master_seed: int = 0,
+               n_keep: int | None = None) -> list[SelectorDecision]:
+    """Run the named roster on the training partition: `default` (the 12
+    voters of run_default_roster), `fast` (the F score, 8-bin mutual
+    information and lasso at 0.01) or `none` (no selector, so no vote).
+    The per-selector budget `n_keep` defaults to half the columns."""
+    if roster not in ROSTERS:
+        raise FeatselError(f"unknown selector roster {roster!r}")
+    if roster == "none":
+        return []
+    if n_keep is None:
+        n_keep = max(1, train.n_cols // 2)
+    if roster == "default":
+        return run_default_roster(train, master_seed, n_keep)
+    return [select_f_score(train, n_keep), select_mutual_info(train, n_keep, n_bins=8),
+            select_lasso(train, lam=0.01)]
+
+
+def _selector_seed(master_seed: int, name: str) -> int:
+    """A wrapper selector's seed, the same in every process (unlike the
+    built-in hash under PYTHONHASHSEED).  The name enters as its
+    little-endian bytes modulo 2**31, which keeps only its first four
+    bytes: the three rfe_* selectors share one seed, the two sfs_* another."""
+    key = int.from_bytes(name.encode(), "little") % (2 ** 31)
+    return int(np.random.default_rng([master_seed, key]).integers(2 ** 31))
+
+
+def run_default_roster(train: Dataset, master_seed: int, n_keep: int,
                        sfs_n_keep: int | None = None) -> list[SelectorDecision]:
-    """The default 12-voter roster.
+    """The default 12-voter roster; `n_keep` is the budget of each selector
+    that takes one.
 
     Filter selectors at three granularities (mutual information at 4/8/16
     bins), two coordinate-descent L1 strengths, a shadow-feature wrapper,
     recursive elimination under three estimators, and sequential selection
-    under two.  Per-selector budget defaults to half the surviving columns;
-    sequential selection is capped lower because its cost grows with the
-    square of its budget.
+    under two.  Sequential selection is capped at 20 unless `sfs_n_keep`
+    is set, because its cost grows with the square of its budget.
     """
-    _check_train(train)
-    p = train.n_cols
-    if n_keep is None:
-        n_keep = default_n_keep(p)
+    _check(train, n_keep)
     if sfs_n_keep is None:
-        sfs_n_keep = max(1, min(20, n_keep))
+        sfs_n_keep = min(20, n_keep)
 
-    def seed_for(name: str) -> int:
-        return int(np.random.default_rng([master_seed, abs(hash_name(name))]).integers(2 ** 31))
-
-    def hash_name(name: str) -> int:
-        # stable across processes (unlike built-in hash with PYTHONHASHSEED)
-        return int.from_bytes(name.encode(), "little") % (2 ** 31)
-
-    decisions = [
+    seed_for = functools.partial(_selector_seed, master_seed)
+    return [
         select_f_score(train, n_keep),
         select_mutual_info(train, n_keep, n_bins=4),
         select_mutual_info(train, n_keep, n_bins=8),
@@ -429,4 +424,3 @@ def run_default_roster(train: Dataset, master_seed: int = 0,
         select_sfs(train, "linear_svm", sfs_n_keep, cv_folds=2,
                    seed=seed_for("sfs_linear_svm")),
     ]
-    return decisions

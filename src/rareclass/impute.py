@@ -274,8 +274,10 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
             C -= n_obs[j] * mu[:, None] * mu
             # a column constant on the observed rows (a regressor filled
             # there, say) is left with the downdate's rounding; zero its row
-            # and column as direct centring would, so its weight is 0
-            flat = np.diagonal(C) <= 1e-9 * np.diagonal(S)
+            # and column as direct centring would, so its weight is 0.  The
+            # cut sits at that rounding level, not above it: a regressor
+            # that varies a little on the observed rows keeps its weight
+            flat = np.diagonal(C) <= 1e-13 * np.diagonal(S)
             C[flat] = 0.0
             C[:, flat] = 0.0
             gram = np.delete(np.delete(C, j, 0), j, 1)

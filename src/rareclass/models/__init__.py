@@ -151,7 +151,7 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
         for tree in forest:                 # in tree order, as one loop would add them
             trees.add_gains(importance, tree)
         state = {"trees": forest, "importance": importance}
-    elif fam in ("gradient_boosting", "regularized_boosting"):
+    else:                                   # the two boosting families
         ranks = trees.column_ranks(X)
         depth, leaf = hp["max_depth"], hp["min_leaf"]
         if fam == "gradient_boosting":
@@ -175,8 +175,6 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
             f = f + hp["shrinkage"] * fitted
         trace.append(linear.log_loss(f, y, sw))
         state = {"base": base, "shrinkage": hp["shrinkage"], "trees": ensemble}
-    else:  # pragma: no cover
-        raise ModelError(fam)
 
     return TrainedModel(spec, train_set.column_ids.copy(), state, tuple(trace))
 

@@ -181,22 +181,12 @@ def _impute(cfg: PipelineConfig, res: PipelineResult) -> None:
 
 
 def _select(cfg: PipelineConfig, res: PipelineResult) -> None:
-    train = res.train_set
-    if cfg.roster == "default":
-        res.decisions = featsel.run_default_roster(
-            train, master_seed=cfg.seed, n_keep=cfg.featsel_n_keep)
-    elif cfg.roster == "fast":  # the three filter selectors only
-        n_keep = cfg.featsel_n_keep or featsel.default_n_keep(train.n_cols)
-        res.decisions = [
-            featsel.select_f_score(train, n_keep),
-            featsel.select_mutual_info(train, n_keep, n_bins=8),
-            featsel.select_lasso(train, lam=0.01),
-        ]
+    res.decisions = featsel.run_roster(cfg.roster, res.train_set, cfg.seed, cfg.featsel_n_keep)
     if res.decisions:
         res.ledger = featsel.vote(res.decisions, cfg.vote_threshold)
         if res.ledger.selected:
             keep = list(res.ledger.selected)
-            res.train_set = train.select_columns(keep)
+            res.train_set = res.train_set.select_columns(keep)
             res.test_set = res.test_set.select_columns(keep)
 
 
@@ -259,8 +249,6 @@ def run_pipeline(cfg: PipelineConfig, stop_after: str = "evaluate") -> PipelineR
         t0 = time.perf_counter()
         try:
             stage(cfg, res)
-        except PipelineError:
-            raise
         except Exception as e:
             raise PipelineError(name, e) from e
         timings[name] = time.perf_counter() - t0

@@ -13,7 +13,7 @@ import pytest
 from conftest import require_secom
 from model_checks import gradient_check
 from rareclass.data import Dataset, FeatureMatrix, load_secom
-from rareclass.featsel import run_default_roster, vote
+from rareclass.featsel import run_roster, vote
 from rareclass.metrics import ConfusionMatrix, metric_set, roc_curve
 from rareclass.models import ModelSpec
 from rareclass.pipeline import reproduce, run_pipeline, scenario_config
@@ -70,7 +70,7 @@ def test_criterion_03_vote_ledger_banded():
     t0 = time.perf_counter()
     res = run_pipeline(cfg, stop_after="select")
     train = res.train_set
-    decisions = run_default_roster(train, master_seed=0)
+    decisions = run_roster("default", train, master_seed=0)
     ledger = vote(decisions, 3)
     elapsed = time.perf_counter() - t0
     n_sel = len(ledger.selected)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rareclass import featsel, parallel
 from rareclass.data import Dataset, FeatureMatrix
-from rareclass.featsel import (FeatselError, SelectorDecision, run_default_roster,
+from rareclass.featsel import (FeatselError, SelectorDecision, run_default_roster, run_roster,
                                select_boruta, select_f_score, select_lasso,
                                select_mutual_info, select_rfe, select_sfs, vote)
 
@@ -296,6 +296,15 @@ class TestRoster:
         a = run_default_roster(d, master_seed=5, n_keep=3, sfs_n_keep=2)
         b = run_default_roster(d, master_seed=5, n_keep=3, sfs_n_keep=2)
         assert [x.selected for x in a] == [y.selected for y in b]
+
+    def test_named_rosters(self):
+        d = _signal_noise(n=100, seed=12)
+        assert run_roster("none", d) == []
+        fast = run_roster("fast", d)
+        assert [x.name for x in fast] == ["f_score", "mutual_info_8", "lasso_0.01"]
+        assert len(fast[0].selected) == d.n_cols // 2
+        with pytest.raises(FeatselError, match="unknown selector roster"):
+            run_roster("all", d)
 
     def test_majority_vote_finds_signal(self):
         d = _signal_noise(n=150, shift=3.0, seed=13)

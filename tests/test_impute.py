@@ -358,6 +358,21 @@ class TestMiceImpute:
             holes = np.isnan(v[:, j])
             assert np.allclose(got[holes, j], np.nanmean(v[:, j]), rtol=1e-14, atol=0)
 
+    def test_regressor_that_varies_a_little_on_the_observed_rows_keeps_its_weight(self):
+        # column 0 is observed on two rows, where column 1 differs by 1e-4
+        # while it spreads over tens elsewhere: its centred variance there
+        # (5e-9) is far below S's diagonal, yet well above the downdate's
+        # rounding, so at ridge 1 it still moves column 0's fills
+        rng = np.random.default_rng(5)
+        v = np.column_stack([np.full(30, np.nan), 50.0 + 10.0 * rng.normal(size=30)])
+        v[:2] = [[10.0, 50.0], [20.0, 50.0001]]
+        v[-3:, 1] = [80.0, 20.0, 65.0]
+        p = MiceParams(1, ridge=1.0)
+        got = mice_impute(p, _ds(v[:27]), _ds(v[27:])).features.values
+        ref = _reference_mice(p, _ds(v[:27]), _ds(v[27:]))
+        assert np.all(np.abs(got[:, 0] - 15.0) > 1e-3)
+        assert np.all(np.abs(got - ref) <= 1e-9 * np.nanmax(np.abs(v), axis=0))
+
 
 # ---------------------------------------------------------------------------
 # reference: every column step rebuilds its centred ridge system from the
@@ -433,9 +448,11 @@ def test_mice_matches_the_per_column_reference(problem):
     p, train, target = problem
     got = mice_impute(p, train, target).features.values
     ref = _reference_mice(p, train, target)
-    # relative to the column's magnitude: a prediction sums terms of that
-    # size, so a value near 0 carries their rounding
-    assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref).max(axis=0))
+    # relative to the column's magnitude over the training and target rows:
+    # a prediction sums terms of that size, so a value near 0 carries their
+    # rounding
+    magnitude = np.abs(np.vstack([train.features.values, ref]))
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.nanmax(magnitude, axis=0))
 
 
 def _reference_fill_ordered(col, strategy, fallback):

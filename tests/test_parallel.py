@@ -47,7 +47,7 @@ def test_selector_decisions_are_the_same_at_any_worker_count(data, monkeypatch):
 
 def test_roster_votes_are_the_same_at_any_worker_count(data, monkeypatch):
     def run():
-        return featsel.vote(featsel.run_default_roster(data, master_seed=2), 3).to_csv()
+        return featsel.vote(featsel.run_roster("default", data, master_seed=2), 3).to_csv()
     one, two = _at_one_and_two_workers(monkeypatch, run)
     assert one == two
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from rareclass.cli import main
-from rareclass.config import ConfigError, PipelineConfig
+from rareclass.config import ConfigError, PipelineConfig, load_config
+from rareclass.data import Dataset, FeatureMatrix, load_secom
 from rareclass.pipeline import (STAGES, PipelineError, emit_report, reproduce,
                                 run_pipeline, scenario_config)
 from rareclass.synth import make_imbalanced, write_secom_like
@@ -139,6 +140,45 @@ class TestRunPipeline:
         res = run_pipeline(_cfg(sensor_files, roster="none"))
         assert res.ledger is None
         assert res.train_set.n_cols == res.pruned.n_cols
+
+    def test_delimited_file_gives_the_secom_run(self, sensor_files, tmp_path):
+        # the same cells as a CSV: a header, the label column third, and
+        # missing cells spelt as empty or NA
+        data, labels = sensor_files
+        rows = [line.split() for line in Path(data).read_text().splitlines()]
+        classes = ["fail" if line.split()[0] == "1" else "pass"
+                   for line in Path(labels).read_text().splitlines()]
+        spell = iter(["", "NA"] * sum(r.count("NaN") for r in rows))
+        names = [f"s{j}" for j in range(len(rows[0]))]
+        lines = [",".join(names[:2] + ["yield"] + names[2:])]
+        for r, cls in zip(rows, classes):
+            cells = [next(spell) if t == "NaN" else t for t in r]
+            lines.append(",".join(cells[:2] + [cls] + cells[2:]))
+        (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "run.ini").write_text(
+            f"[data]\nloader = delimited\ndata_path = {tmp_path / 's.csv'}\n"
+            "label_column = yield\n[featsel]\nroster = fast\nn_keep = 7\n"
+            "vote_threshold = 2\n[models]\nfamilies = logistic, decision_tree\n"
+            "[model.logistic]\nepochs = 100\n")
+        got = run_pipeline(load_config(tmp_path / "run.ini")).report.model_results
+        want = run_pipeline(_cfg(sensor_files)).report.model_results
+        assert {f: r.auc for f, r in got.items()} == {f: r.auc for f, r in want.items()}
+
+    def test_column_constant_on_the_training_rows_leaves_both_partitions(
+            self, sensor_files, tmp_path):
+        d = load_secom(*sensor_files)
+        test_rows = run_pipeline(_cfg(sensor_files), stop_after="split").split.test_row_indices
+        col = np.full(d.n_rows, 3.0)
+        col[test_rows] = np.random.default_rng(0).uniform(0.0, 1.0, len(test_rows))
+        extra = d.n_cols
+        paths = str(tmp_path / "s.data"), str(tmp_path / "s_labels.data")
+        write_secom_like(Dataset(FeatureMatrix(np.column_stack([d.features.values, col]),
+                                               np.arange(extra + 1)), d.labels), *paths)
+        res = run_pipeline(_cfg(paths), stop_after="scale")
+        assert extra in res.pruned.column_ids
+        assert extra not in res.train_set.column_ids
+        assert extra not in res.test_set.column_ids
+        assert res.train_set.n_cols == res.test_set.n_cols == res.pruned.n_cols - 1
 
     def test_smote_scenario_resamples_train_only(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files, scenario="smote", over_ratio=0.7))

@@ -47,3 +47,20 @@ def test_traced_spans_fire_on_a_run(tmp_path):
                 "models.predict", "metrics.roc_curve", "pipeline.emit_report"}
     assert tracer.missing == []
     assert expected <= recorded
+
+
+def test_default_roster_spans_fire(tmp_path):
+    # the roster and every selector are traced where the pipeline reaches
+    # them: through featsel's module globals, not through function objects
+    # captured at import, which the tracer's wrappers never replace
+    d = make_imbalanced(n_rows=90, n_informative=2, n_noise=3, positive_fraction=0.2,
+                        missing_fraction=0.0, seed=0)
+    data, labels = str(tmp_path / "s.data"), str(tmp_path / "s_labels.data")
+    write_secom_like(d, data, labels)
+    spans = _spans()
+    with spans.installed(spans.Tracer()) as tracer:
+        reproduce(3, 0, tmp_path / "out", data, labels, roster="default")
+    recorded = {name for name, *_ in tracer.spans}
+    selectors = {f"featsel.{s}" for s in spans.SELECTORS if s != "lasso_0.01"}
+    assert len(selectors) == 12
+    assert {"featsel.roster"} | selectors <= recorded
