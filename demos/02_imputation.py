@@ -35,8 +35,10 @@ def main():
     print("simple strategies chosen per column:",
           {c: s for c, s in plan.strategies.items()})
     simple = simple_impute(fit_simple_plan(plan, d), d)
-    knn = knn_impute(KnnImputeParams(k=5), d, d)
-    mice = mice_impute(MiceParams(n_iterations=5), d, d)
+    # k-NN and the chained regressions fit on the first n_train rows of the
+    # table they fill; here every row is a training row
+    knn = knn_impute(KnnImputeParams(k=5), d, n_train=n)
+    mice = mice_impute(MiceParams(n_iterations=5), d, n_train=n)
 
     print(f"\nRMSE on the held-out cells:")
     print(f"  simple (mean/median):    {rmse(simple):.3f}")

@@ -83,9 +83,11 @@ def assign_simple_strategies(train_stats: list[ColumnStats], skew_threshold: flo
     return SimpleImputePlan(strategies)
 
 
-def _train_stats(train: Dataset) -> list[ColumnStats]:
-    """column_stats of the training rows, none of them all missing."""
-    stats = column_stats(train)
+def _train_stats(d: Dataset, n_train: int) -> list[ColumnStats]:
+    """column_stats of d's first n_train rows; no column may be all missing."""
+    if not 1 <= n_train <= d.n_rows:
+        raise ImputeError(f"n_train must be in [1, {d.n_rows}], got {n_train}")
+    stats = column_stats(d.take_rows(np.arange(n_train)))
     for s in stats:
         if s.mean is None:
             raise ImputeError(f"column {s.column_id} entirely missing in training data")
@@ -95,7 +97,7 @@ def _train_stats(train: Dataset) -> list[ColumnStats]:
 def fit_simple_plan(plan: SimpleImputePlan, train: Dataset) -> SimpleImputePlan:
     """Fit fill values on the training rows for every column of the plan."""
     fills = {}
-    for j, s in enumerate(_train_stats(train)):
+    for j, s in enumerate(_train_stats(train, train.n_rows)):
         if s.column_id not in plan.strategies:
             raise ImputeError(f"plan does not cover column {s.column_id}")
         strat = plan.strategies[s.column_id]
@@ -178,76 +180,71 @@ def simple_impute(plan: SimpleImputePlan, d: Dataset) -> Dataset:
     return d.with_values(v)
 
 
-def knn_impute(p: KnnImputeParams, train: Dataset, target: Dataset) -> Dataset:
-    """Fill each missing cell with the mean of the column's values among the
-    k nearest training rows.
+def knn_impute(p: KnnImputeParams, d: Dataset, *, n_train: int) -> Dataset:
+    """Fill each missing cell of d with the mean of the column's values
+    among the k nearest of d's first n_train rows (the training rows).
 
     Distance is Euclidean over mutually present features, normalised by the
     shared-feature count.  Neighbours missing the needed column are skipped
     in favour of the next nearest; with no eligible neighbour the column's
     training mean is used.
     """
-    if not np.array_equal(train.column_ids, target.column_ids):
-        raise ImputeError("train and target column ids differ")
-    col_means = [s.mean for s in _train_stats(train)]
-    tv = train.features.values
+    col_means = [s.mean for s in _train_stats(d, n_train)]
+    tv = d.features.values[:n_train]
     tp = ~np.isnan(tv)
     short = tp.sum(axis=0) < p.k
     if short.any():
-        cid = int(train.column_ids[np.nonzero(short)[0][0]])
+        cid = int(d.column_ids[np.nonzero(short)[0][0]])
         raise ImputeError(f"column {cid} has fewer than k={p.k} present training rows")
 
-    out = target.features.values.copy()
+    out = d.features.values.copy()
     tv0 = np.where(tp, tv, 0.0)
-    for r in range(target.n_rows):
+    for r in range(d.n_rows):
         row = out[r]
         missing = np.isnan(row)
         if not missing.any():
             continue
         rp = ~missing
-        if rp.any():
-            shared = tp[:, rp]                       # (n_train, n_shared_candidates)
-            diff = tv0[:, rp] - np.where(shared, row[rp], 0.0)
-            diff[~shared] = 0.0
-            cnt = shared.sum(axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                dist = np.sqrt((diff ** 2).sum(axis=1) / cnt)
-            dist[cnt == 0] = np.inf
-        else:
-            dist = np.full(train.n_rows, np.inf)
+        shared = tp[:, rp]                           # (n_train, n_shared_candidates)
+        diff = tv0[:, rp] - np.where(shared, row[rp], 0.0)
+        diff[~shared] = 0.0
+        cnt = shared.sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dist = np.sqrt((diff ** 2).sum(axis=1) / cnt)
+        dist[cnt == 0] = np.inf
         order = np.argsort(dist, kind="stable")
         order = order[np.isfinite(dist[order])]
         for j in np.nonzero(missing)[0]:
             donors = order[tp[order, j]][: p.k]
             out[r, j] = tv[donors, j].mean() if len(donors) == p.k else col_means[j]
-    return target.with_values(out)
+    return d.with_values(out)
 
 
-def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
-    """Chained-equation imputation: iteratively regress each incomplete
-    column on all others and refill its missing entries.
+def mice_impute(p: MiceParams, d: Dataset, *, n_train: int) -> Dataset:
+    """Chained-equation imputation (van Buuren & Groothuis-Oudshoorn 2011):
+    iteratively regress each incomplete column on all others and refill its
+    missing entries in every row of d.
 
-    Regressions are ridge-damped least squares fitted on training rows where
-    the column is observed.  gaussian_residual_draw mode adds seeded noise
-    with the training residual scale, drawn from one stream for the
-    training rows and another for the target rows, so the fits depend on
-    the training rows alone; the default is the deterministic fitted mean.
+    Regressions are ridge-damped least squares fitted where the column is
+    observed in d's first n_train rows (the training rows), whose returned
+    fills are the ones those fits saw.  gaussian_residual_draw mode adds
+    seeded noise of scale sqrt(v'Cv / n_obs), v = insert(-beta, j, 1),
+    from one stream for the training rows and one for the rest, so the
+    training fills depend on the training rows alone; the default is the
+    deterministic fitted mean.
 
     The fitting rows are kept as Z = training rows minus their initial
-    fills, with S = Z'Z and the column sums of Z.  Column j's system takes
+    fills, with S = Z'Z and the column sums of Z.  Column j's system C takes
     out the k_j rows where j is missing and centres with n_obs * mu mu';
     after its fill, row and column j of S are fresh dot products.  A step
     costs O(k_j * p^2 + n * p) plus the solve, not O(n * p^2).
     """
-    if not np.array_equal(train.column_ids, target.column_ids):
-        raise ImputeError("train and target column ids differ")
-    if train.n_cols < 2:
+    if d.n_cols < 2:
         raise ImputeError("chained-equation imputation needs at least 2 columns")
 
     fills = np.array([s.median if p.initial_fill == "median" else s.mean
-                      for s in _train_stats(train)])
-    n_train = train.n_rows
-    state = np.vstack([train.features.values, target.features.values])
+                      for s in _train_stats(d, n_train)])
+    state = d.features.values.copy()
     orig_missing = np.isnan(state)
     np.copyto(state, fills, where=orig_missing)
 
@@ -256,7 +253,7 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
     n_obs = n_train - orig_missing[:n_train].sum(axis=0)
     for j in incomplete:
         if n_obs[j] < 2:
-            raise ImputeError(f"column {int(train.column_ids[j])} has fewer than 2 "
+            raise ImputeError(f"column {int(d.column_ids[j])} has fewer than 2 "
                               "observed training rows")
 
     Z = state[:n_train] - fills
@@ -295,9 +292,10 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
                 # batch (a matrix product would not be)
                 pred = (np.ascontiguousarray(np.delete(state[rows], j, 1) - Xm) * beta).sum(axis=1) + ym
                 if p.noise_mode == "gaussian_residual_draw":
-                    # y - ym - (X - Xm) beta over the observed training rows
-                    resid = (Z[~orig_missing[:n_train, j]] - mu) @ np.insert(-beta, j, 1.0)
-                    sigma = float(np.sqrt((resid ** 2).mean()))
+                    # the residual sum of squares over the observed training
+                    # rows; a near-exact fit can cancel to just below 0
+                    v = np.insert(-beta, j, 1.0)
+                    sigma = float(np.sqrt(max(v @ C @ v, 0.0) / n_obs[j]))
                     pred[:k] += fit_rng.normal(0.0, sigma, size=k)
                     pred[k:] += target_rng.normal(0.0, sigma, size=len(pred) - k)
                 state[rows, j] = pred
@@ -306,4 +304,4 @@ def mice_impute(p: MiceParams, train: Dataset, target: Dataset) -> Dataset:
                 S[:, j] = S[j] = Z[:, j] @ Z
                 sums[j] = Z[:, j].sum()
 
-    return target.with_values(state[n_train:])
+    return d.with_values(state)

@@ -170,12 +170,11 @@ def _impute(cfg: PipelineConfig, res: PipelineResult) -> None:
         fill, p = impute.mice_impute, impute.MiceParams(
             n_iterations=cfg.mice_iterations, initial_fill=cfg.mice_initial_fill,
             seed=cfg.seed, noise_mode=cfg.mice_noise_mode)
-    # one pass fills both partitions; every fitted quantity comes from the
-    # training rows alone
+    # one pass fills both; every fit comes from the first train.n_rows rows
     both = Dataset(FeatureMatrix(np.vstack([train.features.values, test.features.values]),
                                  train.column_ids),
                    np.concatenate([train.labels, test.labels]))
-    filled = fill(p, train, both)
+    filled = fill(p, both, n_train=train.n_rows)
     res.train_set = filled.take_rows(np.arange(train.n_rows))
     res.test_set = filled.take_rows(np.arange(train.n_rows, both.n_rows))
 
@@ -184,10 +183,12 @@ def _select(cfg: PipelineConfig, res: PipelineResult) -> None:
     res.decisions = featsel.run_roster(cfg.roster, res.train_set, cfg.seed, cfg.featsel_n_keep)
     if res.decisions:
         res.ledger = featsel.vote(res.decisions, cfg.vote_threshold)
-        if res.ledger.selected:
-            keep = list(res.ledger.selected)
-            res.train_set = res.train_set.select_columns(keep)
-            res.test_set = res.test_set.select_columns(keep)
+        if not res.ledger.selected:
+            raise featsel.FeatselError(f"vote threshold {cfg.vote_threshold} keeps no column; "
+                                       f"the top vote count is {max(res.ledger.votes.values())}")
+        keep = list(res.ledger.selected)
+        res.train_set = res.train_set.select_columns(keep)
+        res.test_set = res.test_set.select_columns(keep)
 
 
 def _resample(cfg: PipelineConfig, res: PipelineResult) -> None:

@@ -20,6 +20,13 @@ def _ds(values, labels=None, column_ids=None):
     return Dataset(FeatureMatrix(values, np.asarray(column_ids)), labels)
 
 
+def _stack(train, target):
+    """The training rows then the target rows, as one table."""
+    return Dataset(FeatureMatrix(np.vstack([train.features.values, target.features.values]),
+                                 train.column_ids),
+                   np.concatenate([train.labels, target.labels]))
+
+
 def _stat(cid, skew):
     return ColumnStats(cid, 0.0, 0.0, 0.0, skew, 0.0, 1.0, False)
 
@@ -129,48 +136,43 @@ class TestSimpleImpute:
 
 class TestKnnImpute:
     def test_k1_copies_nearest(self):
-        train = _ds([[0.0, 0.0], [10.0, 5.0], [0.1, 1.0]])
-        target = _ds([[0.05, np.nan]])
-        out = knn_impute(KnnImputeParams(k=1), train, target)
-        assert out.features.values[0, 1] == 0.0   # row 0 is nearest
+        d = _ds([[0.0, 0.0], [10.0, 5.0], [0.1, 1.0], [0.05, np.nan]])
+        out = knn_impute(KnnImputeParams(k=1), d, n_train=3)
+        assert out.features.values[3, 1] == 0.0   # row 0 is nearest
 
     def test_matches_bruteforce_oracle(self):
         # oracle: exhaustive pairwise distances over mutually present features
         rng = np.random.default_rng(5)
         tv = rng.normal(size=(4, 3))
-        train = _ds(tv)
         target_v = np.array([[0.2, np.nan, -0.3]])
-        target = _ds(target_v)
+        d = _ds(np.vstack([tv, target_v]))
         k = 2
         present = [0, 2]
         dists = [np.sqrt(((tv[i, present] - target_v[0, present]) ** 2).mean())
                  for i in range(4)]
         nearest = np.argsort(dists, kind="stable")[:k]
         expected = tv[nearest, 1].mean()
-        out = knn_impute(KnnImputeParams(k=k), train, target)
-        assert out.features.values[0, 1] == pytest.approx(expected, abs=1e-12)
+        out = knn_impute(KnnImputeParams(k=k), d, n_train=4)
+        assert out.features.values[4, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_all_missing_row_falls_back_to_column_means(self):
-        train = _ds([[1.0, 4.0], [3.0, 8.0], [5.0, 0.0]])
-        target = _ds([[np.nan, np.nan]])
-        out = knn_impute(KnnImputeParams(k=2), train, target)
-        assert out.features.values[0, 0] == pytest.approx(3.0)
-        assert out.features.values[0, 1] == pytest.approx(4.0)
+        d = _ds([[1.0, 4.0], [3.0, 8.0], [5.0, 0.0], [np.nan, np.nan]])
+        out = knn_impute(KnnImputeParams(k=2), d, n_train=3)
+        assert out.features.values[3, 0] == pytest.approx(3.0)
+        assert out.features.values[3, 1] == pytest.approx(4.0)
 
     def test_k_equals_n_train_equals_mean_imputation(self):
         rng = np.random.default_rng(8)
         tv = rng.normal(size=(6, 3))
-        train = _ds(tv)
         target_v = tv.copy()
         target_v[1, 2] = np.nan
-        target = _ds(target_v)
-        out = knn_impute(KnnImputeParams(k=6), train, target)
-        assert out.features.values[1, 2] == pytest.approx(tv[:, 2].mean())
+        out = knn_impute(KnnImputeParams(k=6), _ds(np.vstack([tv, target_v])), n_train=6)
+        assert out.features.values[7, 2] == pytest.approx(tv[:, 2].mean())
 
     def test_insufficient_present_rows_rejected(self):
         train = _ds([[1.0], [np.nan], [np.nan]])
         with pytest.raises(ImputeError, match="fewer than k"):
-            knn_impute(KnnImputeParams(k=2), train, train)
+            knn_impute(KnnImputeParams(k=2), train, n_train=3)
 
     def test_train_only_dependence(self, messy_imbalanced):
         from rareclass.preprocess import stratified_split
@@ -181,15 +183,16 @@ class TestKnnImpute:
         plan = stratified_split(d, 0.3, seed=0)
         train = d.take_rows(plan.train_row_indices)
         test = d.take_rows(plan.test_row_indices)
-        out1 = knn_impute(KnnImputeParams(k=3), train, test.take_rows([0, 1, 2]))
-        out2 = knn_impute(KnnImputeParams(k=3), train, test)
-        assert np.array_equal(out1.features.values, out2.features.values[:3])
+        n = train.n_rows
+        out1 = knn_impute(KnnImputeParams(k=3), _stack(train, test.take_rows([0, 1, 2])), n_train=n)
+        out2 = knn_impute(KnnImputeParams(k=3), _stack(train, test), n_train=n)
+        assert np.array_equal(out1.features.values, out2.features.values[:n + 3])
 
 
 class TestMiceImpute:
     def test_no_missing_is_identity(self):
         d = _ds(np.arange(12, dtype=float).reshape(4, 3))
-        out = mice_impute(MiceParams(3), d, d)
+        out = mice_impute(MiceParams(3), d, n_train=d.n_rows)
         assert np.array_equal(out.features.values, d.features.values)
 
     def test_exact_linear_relation_recovered(self):
@@ -197,7 +200,7 @@ class TestMiceImpute:
         v = np.column_stack([x, 3.0 * x + 1.0])
         v[5, 1] = np.nan
         d = _ds(v)
-        out = mice_impute(MiceParams(3, noise_mode="deterministic_prediction"), d, d)
+        out = mice_impute(MiceParams(3, noise_mode="deterministic_prediction"), d, n_train=d.n_rows)
         assert out.features.values[5, 1] == pytest.approx(3.0 * x[5] + 1.0, abs=1e-6)
 
     def test_one_sweep_equals_regression_oracle(self):
@@ -216,7 +219,7 @@ class TestMiceImpute:
         beta = np.linalg.solve(Xc.T @ Xc + 1e-8 * np.eye(2), Xc.T @ yc)
         expected = (filled[4, 1:] - X.mean(axis=0)) @ beta + y.mean()
 
-        out = mice_impute(MiceParams(n_iterations=1), d, d)
+        out = mice_impute(MiceParams(n_iterations=1), d, n_train=d.n_rows)
         assert out.features.values[4, 0] == pytest.approx(expected, abs=1e-10)
 
     def test_median_initial_fill(self):
@@ -240,8 +243,8 @@ class TestMiceImpute:
         beta = np.linalg.solve(Xc.T @ Xc + 1e-8 * np.eye(2), Xc.T @ yc)
         expected = (filled[4, 1:] - X.mean(axis=0)) @ beta + y.mean()
 
-        median = mice_impute(MiceParams(n_iterations=1, initial_fill="median"), d, d)
-        mean = mice_impute(MiceParams(n_iterations=1, initial_fill="mean"), d, d)
+        median = mice_impute(MiceParams(n_iterations=1, initial_fill="median"), d, n_train=d.n_rows)
+        mean = mice_impute(MiceParams(n_iterations=1, initial_fill="mean"), d, n_train=d.n_rows)
         assert median.features.values[4, 0] == pytest.approx(expected, abs=1e-10)
         assert abs(median.features.values[4, 0] - mean.features.values[4, 0]) > 1e-3
 
@@ -251,8 +254,8 @@ class TestMiceImpute:
         v[rng.random(v.shape) < 0.1] = np.nan
         d = _ds(v)
         p = MiceParams(4, seed=9, noise_mode="gaussian_residual_draw")
-        a = mice_impute(p, d, d)
-        b = mice_impute(p, d, d)
+        a = mice_impute(p, d, n_train=d.n_rows)
+        b = mice_impute(p, d, n_train=d.n_rows)
         assert np.array_equal(a.features.values, b.features.values)
 
     def test_prediction_independent_of_batch(self):
@@ -266,12 +269,11 @@ class TestMiceImpute:
         holes = rng.random(v.shape) < 0.3
         holes[:40, 6:] = False
         v[holes] = np.nan
-        train, test = _ds(v[:40]), _ds(v[40:])
         p = MiceParams(3)
-        both = mice_impute(p, train, _ds(v)).features.values
-        alone = [mice_impute(p, train, test.take_rows([r])).features.values[0]
-                 for r in range(test.n_rows)]
-        assert np.array_equal(both[:40], mice_impute(p, train, train).features.values)
+        both = mice_impute(p, _ds(v), n_train=40).features.values
+        alone = [mice_impute(p, _ds(v[np.r_[:40, r]]), n_train=40).features.values[40]
+                 for r in range(40, 60)]
+        assert np.array_equal(both[:40], mice_impute(p, _ds(v[:40]), n_train=40).features.values)
         assert np.array_equal(both[40:], np.array(alone))
 
     def test_present_cells_untouched(self):
@@ -279,7 +281,7 @@ class TestMiceImpute:
         v = rng.normal(size=(25, 4))
         v[rng.random(v.shape) < 0.15] = np.nan
         d = _ds(v)
-        out = mice_impute(MiceParams(3), d, d)
+        out = mice_impute(MiceParams(3), d, n_train=d.n_rows)
         mask = d.features.present
         assert np.array_equal(out.features.values[mask], d.features.values[mask])
         assert not np.isnan(out.features.values).any()
@@ -291,12 +293,12 @@ class TestMiceImpute:
         solves = []
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a))
         with pytest.raises(ImputeError, match="column 12 has fewer than 2 observed training rows"):
-            mice_impute(MiceParams(2), _ds(v, column_ids=[10, 11, 12]),
-                        _ds(v[:2], column_ids=[10, 11, 12]))
+            mice_impute(MiceParams(2), _ds(v, column_ids=[10, 11, 12]), n_train=8)
         assert solves == []
 
     def test_gaussian_fits_ignore_the_target_rows(self, monkeypatch):
-        # the regressions see the fitting rows' noise only; the targets
+        # the regressions see the fitting rows' noise only, and the
+        # training fills returned are the ones they saw; the targets
         # differ in how many cells they miss, which moved that noise's
         # stream when both drew from one
         rng = np.random.default_rng(12)
@@ -309,16 +311,17 @@ class TestMiceImpute:
         many[rng.random(many.shape) < 0.5] = np.nan
         solve = np.linalg.solve
         p = MiceParams(3, seed=4, noise_mode="gaussian_residual_draw")
-        systems = []
+        systems, fills = [], []
         for target in (few, many):
             seen = []
             monkeypatch.setattr(np.linalg, "solve",
                                 lambda a, b, seen=seen: seen.append((a.copy(), b.copy())) or solve(a, b))
-            mice_impute(p, _ds(train), _ds(target))
+            fills.append(mice_impute(p, _ds(np.vstack([train, target])), n_train=24).features.values)
             systems.append(seen)
         assert len(systems[0]) == len(systems[1]) == 3 * 4
         for (a0, b0), (a1, b1) in zip(*systems):
             assert np.array_equal(a0, a1) and np.array_equal(b0, b1)
+        assert np.array_equal(fills[0][:24], fills[1][:24])
 
     def test_ridge_free_singular_system_refills_the_mean(self, monkeypatch):
         # column 1 is constant on the rows where column 0 is observed, so
@@ -337,10 +340,10 @@ class TestMiceImpute:
 
         monkeypatch.setattr(np.linalg, "solve", recording)
         p = MiceParams(2, ridge=0.0)
-        got = mice_impute(p, _ds(v), _ds(v)).features.values
+        got = mice_impute(p, _ds(v), n_train=8).features.values
         assert len(failed) == 2                     # one per sweep
         assert list(got[6:, 0]) == [4.0, 4.0]       # the observed mean
-        assert np.array_equal(got, _reference_mice(p, _ds(v), _ds(v)))
+        assert np.array_equal(got, _reference_mice(p, _ds(v), 8))
 
 
     def test_regressor_constant_on_the_observed_rows_gets_no_weight(self):
@@ -353,7 +356,7 @@ class TestMiceImpute:
         v[[7, 10, 14, 15, 16], 0] = np.nan
         v[np.setdiff1d(np.arange(21), [10, 16]), 1] = np.nan
         d = _ds(v)
-        got = mice_impute(MiceParams(2, initial_fill="median"), d, d).features.values
+        got = mice_impute(MiceParams(2, initial_fill="median"), d, n_train=d.n_rows).features.values
         for j in (0, 1):
             holes = np.isnan(v[:, j])
             assert np.allclose(got[holes, j], np.nanmean(v[:, j]), rtol=1e-14, atol=0)
@@ -368,10 +371,66 @@ class TestMiceImpute:
         v[:2] = [[10.0, 50.0], [20.0, 50.0001]]
         v[-3:, 1] = [80.0, 20.0, 65.0]
         p = MiceParams(1, ridge=1.0)
-        got = mice_impute(p, _ds(v[:27]), _ds(v[27:])).features.values
-        ref = _reference_mice(p, _ds(v[:27]), _ds(v[27:]))
-        assert np.all(np.abs(got[:, 0] - 15.0) > 1e-3)
+        got = mice_impute(p, _ds(v), n_train=27).features.values
+        ref = _reference_mice(p, _ds(v), 27)
+        assert np.all(np.abs(got[27:, 0] - 15.0) > 1e-3)
         assert np.all(np.abs(got - ref) <= 1e-9 * np.nanmax(np.abs(v), axis=0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_residual_scale_of_a_near_exact_linear_column(self, monkeypatch, seed):
+        # column 1 is its regressor times 3 to 1e-11 of its spread, so
+        # v'Cv, the residual sum of squares behind the noise scale
+        # sqrt(v'Cv / n_obs), cancels to the rounding of C.  Its three terms
+        # (C_jj, -2 beta C_ij, beta^2 C_ii) are each about C_jj and carry a
+        # few ulps of C's downdate: the scale stays finite and within
+        # 4 sqrt(eps * C_jj / n_obs) of the one taken from the rows (up to
+        # 2.2x that root over 300 seeds)
+        rng = np.random.default_rng(seed)
+        x = 7.0 + 40.0 * rng.normal(size=50)
+        v = np.column_stack([x, 3.0 * x + 1.0 + 1e-9 * rng.normal(size=50)])
+        v[[3, 17, 30, 44], 1] = np.nan
+        scales, betas = [], []
+        default_rng, solve = np.random.default_rng, np.linalg.solve
+
+        class Recording:
+            def __init__(self, seed):
+                self.gen = default_rng(seed)
+
+            def normal(self, loc, scale, size):
+                scales.append(scale)
+                return self.gen.normal(loc, scale, size)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: betas.append(solve(a, b)) or betas[-1])
+        p = MiceParams(1, seed=seed, noise_mode="gaussian_residual_draw")
+        mice_impute(p, _ds(v), n_train=40)
+        (beta,) = betas
+        assert len(scales) == 2 and scales[0] == scales[1]
+        obs = ~np.isnan(v[:40, 1])
+        X, y = v[:40][obs, 0], v[:40][obs, 1]
+        direct = np.sqrt(np.mean(((y - y.mean()) - (X - X.mean()) * beta[0]) ** 2))
+        c_jj = np.sum((y - y.mean()) ** 2)
+        assert np.isfinite(scales[0])
+        assert abs(scales[0] - direct) <= 4.0 * np.sqrt(np.finfo(float).eps * c_jj / obs.sum())
+
+
+@pytest.mark.parametrize("fill, p", [(knn_impute, KnnImputeParams(k=2)),
+                                     (mice_impute, MiceParams(2))], ids=["knn", "mice"])
+def test_n_train_must_lie_within_the_table(fill, p):
+    rng = np.random.default_rng(14)
+    v = rng.normal(size=(9, 3))
+    v[rng.random(v.shape) < 0.2] = np.nan
+    v[:3] = rng.normal(size=(3, 3))
+    d = _ds(v)
+    for n_train in (0, d.n_rows + 1):
+        with pytest.raises(ImputeError, match=f"n_train must be in \\[1, 9\\], got {n_train}"):
+            fill(p, d, n_train=n_train)
+    with pytest.raises(TypeError):
+        fill(p, d, d.n_rows)                # keyword only
+    # every row is a training row: the table is filled from itself
+    out = fill(p, d, n_train=d.n_rows).features.values
+    assert not np.isnan(out).any()
+    assert np.array_equal(out[d.features.present], v[d.features.present])
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +438,10 @@ class TestMiceImpute:
 # observed training rows
 
 
-def _reference_mice(p, train, target):
-    stats = column_stats(train)
+def _reference_mice(p, d, n_train):
+    stats = column_stats(d.take_rows(np.arange(n_train)))
     fills = [s.median if p.initial_fill == "median" else s.mean for s in stats]
-    n_train = train.n_rows
-    state = np.vstack([train.features.values, target.features.values])
+    state = d.features.values.copy()
     missing = np.isnan(state)
     np.copyto(state, fills, where=missing)
     n_cols = state.shape[1]
@@ -400,12 +458,13 @@ def _reference_mice(p, train, target):
                 state[missing[:, j], j] = ym
                 continue
             state[missing[:, j], j] = (state[missing[:, j]][:, others] - Xm) @ beta + ym
-    return state[n_train:]
+    return state
 
 
 @st.composite
 def mice_problems(draw):
-    """A training and a target partition of correlated columns with offsets,
+    """One table of training and target rows, and the training row count:
+    correlated columns with offsets,
     some columns fully observed, one column observed exactly where another
     is missing, and one observed on exactly two training rows.
 
@@ -439,20 +498,19 @@ def mice_problems(draw):
         holes[:n_train, j] = True
         holes[rng.choice(n_train, size=2, replace=False), j] = False
     v[holes] = np.nan
-    return p, _ds(v[:n_train]), _ds(v[n_train:])
+    return p, _ds(v), n_train
 
 
 @settings(max_examples=200, deadline=None)
 @given(mice_problems())
 def test_mice_matches_the_per_column_reference(problem):
-    p, train, target = problem
-    got = mice_impute(p, train, target).features.values
-    ref = _reference_mice(p, train, target)
+    p, d, n_train = problem
+    got = mice_impute(p, d, n_train=n_train).features.values
+    ref = _reference_mice(p, d, n_train)
     # relative to the column's magnitude over the training and target rows:
     # a prediction sums terms of that size, so a value near 0 carries their
     # rounding
-    magnitude = np.abs(np.vstack([train.features.values, ref]))
-    assert np.all(np.abs(got - ref) <= 1e-9 * np.nanmax(magnitude, axis=0))
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref).max(axis=0))
 
 
 def _reference_fill_ordered(col, strategy, fallback):

@@ -141,6 +141,19 @@ class TestRunPipeline:
         assert res.ledger is None
         assert res.train_set.n_cols == res.pruned.n_cols
 
+    def test_a_vote_that_keeps_no_column_fails_the_select_stage(self, tmp_path):
+        # three selectors cannot give any column four votes
+        d = make_imbalanced(n_rows=200, n_informative=3, n_noise=5, positive_fraction=0.15,
+                            missing_fraction=0.05, seed=0)
+        data, labels = str(tmp_path / "s.data"), str(tmp_path / "s_labels.data")
+        write_secom_like(d, data, labels)
+        cfg = PipelineConfig(data_path=data, labels_path=labels, roster="fast", vote_threshold=4)
+        with (pytest.warns(UserWarning, match="selection is empty"),
+              pytest.raises(PipelineError, match="stage select: vote threshold 4 keeps no column; "
+                                                 "the top vote count is 3") as exc):
+            run_pipeline(cfg, stop_after="select")
+        assert exc.value.stage == "select"
+
     def test_delimited_file_gives_the_secom_run(self, sensor_files, tmp_path):
         # the same cells as a CSV: a header, the label column third, and
         # missing cells spelt as empty or NA

@@ -7,7 +7,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from rareclass.pipeline import reproduce
+import numpy as np
+
+from rareclass.config import PipelineConfig
+from rareclass.pipeline import reproduce, run_pipeline
 from rareclass.synth import make_imbalanced, write_secom_like
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
@@ -64,3 +67,24 @@ def test_default_roster_spans_fire(tmp_path):
     selectors = {f"featsel.{s}" for s in spans.SELECTORS if s != "lasso_0.01"}
     assert len(selectors) == 12
     assert {"featsel.roster"} | selectors <= recorded
+
+
+def test_mice_spans_fire(tmp_path):
+    # the benchmark's s2 workload imputes with MICE; its span and its
+    # count of filled cells must come from the traced call
+    d = make_imbalanced(n_rows=120, n_informative=3, n_noise=4, positive_fraction=0.2,
+                        missing_fraction=0.08, seed=1)
+    data, labels = str(tmp_path / "s.data"), str(tmp_path / "s_labels.data")
+    write_secom_like(d, data, labels)
+    cfg = PipelineConfig(data_path=data, labels_path=labels, impute_method="mice",
+                         roster="fast", vote_threshold=2, model_families=("logistic",))
+    scaled = run_pipeline(cfg, stop_after="scale")
+    holes = sum(int(np.isnan(p.features.values).sum())
+                for p in (scaled.train_set, scaled.test_set))
+    assert holes > 0
+    spans = _spans()
+    with spans.installed(spans.Tracer()) as tracer:
+        run_pipeline(cfg)
+    assert "impute.mice" in {name for name, *_ in tracer.spans}
+    assert tracer.missing == []
+    assert tracer.counts["impute.cells_filled"] == holes

@@ -1,9 +1,11 @@
 """Scaling and imputation depend only on training rows.
 
 Property 1: what the training partition turns into is the same bits when
-the test rows are changed, added or dropped.  Property 2 (kNN and
-deterministic MICE, which fill both partitions in one pass): one call on
-the stacked partitions equals the two separate calls, bit for bit.
+the test rows are changed, added or dropped; for MICE in both noise modes.
+Property 2 (kNN and deterministic MICE, which fill train then test as one
+table fitted on its first n_train rows): the training rows of that call
+equal the training partition filled alone, and each test row equals that
+row filled alone after the training rows, bit for bit.
 """
 
 import numpy as np
@@ -64,8 +66,17 @@ def _scaled_train(train, test):
     return res.train_set
 
 
+IMPUTE_CONFIGS = {
+    "simple": {"impute_method": "simple"},
+    "knn": {"impute_method": "knn", "knn_k": 2},
+    "mice": {"impute_method": "mice", "mice_iterations": 2},
+    "mice_gaussian": {"impute_method": "mice", "mice_iterations": 2,
+                      "mice_noise_mode": "gaussian_residual_draw"},
+}
+
+
 def _imputed_train(method, train, test):
-    cfg = PipelineConfig(impute_method=method, knn_k=2, mice_iterations=2)
+    cfg = PipelineConfig(**IMPUTE_CONFIGS[method])
     res = pipeline.PipelineResult(train_set=train, test_set=test)
     pipeline._impute(cfg, res)
     return res.train_set
@@ -85,7 +96,7 @@ def test_scaled_training_rows_ignore_the_test_rows(parts):
 
 
 @settings(max_examples=60, deadline=None)
-@given(partitions(), st.sampled_from(["simple", "knn", "mice"]))
+@given(partitions(), st.sampled_from(sorted(IMPUTE_CONFIGS)))
 def test_imputed_training_rows_ignore_the_test_rows(parts, method):
     train, test, other = parts
     assert _same(_imputed_train(method, train, test), _imputed_train(method, train, other))
@@ -103,8 +114,10 @@ FILLS = {
 def test_one_pass_equals_two(parts, method):
     train, test, _ = parts
     fill, p = FILLS[method]
-    both = _dataset(np.vstack([train.features.values, test.features.values]))
-    one = fill(p, train, both).features.values
-    two = np.vstack([fill(p, train, train).features.values,
-                     fill(p, train, test).features.values])
-    assert np.array_equal(one, two)
+    n = train.n_rows
+    tv = train.features.values
+    one = fill(p, _dataset(np.vstack([tv, test.features.values])), n_train=n).features.values
+    assert np.array_equal(one[:n], fill(p, train, n_train=n).features.values)
+    for r, row in enumerate(test.features.values):
+        alone = fill(p, _dataset(np.vstack([tv, row])), n_train=n).features.values
+        assert np.array_equal(one[n + r], alone[n])
