@@ -217,14 +217,12 @@ def _unhex(lst) -> np.ndarray:
 
 
 def _tree_to_obj(t: Tree) -> dict:
-    return {"feature": list(map(int, t.feature)), "threshold": _hex_list(t.threshold),
-            "left": list(map(int, t.left)), "right": list(map(int, t.right)),
-            "value": _hex_list(t.value)}
+    return {"feature": t.feature.tolist(), "threshold": _hex_list(t.threshold),
+            "left": t.left.tolist(), "right": t.right.tolist(), "value": _hex_list(t.value)}
 
 
 def _tree_from_obj(o: dict) -> Tree:
-    return Tree(list(o["feature"]), list(_unhex(o["threshold"])),
-                list(o["left"]), list(o["right"]), list(_unhex(o["value"])))
+    return Tree(o["feature"], _unhex(o["threshold"]), o["left"], o["right"], _unhex(o["value"]))
 
 
 def _encode(v):

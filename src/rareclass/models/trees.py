@@ -1,9 +1,13 @@
 """Binary tree builders shared by the tree, forest, and boosting learners.
 
-Trees are stored as parallel arrays (feature, threshold, left, right,
-value, and the split gain, which is not serialised).  feature == -1 marks
-a leaf.  Thresholds sit at midpoints of adjacent distinct values; rows
-with x <= threshold go left.
+A `Tree` is six parallel numpy arrays indexed by node, root first:
+`feature`, `left` and `right` as int64, and `threshold`, `value` and
+`gain` as float64.  feature == -1 marks a leaf, whose children are -1.
+Thresholds sit at midpoints of adjacent distinct values; rows with
+x <= threshold go left.  `gain` holds each split's gain (0.0 at leaves)
+for the forest importances; it is not serialised, so a tree read back
+from JSON has zero gains.  `_grow` collects nodes in Python lists and
+freezes them into the arrays once, when the tree is complete.
 
 All three builders run one kernel, `_grow`, which differs per criterion
 only in its per-row weighted stats, its leaf formula and its split gain.
@@ -28,7 +32,7 @@ bit-identical to that scan's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,28 +41,24 @@ GAIN_TOL = 1e-12
 
 @dataclass
 class Tree:
-    feature: list        # per node: column position, or -1 for leaf
-    threshold: list
-    left: list
-    right: list
-    value: list          # leaf payload (class-1 fraction or boosting weight)
-    gain: list = field(default_factory=list)   # split gain, 0.0 at leaves; not serialised
+    feature: np.ndarray      # per node: column position, or -1 for leaf
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray        # leaf payload (class-1 fraction or boosting weight)
+    gain: np.ndarray | None = None   # split gain, 0.0 at leaves; zeros when not given
 
-    def new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        self.gain.append(0.0)
-        return len(self.feature) - 1
+    def __post_init__(self):
+        self.feature = np.asarray(self.feature, dtype=np.int64)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.left = np.asarray(self.left, dtype=np.int64)
+        self.right = np.asarray(self.right, dtype=np.int64)
+        self.value = np.asarray(self.value, dtype=np.float64)
+        self.gain = (np.zeros(len(self.feature)) if self.gain is None
+                     else np.asarray(self.gain, dtype=np.float64))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        feat = np.asarray(self.feature, dtype=np.int64)
-        thr = np.asarray(self.threshold)
-        left = np.asarray(self.left, dtype=np.int64)
-        right = np.asarray(self.right, dtype=np.int64)
-        val = np.asarray(self.value)
+        feat, thr = self.feature, self.threshold
         node_of = np.zeros(len(X), dtype=np.int64)
         while True:
             inner = np.nonzero(feat[node_of] >= 0)[0]
@@ -66,8 +66,8 @@ class Tree:
                 break
             nodes = node_of[inner]
             go_left = X[inner, feat[nodes]] <= thr[nodes]
-            node_of[inner] = np.where(go_left, left[nodes], right[nodes])
-        return val[node_of]
+            node_of[inner] = np.where(go_left, self.left[nodes], self.right[nodes])
+        return self.value[node_of]
 
 
 def column_ranks(X: np.ndarray) -> np.ndarray:
@@ -85,9 +85,8 @@ def column_ranks(X: np.ndarray) -> np.ndarray:
 def add_gains(importance: np.ndarray, tree: Tree) -> None:
     """Add each split's gain to its column's importance in node order, which
     is the order the splits were made in."""
-    for j, g in zip(tree.feature, tree.gain):
-        if j >= 0:
-            importance[j] += g
+    split = tree.feature >= 0
+    np.add.at(importance, tree.feature[split], tree.gain[split])   # unbuffered, in index order
 
 
 def _grow(X: np.ndarray, ranks: np.ndarray, stats: np.ndarray, node_fn, gain_fn,
@@ -103,18 +102,20 @@ def _grow(X: np.ndarray, ranks: np.ndarray, stats: np.ndarray, node_fn, gain_fn,
     per split with rng (forest mode), in the same depth-first pre-order as
     the nodes are created.  fitted, if given, receives each row's leaf value.
     """
-    tree = Tree([], [], [], [], [])
+    feature, threshold, left, right, value, gains = [], [], [], [], [], []
     ranks_t = np.ascontiguousarray(ranks.T)            # one row of ranks per column
     n, all_cols = len(X), np.arange(X.shape[1])
     subsample = n_subsample is not None and n_subsample < len(all_cols)
     split_stats = stats[:2]
 
     def grow(idx: np.ndarray, depth: int) -> int:
-        node = tree.new_node()
+        node = len(feature)
         totals = [np.add.reduce(row) for row in stats.take(idx, axis=1)]
-        tree.value[node], parent = node_fn(totals)
+        leaf, parent = node_fn(totals)
+        feature.append(-1), threshold.append(0.0), left.append(-1), right.append(-1)
+        value.append(leaf), gains.append(0.0)
         if fitted is not None:
-            fitted[idx] = tree.value[node]              # children overwrite
+            fitted[idx] = leaf                          # children overwrite
         m = len(idx)
         if depth >= max_depth or m < 2 * min_leaf or parent is None:
             return node
@@ -130,8 +131,8 @@ def _grow(X: np.ndarray, ranks: np.ndarray, stats: np.ndarray, node_fn, gain_fn,
         # a split after sorted position p leaves p + 1 rows on the left
         lo, hi = min_leaf - 1, m - min_leaf
         distinct = rs[:, lo + 1:hi + 1] != rs[:, lo:hi]
-        left = split_stats.take(rows[:, :hi], axis=1).cumsum(axis=2)[:, :, lo:]
-        gain = np.where(distinct, gain_fn(left, totals, parent), -np.inf)
+        prefix = split_stats.take(rows[:, :hi], axis=1).cumsum(axis=2)[:, :, lo:]
+        gain = np.where(distinct, gain_fn(prefix, totals, parent), -np.inf)
         best = gain.max(axis=1)                        # per column; NaN if any is NaN
         best = np.where(best > GAIN_TOL, best, -np.inf)
         c = int(best.argmax())                         # first max: lowest column
@@ -140,17 +141,15 @@ def _grow(X: np.ndarray, ranks: np.ndarray, stats: np.ndarray, node_fn, gain_fn,
 
         j, p = int(cols[c]), lo + int(gain[c].argmax())   # first max: lowest threshold
         thr = float((X[rows[c, p], j] + X[rows[c, p + 1], j]) / 2.0)
-        tree.gain[node] = float(best[c])
-        tree.feature[node] = j
-        tree.threshold[node] = thr
+        gains[node], feature[node], threshold[node] = float(best[c]), j, thr
         go_left = X[:, j].take(idx) <= thr
-        tree.left[node] = grow(idx[go_left], depth + 1)
-        tree.right[node] = grow(idx[~go_left], depth + 1)
+        left[node] = grow(idx[go_left], depth + 1)
+        right[node] = grow(idx[~go_left], depth + 1)
         return node
 
     with np.errstate(invalid="ignore", divide="ignore"):
         grow(np.arange(len(X)), 0)
-    return tree
+    return Tree(feature, threshold, left, right, value, gains)
 
 
 def _gini_sum(w1: float, w0: float) -> float:

@@ -11,7 +11,7 @@ import pytest
 from rareclass import featsel, models, parallel
 from rareclass.config import PipelineConfig
 from rareclass.models import TrainingDiverged
-from rareclass.pipeline import PipelineError, run_pipeline
+from rareclass.pipeline import PipelineError, reproduce, run_pipeline
 from rareclass.synth import make_imbalanced, write_secom_like
 
 
@@ -50,6 +50,19 @@ def test_roster_votes_are_the_same_at_any_worker_count(data, monkeypatch):
         return featsel.vote(featsel.run_roster("default", data, master_seed=2), 3).to_csv()
     one, two = _at_one_and_two_workers(monkeypatch, run)
     assert one == two
+
+
+def test_reproduce_artifacts_are_the_same_at_any_worker_count(tmp_path, monkeypatch):
+    d = make_imbalanced(n_rows=200, n_informative=3, n_noise=4, missing_fraction=0.03, seed=4)
+    write_secom_like(d, tmp_path / "x.data", tmp_path / "x.labels", seed=4)
+
+    def run():
+        out = tmp_path / f"workers{parallel.workers()}"
+        report = reproduce(3, 1, out, tmp_path / "x.data", tmp_path / "x.labels")
+        assert sorted(report.model_results) == sorted(models.FAMILIES)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    one, two = _at_one_and_two_workers(monkeypatch, run)
+    assert len(one) == 16 and one == two       # report, 3 csv ledgers, 6 roc csv + svg
 
 
 def _pid(_):

@@ -226,3 +226,63 @@ def test_fitted_rows_are_the_leaf_values_apply_gives(tied_dataset, kind):
                                              3, 5, 1.0, 0.0, fitted=fitted)
     assert len(tree.feature) > 1
     assert fitted.tobytes() == tree.apply(X).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the array layout: six node arrays of fixed dtypes, one entry per node
+
+_DTYPES = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+           "right": np.int64, "value": np.float64, "gain": np.float64}
+
+
+def _check_layout(tree: trees.Tree):
+    n = len(tree.feature)
+    for name, dtype in _DTYPES.items():
+        a = getattr(tree, name)
+        assert isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == (n,), name
+    # every node but the root is one child of one split: the node count the
+    # benchmark's models.tree_nodes adds up is len(feature)
+    split = tree.feature >= 0
+    assert n == 1 + 2 * split.sum()
+    assert sorted(np.concatenate([tree.left[split], tree.right[split]])) == list(range(1, n))
+    assert (tree.left[~split] == -1).all() and (tree.right[~split] == -1).all()
+    assert (tree.gain[~split] == 0.0).all()
+
+
+def _loop_gains(importance, tree):
+    """Forest importance as the node-order Python loop adds it."""
+    for j, g in zip(tree.feature.tolist(), tree.gain.tolist()):
+        if j >= 0:
+            importance[j] += g
+
+
+def test_builders_and_json_round_trip_keep_the_array_layout(tied_dataset):
+    X, y = tied_dataset.features.values, tied_dataset.labels
+    ranks, p = trees.column_ranks(X), np.full(len(y), 0.2)
+    w = np.where(y == 1, 2.5, 1.0)
+    built = [trees.build_gini_tree(X, ranks, y, w, 5, 3),
+             trees.build_gini_tree(X, ranks, y, w, 5, 3, rng=np.random.default_rng(1),
+                                   n_subsample=3),
+             trees.build_variance_tree(X, ranks, y - p, w, p * (1 - p), 3, 5),
+             trees.build_second_order_tree(X, ranks, p - y, p * (1 - p), w, 3, 5, 1.0, 0.0)]
+    for tree in built:
+        _check_layout(tree)
+        assert (tree.gain[tree.feature >= 0] > GAIN_TOL).all()
+    for family, (hyperparams, _) in GOLDEN.items():
+        m = models.train(models.ModelSpec(family, hyperparams, seed=3), tied_dataset)
+        back = models.model_from_json(models.model_to_json(m))
+        got = back.state["trees"] if "trees" in back.state else [back.state["tree"]]
+        for tree in got:
+            _check_layout(tree)
+            assert not tree.gain.any()                     # gains are not serialised
+
+
+def test_forest_importance_adds_gains_as_the_node_order_loop():
+    d = make_imbalanced(n_rows=300, n_informative=4, n_noise=8, missing_fraction=0.0, seed=2)
+    m = models.train(models.ModelSpec("random_forest", {"n_trees": 20}, seed=5), d,
+                     class_weight=3.0)
+    want = np.zeros(d.n_cols)
+    for tree in m.state["trees"]:
+        _loop_gains(want, tree)
+    assert m.state["importance"].tobytes() == want.tobytes()
+    assert (m.state["importance"] > 0).sum() > 1
