@@ -7,9 +7,7 @@ unchanged through any downstream pruning.
 
 from __future__ import annotations
 
-import io
 import math
-import re
 import warnings
 from dataclasses import dataclass
 
@@ -202,53 +200,24 @@ def load_secom(data_path, labels_path) -> Dataset:
     return Dataset(FeatureMatrix(values, np.arange(values.shape[1])), np.array(labels))
 
 
-def _fill_missing(text: str, delimiter: str) -> str:
-    """`text` with each empty or `NA` cell, blanks around it included,
-    rewritten to `nan`.  Blanks are what `str.strip` removes (regex `\\s`),
-    less the delimiter and newline.  Each pattern starts at a delimiter or
-    newline and most of those fail the one-character look-ahead at once."""
-    d = re.escape(delimiter)
-    cell = f"(?=[\\s{d}N])[^\\S\\n{d}]*(?:NA)?[^\\S\\n{d}]*"
-    text = re.sub(f"{d}{cell}(?=[{d}\\n])", delimiter.replace("\\", "\\\\") + "nan",
-                  "\n" + text + "\n")                    # a newline before every line
-    return re.sub(f"\\n{cell}(?={d})", "\\nnan", text)[1:-1]
-
-
-def _c_read_rows(rows, label_pos: int, n_fields: int, delimiter: str):
-    """The feature values and stripped label cells of `rows` (lines, or a
-    text stream) by the C reader, or None when it rejects a cell or a row
-    is not `n_fields` wide."""
-    raw_labels = []
-    values = _c_read(rows, delimiter=delimiter, converters={
-        label_pos: lambda cell: raw_labels.append(cell.strip()) or 0.0})
-    if values is None or values.shape != (len(raw_labels), n_fields):
-        return None
-    return np.delete(values, label_pos, axis=1), raw_labels
-
-
 def _read_delimited(fh, label_column, delimiter):
     """The feature values and stripped label cells by the C reader, or None
-    for `_tokenize_delimited` to read the file.  Blank lines are dropped, as
-    the loop drops them.  The C reader reads `NaN` as the loop does but
-    rejects empty and `NA` cells, so a rejected file is read again with
-    those cells rewritten to `nan` (a file without them costs one pass),
-    unless the delimiter is a letter of `NA`; if a label cell was among
-    them, the loop reads the file.  The C reader takes only a
-    one-character delimiter."""
+    for `_tokenize_delimited` to read the file.  The C reader rejects the
+    empty and `NA` missing cells and reads `NaN` as the loop does; it takes
+    only a one-character delimiter, and reads a line of blanks as a row
+    when the label is the only column, so such files go to the loop too."""
     if len(delimiter) != 1:
         return None
-    lines = [ln for ln in fh if ln.strip()]
-    header = lines[0].rstrip("\n").split(delimiter) if lines else []
+    header = next((ln.rstrip("\n") for ln in fh if ln.strip()), "").split(delimiter)
     if len(header) < 2 or label_column not in header:
         return None
     label_pos = header.index(label_column)
-    parsed = _c_read_rows(lines[1:], label_pos, len(header), delimiter)
-    if parsed is None and delimiter not in "NA":
-        filled = _fill_missing("".join(lines[1:]), delimiter)
-        parsed = _c_read_rows(io.StringIO(filled), label_pos, len(header), delimiter)
-        if parsed is not None and "nan" in parsed[1]:      # a rewritten label cell
-            return None
-    return parsed
+    raw_labels = []
+    values = _c_read(fh, delimiter=delimiter, converters={
+        label_pos: lambda cell: raw_labels.append(cell.strip()) or 0.0})
+    if values is None or values.shape != (len(raw_labels), len(header)):
+        return None
+    return np.delete(values, label_pos, axis=1), raw_labels
 
 
 def _tokenize_delimited(fh, path, label_column, delimiter):
@@ -364,7 +333,7 @@ def correlation_matrix(d: Dataset) -> np.ndarray:
     sx = x.T @ m                     # sx[i,j] = sum of col i over rows where j present
     sxy = x.T @ x
     sxx = np.multiply(x, x, out=x).T @ m     # x is not read again
-    del v, missing, m, x             # free the n x p inputs before the p x p arithmetic
+    del missing, m, x                # free the n x p temporaries before the p x p arithmetic
 
     with np.errstate(invalid="ignore", divide="ignore"):
         cov = sxy - sx * sx.T / n
