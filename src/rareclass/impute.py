@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .data import ColumnStats, Dataset, column_stats
 
 __all__ = [
@@ -180,30 +181,14 @@ def simple_impute(plan: SimpleImputePlan, d: Dataset) -> Dataset:
     return d.with_values(v)
 
 
-def knn_impute(p: KnnImputeParams, d: Dataset, *, n_train: int) -> Dataset:
-    """Fill each missing cell of d with the mean of the column's values
-    among the k nearest of d's first n_train rows (the training rows).
-
-    Distance is Euclidean over mutually present features, normalised by the
-    shared-feature count.  Neighbours missing the needed column are skipped
-    in favour of the next nearest; with no eligible neighbour the column's
-    training mean is used.
-    """
-    col_means = [s.mean for s in _train_stats(d, n_train)]
-    tv = d.features.values[:n_train]
+def _knn_fill_rows(rows: np.ndarray, tv: np.ndarray, col_means: list, k: int) -> np.ndarray:
+    """rows with their missing cells filled, one row at a time, each from
+    the training rows tv and itself alone (a pmap task)."""
     tp = ~np.isnan(tv)
-    short = tp.sum(axis=0) < p.k
-    if short.any():
-        cid = int(d.column_ids[np.nonzero(short)[0][0]])
-        raise ImputeError(f"column {cid} has fewer than k={p.k} present training rows")
-
-    out = d.features.values.copy()
     tv0 = np.where(tp, tv, 0.0)
-    for r in range(d.n_rows):
-        row = out[r]
+    out = rows.copy()
+    for row in out:
         missing = np.isnan(row)
-        if not missing.any():
-            continue
         rp = ~missing
         shared = tp[:, rp]                           # (n_train, n_shared_candidates)
         diff = tv0[:, rp] - np.where(shared, row[rp], 0.0)
@@ -215,8 +200,39 @@ def knn_impute(p: KnnImputeParams, d: Dataset, *, n_train: int) -> Dataset:
         order = np.argsort(dist, kind="stable")
         order = order[np.isfinite(dist[order])]
         for j in np.nonzero(missing)[0]:
-            donors = order[tp[order, j]][: p.k]
-            out[r, j] = tv[donors, j].mean() if len(donors) == p.k else col_means[j]
+            donors = order[tp[order, j]][:k]
+            row[j] = tv[donors, j].mean() if len(donors) == k else col_means[j]
+    return out
+
+
+def knn_impute(p: KnnImputeParams, d: Dataset, *, n_train: int) -> Dataset:
+    """Fill each missing cell of d with the mean of the column's values
+    among the k nearest of d's first n_train rows (the training rows).
+
+    Distance is Euclidean over mutually present features, normalised by the
+    shared-feature count.  Neighbours missing the needed column are skipped
+    in favour of the next nearest; with no eligible neighbour the column's
+    training mean is used.
+
+    What runs where: the rows with a missing cell are cut into contiguous
+    blocks, about four per worker, and each block is one pool task that
+    fills its rows one by one from the training rows.  A row's fill reads
+    only the training rows and that row, and the blocks are written back
+    in order, so the result is the same at any worker count.
+    """
+    col_means = [s.mean for s in _train_stats(d, n_train)]
+    tv = np.ascontiguousarray(d.features.values[:n_train])    # one layout in every task
+    short = (~np.isnan(tv)).sum(axis=0) < p.k
+    if short.any():
+        cid = int(d.column_ids[np.nonzero(short)[0][0]])
+        raise ImputeError(f"column {cid} has fewer than k={p.k} present training rows")
+
+    out = d.features.values.copy()
+    todo = np.flatnonzero(np.isnan(out).any(axis=1))
+    blocks = [b for b in np.array_split(todo, 4 * parallel.workers()) if len(b)]
+    for b, filled in zip(blocks, parallel.pmap(_knn_fill_rows, [(out[b], tv, col_means, p.k)
+                                                                for b in blocks])):
+        out[b] = filled
     return d.with_values(out)
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import parallel
 from ..data import Dataset, FeatureMatrix
-from ..parallel import pmap
 from . import linear, trees
 from .linear import TrainingDiverged, sigmoid
 from .trees import Tree
@@ -27,6 +27,7 @@ __all__ = [
     "ModelError",
     "TrainingDiverged",
     "train",
+    "train_all",
     "predict_scores",
     "model_to_json",
     "model_from_json",
@@ -44,6 +45,9 @@ DEFAULT_HYPERPARAMS = {
     "regularized_boosting": {"n_rounds": 200, "shrinkage": 0.1, "max_depth": 3,
                              "min_leaf": 5, "leaf_l2": 1.0, "gamma": 0.0},
 }
+
+_LINEAR = ("logistic", "linear_svm")
+_WHOLE_FITS = ("decision_tree", "gradient_boosting", "regularized_boosting")
 
 _POSITIVE_INT = {"epochs", "max_depth", "min_leaf", "n_trees", "n_rounds"}
 _NONNEGATIVE = {"learning_rate", "l2", "c", "shrinkage", "leaf_l2", "gamma"}
@@ -106,13 +110,65 @@ def _prior_logodds(y: np.ndarray, sw: np.ndarray) -> float:
     return math.log(p / (1 - p))
 
 
-def _forest_tree(X, ranks, y, sw, seed: int, t: int, max_depth: int, min_leaf: int,
-                 n_subsample: int) -> Tree:
-    """One bootstrapped random-forest tree, seeded by its index (a pmap task)."""
-    rng = np.random.default_rng([seed, t])
-    boot = rng.integers(0, len(X), size=len(X))
-    return trees.build_gini_tree(X[boot], ranks[boot], y[boot], sw[boot], max_depth,
-                                 min_leaf, rng=rng, n_subsample=n_subsample)
+def _forest_trees(X, ranks, y, sw, seed: int, block: range, max_depth: int, min_leaf: int,
+                  n_subsample: int) -> list[Tree]:
+    """Bootstrapped random-forest trees t in `block`, each seeded by [seed, t]."""
+    out = []
+    for t in block:
+        rng = np.random.default_rng([seed, t])
+        boot = rng.integers(0, len(X), size=len(X))
+        out.append(trees.build_gini_tree(X[boot], ranks[boot], y[boot], sw[boot], max_depth,
+                                         min_leaf, rng=rng, n_subsample=n_subsample))
+    return out
+
+
+def _call(fn, args):
+    """fn(*args): one task of train_all's pmap, a whole fit or a block of trees."""
+    return fn(*args)
+
+
+def train_all(specs, train_set: Dataset, class_weight: float | None = None) -> list[TrainedModel]:
+    """Fit each spec's family on one training set; the models come back in
+    spec order, the same as `[train(s, train_set, class_weight) for s in specs]`.
+
+    What runs where: linear families are fit inline, in the calling
+    process.  The decision tree and each boosting family are one pool task
+    each, a whole fit by `train`; a forest's trees are cut into contiguous
+    blocks, about four per worker, one pool task each.  The whole fits are
+    queued ahead of the blocks and no task holds two of them.  Each tree t
+    is seeded [seed, t] and a forest's gains are added in tree order, so
+    the models are the same at any worker count.  A lone forest still
+    spreads its trees, a lone whole fit runs inline, and linear families
+    alone start no pool.
+    """
+    _check_trainable(train_set)
+    specs = list(specs)
+    out = [train(s, train_set, class_weight) if s.family in _LINEAR else None for s in specs]
+    whole = [i for i, s in enumerate(specs) if s.family in _WHOLE_FITS]
+    tasks = [(train, (specs[i], train_set, class_weight)) for i in whole]
+    forests = []                            # (spec index, its first and last task + 1)
+    for i, s in enumerate(specs):
+        if s.family != "random_forest":
+            continue
+        X, hp = train_set.features.values, s.hyperparams
+        args = (X, trees.column_ranks(X), train_set.labels,
+                _sample_weights(train_set.labels, class_weight), s.seed)
+        sub = max(1, int(round(math.sqrt(X.shape[1]))))
+        n, k = hp["n_trees"], min(hp["n_trees"], 4 * parallel.workers())
+        forests.append((i, len(tasks), len(tasks) + k))
+        tasks += [(_forest_trees, (*args, range(n * b // k, n * (b + 1) // k),
+                                   hp["max_depth"], hp["min_leaf"], sub)) for b in range(k)]
+    done = parallel.pmap(_call, tasks, chunksize=1)
+    for i, m in zip(whole, done):
+        out[i] = m
+    for i, lo, hi in forests:
+        forest = [tree for block in done[lo:hi] for tree in block]
+        importance = np.zeros(train_set.n_cols)
+        for tree in forest:                 # in tree order, as one loop would add them
+            trees.add_gains(importance, tree)
+        out[i] = TrainedModel(specs[i], train_set.column_ids.copy(),
+                              {"trees": forest, "importance": importance})
+    return out
 
 
 def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None) -> TrainedModel:
@@ -120,8 +176,12 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
 
     class_weight multiplies the minority-class sample weight; with an
     integer weight it is equivalent to duplicating each minority row that
-    many times.
+    many times.  A random forest is the one-spec case of `train_all`,
+    which spreads its trees over the pool; every other family is fit here,
+    in the calling process.
     """
+    if spec.family == "random_forest":
+        return train_all([spec], train_set, class_weight)[0]
     _check_trainable(train_set)
     X = train_set.features.values
     y = train_set.labels.astype(np.float64)
@@ -141,16 +201,6 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
         tree = trees.build_gini_tree(X, trees.column_ranks(X), train_set.labels, sw,
                                      hp["max_depth"], hp["min_leaf"])
         state = {"tree": tree}
-    elif fam == "random_forest":
-        sub = max(1, int(round(math.sqrt(X.shape[1]))))
-        ranks = trees.column_ranks(X)
-        forest = pmap(_forest_tree, [(X, ranks, train_set.labels, sw, spec.seed, t,
-                                      hp["max_depth"], hp["min_leaf"], sub)
-                                     for t in range(hp["n_trees"])])
-        importance = np.zeros(X.shape[1])
-        for tree in forest:                 # in tree order, as one loop would add them
-            trees.add_gains(importance, tree)
-        state = {"trees": forest, "importance": importance}
     else:                                   # the two boosting families
         ranks = trees.column_ranks(X)
         depth, leaf = hp["max_depth"], hp["min_leaf"]
@@ -166,14 +216,16 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
         base = _prior_logodds(y, sw)
         f = np.full(len(y), base)
         ensemble = []
-        for _ in range(hp["n_rounds"]):
+        # overflow goes unwarned: a non-finite loss raises TrainingDiverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(hp["n_rounds"]):
+                trace.append(linear.log_loss(f, y, sw))
+                if not np.isfinite(trace[-1]):
+                    raise TrainingDiverged(f"{fam.replace('_', ' ')} diverged", trace)
+                fitted = np.empty(len(y))           # each training row's leaf value
+                ensemble.append(fit_round(sigmoid(f), fitted))
+                f = f + hp["shrinkage"] * fitted
             trace.append(linear.log_loss(f, y, sw))
-            if not np.isfinite(trace[-1]):
-                raise TrainingDiverged(f"{fam.replace('_', ' ')} diverged", trace)
-            fitted = np.empty(len(y))           # each training row's leaf value
-            ensemble.append(fit_round(sigmoid(f), fitted))
-            f = f + hp["shrinkage"] * fitted
-        trace.append(linear.log_loss(f, y, sw))
         state = {"base": base, "shrinkage": hp["shrinkage"], "trees": ensemble}
 
     return TrainedModel(spec, train_set.column_ids.copy(), state, tuple(trace))

@@ -203,9 +203,9 @@ def _resample(cfg: PipelineConfig, res: PipelineResult) -> None:
 
 
 def _train(cfg: PipelineConfig, res: PipelineResult) -> None:
-    for fam in cfg.model_families:
-        spec = models.ModelSpec(fam, cfg.model_overrides.get(fam, {}), seed=cfg.seed)
-        res.trained[fam] = models.train(spec, res.resampled_train)
+    specs = [models.ModelSpec(fam, cfg.model_overrides.get(fam, {}), seed=cfg.seed)
+             for fam in cfg.model_families]
+    res.trained = dict(zip(cfg.model_families, models.train_all(specs, res.resampled_train)))
 
 
 def _evaluate(cfg: PipelineConfig, res: PipelineResult) -> None:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rareclass import parallel
 from rareclass.data import ColumnStats, Dataset, FeatureMatrix, column_stats
 from rareclass.impute import (ImputeError, _fill_ordered, KnnImputeParams, MiceParams,
                               assign_simple_strategies, fit_simple_plan,
@@ -187,6 +188,73 @@ class TestKnnImpute:
         out1 = knn_impute(KnnImputeParams(k=3), _stack(train, test.take_rows([0, 1, 2])), n_train=n)
         out2 = knn_impute(KnnImputeParams(k=3), _stack(train, test), n_train=n)
         assert np.array_equal(out1.features.values, out2.features.values[:n + 3])
+
+
+def _reference_knn(k, d, n_train):
+    """knn_impute as one loop over every row, before rows were cut into
+    blocks of pool tasks."""
+    col_means = [s.mean for s in column_stats(d.take_rows(np.arange(n_train)))]
+    tv = d.features.values[:n_train]
+    tp = ~np.isnan(tv)
+    out = d.features.values.copy()
+    tv0 = np.where(tp, tv, 0.0)
+    for r in range(d.n_rows):
+        row = out[r]
+        missing = np.isnan(row)
+        if not missing.any():
+            continue
+        rp = ~missing
+        shared = tp[:, rp]
+        diff = tv0[:, rp] - np.where(shared, row[rp], 0.0)
+        diff[~shared] = 0.0
+        cnt = shared.sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dist = np.sqrt((diff ** 2).sum(axis=1) / cnt)
+        dist[cnt == 0] = np.inf
+        order = np.argsort(dist, kind="stable")
+        order = order[np.isfinite(dist[order])]
+        for j in np.nonzero(missing)[0]:
+            donors = order[tp[order, j]][:k]
+            out[r, j] = tv[donors, j].mean() if len(donors) == k else col_means[j]
+    return out
+
+
+@st.composite
+def knn_problems(draw):
+    """A table of few distinct values (exact distance ties) with many
+    missing cells: duplicated training rows, target rows with a single
+    present cell, and cells with fewer eligible donors than k, which fall
+    back to the column mean.  Every column keeps k present training rows."""
+    k = draw(st.integers(1, 3))
+    n_train, n_target = draw(st.integers(k, 10)), draw(st.integers(0, 6))
+    n_cols = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    v = rng.choice(np.array([-1.0, 0.0, 0.5, 2.0]), size=(n_train + n_target, n_cols))
+    holes = rng.random(v.shape) < draw(st.sampled_from([0.1, 0.4, 0.7]))
+    for r in range(n_train, n_train + n_target):
+        if draw(st.booleans()):                     # one present cell
+            holes[r] = True
+            holes[r, rng.integers(n_cols)] = False
+    if draw(st.booleans()):                         # duplicated training rows
+        half = n_train // 2
+        v[half:2 * half], holes[half:2 * half] = v[:half], holes[:half]
+    for j in range(n_cols):
+        if (~holes[:n_train, j]).sum() < k:
+            holes[rng.choice(n_train, size=k, replace=False), j] = False
+    v[holes] = np.nan
+    return k, _ds(v), n_train
+
+
+@settings(max_examples=150, deadline=None)
+@given(knn_problems())
+def test_knn_matches_the_row_by_row_reference_at_one_and_two_workers(problem):
+    k, d, n_train = problem
+    ref = _reference_knn(k, d, n_train).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        for n in (1, 2):
+            mp.setattr(parallel, "workers", lambda n=n: n)
+            got = knn_impute(KnnImputeParams(k=k), d, n_train=n_train).features.values
+            assert got.tobytes() == ref
 
 
 class TestMiceImpute:

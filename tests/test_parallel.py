@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rareclass import featsel, models, parallel
+from rareclass.models import trees
 from rareclass.config import PipelineConfig
 from rareclass.models import TrainingDiverged
 from rareclass.pipeline import PipelineError, reproduce, run_pipeline
@@ -35,6 +36,39 @@ def test_forest_json_is_the_same_at_any_worker_count(data, monkeypatch):
     one, two = _at_one_and_two_workers(
         monkeypatch, lambda: models.model_to_json(models.train(spec, data, class_weight=3.0)))
     assert one == two
+
+
+# every family, small enough that a fit takes milliseconds
+SMALL = {"logistic": {"epochs": 50}, "linear_svm": {"epochs": 50},
+         "decision_tree": {"max_depth": 4},
+         "random_forest": {"n_trees": 12, "max_depth": 4},
+         "gradient_boosting": {"n_rounds": 15},
+         "regularized_boosting": {"n_rounds": 15, "gamma": 0.01}}
+
+
+def test_families_fit_together_as_they_fit_one_by_one(data, monkeypatch):
+    specs = [models.ModelSpec(f, SMALL[f], seed=7) for f in models.FAMILIES]
+
+    def run():
+        together = [models.model_to_json(m)
+                    for m in models.train_all(specs, data, class_weight=3.0)]
+        alone = [models.model_to_json(models.train(s, data, class_weight=3.0)) for s in specs]
+        assert together == alone
+        return together
+    one, two = _at_one_and_two_workers(monkeypatch, run)
+    assert one == two
+
+
+def test_a_forest_is_the_same_in_one_tree_block_or_many(data):
+    X = data.features.values
+    args = (X, trees.column_ranks(X), data.labels, np.where(data.labels == 1, 3.0, 1.0), 7)
+    one = models._forest_trees(*args, range(10), 4, 5, 3)
+    many = [t for block in (range(0, 1), range(1, 4), range(4, 10))
+            for t in models._forest_trees(*args, block, 4, 5, 3)]
+    assert len(one) == len(many) == 10
+    for a, b in zip(one, many):
+        assert models._tree_to_obj(a) == models._tree_to_obj(b)
+        assert a.gain.tobytes() == b.gain.tobytes()
 
 
 def test_selector_decisions_are_the_same_at_any_worker_count(data, monkeypatch):
@@ -111,4 +145,25 @@ def test_divergence_in_a_worker_reaches_the_caller(data, monkeypatch):
         featsel.select_sfs(data, "linear_svm", 1, cv_folds=2)
     trace = exc.value.loss_trace
     assert len(trace) >= 2 and np.isfinite(trace[0]) and not np.isfinite(trace[-1])
+    assert os.getpid() not in parallel.pmap(_pid, [(0,), (1,)])   # the pool still works
+
+
+def test_divergence_in_the_train_map_reaches_the_caller(tmp_path, monkeypatch):
+    d = make_imbalanced(n_rows=200, n_informative=3, n_noise=4, missing_fraction=0.03, seed=2)
+    write_secom_like(d, tmp_path / "x.data", tmp_path / "x.labels", seed=2)
+    cfg = PipelineConfig(data_path=str(tmp_path / "x.data"),
+                         labels_path=str(tmp_path / "x.labels"), roster="none",
+                         model_families=("logistic", "decision_tree", "gradient_boosting",
+                                         "random_forest"),
+                         model_overrides={"gradient_boosting": {"shrinkage": 1e308},
+                                          "random_forest": {"n_trees": 8}})
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(cfg)
+    assert exc.value.stage == "train"
+    cause = exc.value.cause
+    assert type(cause) is TrainingDiverged and "gradient boosting" in str(cause)
+    trace = cause.loss_trace
+    assert len(trace) >= 2 and np.isfinite(trace[0]) and not np.isfinite(trace[-1])
+    assert parallel._pool is not None and parallel._pool[0] == 2
     assert os.getpid() not in parallel.pmap(_pid, [(0,), (1,)])   # the pool still works
