@@ -181,13 +181,13 @@ def simple_impute(plan: SimpleImputePlan, d: Dataset) -> Dataset:
     return d.with_values(v)
 
 
-def _knn_fill_rows(rows: np.ndarray, tv: np.ndarray, col_means: list, k: int) -> np.ndarray:
-    """rows with their missing cells filled, one row at a time, each from
-    the training rows tv and itself alone (a pmap task)."""
-    tp = ~np.isnan(tv)
-    tv0 = np.where(tp, tv, 0.0)
-    out = rows.copy()
-    for row in out:
+def _knn_fill_rows(rows: np.ndarray, tv0: np.ndarray, tp: np.ndarray, col_means: list,
+                   k: int) -> np.ndarray:
+    """rows with their missing cells filled in place, one row at a time,
+    each from the training rows and itself alone (a pmap task).  tp marks
+    the training rows' present cells and tv0 holds their values, 0 where
+    missing."""
+    for row in rows:
         missing = np.isnan(row)
         rp = ~missing
         shared = tp[:, rp]                           # (n_train, n_shared_candidates)
@@ -200,9 +200,9 @@ def _knn_fill_rows(rows: np.ndarray, tv: np.ndarray, col_means: list, k: int) ->
         order = np.argsort(dist, kind="stable")
         order = order[np.isfinite(dist[order])]
         for j in np.nonzero(missing)[0]:
-            donors = order[tp[order, j]][:k]
-            row[j] = tv[donors, j].mean() if len(donors) == k else col_means[j]
-    return out
+            donors = order[tp[order, j]][:k]         # present in column j: tv0 is tv there
+            row[j] = tv0[donors, j].mean() if len(donors) == k else col_means[j]
+    return rows
 
 
 def knn_impute(p: KnnImputeParams, d: Dataset, *, n_train: int) -> Dataset:
@@ -221,16 +221,18 @@ def knn_impute(p: KnnImputeParams, d: Dataset, *, n_train: int) -> Dataset:
     in order, so the result is the same at any worker count.
     """
     col_means = [s.mean for s in _train_stats(d, n_train)]
-    tv = np.ascontiguousarray(d.features.values[:n_train])    # one layout in every task
-    short = (~np.isnan(tv)).sum(axis=0) < p.k
+    tv = d.features.values[:n_train]
+    tp = ~np.isnan(tv)
+    short = tp.sum(axis=0) < p.k
     if short.any():
         cid = int(d.column_ids[np.nonzero(short)[0][0]])
         raise ImputeError(f"column {cid} has fewer than k={p.k} present training rows")
 
     out = d.features.values.copy()
+    tv0 = np.where(tp, tv, 0.0)
     todo = np.flatnonzero(np.isnan(out).any(axis=1))
     blocks = [b for b in np.array_split(todo, 4 * parallel.workers()) if len(b)]
-    for b, filled in zip(blocks, parallel.pmap(_knn_fill_rows, [(out[b], tv, col_means, p.k)
+    for b, filled in zip(blocks, parallel.pmap(_knn_fill_rows, [(out[b], tv0, tp, col_means, p.k)
                                                                 for b in blocks])):
         out[b] = filled
     return d.with_values(out)

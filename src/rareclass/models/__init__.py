@@ -158,7 +158,10 @@ def train_all(specs, train_set: Dataset, class_weight: float | None = None) -> l
         forests.append((i, len(tasks), len(tasks) + k))
         tasks += [(_forest_trees, (*args, range(n * b // k, n * (b + 1) // k),
                                    hp["max_depth"], hp["min_leaf"], sub)) for b in range(k)]
-    done = parallel.pmap(_call, tasks, chunksize=1)
+    # three whole fits and at most 4 * workers blocks per forest: pmap's
+    # chunk size, max(1, len(tasks) // (4 * workers)), is then 1, so no
+    # chunk holds two whole fits
+    done = parallel.pmap(_call, tasks)
     for i, m in zip(whole, done):
         out[i] = m
     for i, lo, hi in forests:

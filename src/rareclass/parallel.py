@@ -7,9 +7,7 @@ results come back in item order, so a caller reduces them exactly as its
 loop did.  It runs inline when there is one CPU, fewer than two items, no
 `fork` start method, or when called inside a worker, so pools never nest.
 `fn` is pickled by reference, so it must be a module-level function, and
-each task must seed its own randomness.  Items are cut into contiguous
-chunks, one chunk per pool task: about four per worker by default, or
-`chunksize` items each.  The worker count is the number of
+each task must seed its own randomness.  The worker count is the number of
 CPUs this process may run on: limit it with `taskset`.
 """
 
@@ -45,7 +43,7 @@ def _shutdown() -> None:
 atexit.register(_shutdown)
 
 
-def pmap(fn, items, chunksize: int | None = None) -> list:
+def pmap(fn, items) -> list:
     """`[fn(*args) for args in items]`, on the pool when that can help."""
     global _pool
     items, n = list(items), workers()
@@ -60,12 +58,10 @@ def pmap(fn, items, chunksize: int | None = None) -> list:
         _shutdown()
         _pool = n, ProcessPoolExecutor(n, multiprocessing.get_context("fork"),
                                        initializer=_enter_worker)
-    if chunksize is None:
-        # about four chunks per worker; a chunk pickles data its items
-        # share only once
-        chunksize = max(1, len(items) // (4 * n))
     try:
-        return list(_pool[1].map(fn, *zip(*items), chunksize=chunksize))
+        # about four contiguous chunks per worker; a chunk pickles data its
+        # items share only once
+        return list(_pool[1].map(fn, *zip(*items), chunksize=max(1, len(items) // (4 * n))))
     except BrokenProcessPool:
         _pool = None                           # a worker died; the next call forks anew
         raise
