@@ -12,7 +12,7 @@ def main():
                         class_separation=2.0, seed=3)
     print(f"{d.n_cols} columns, first 5 informative by construction\n")
 
-    decisions = run_default_roster(d, master_seed=0, n_keep=5, sfs_n_keep=3)
+    decisions = run_default_roster(d, master_seed=0, n_keep=5)
     for dec in decisions:
         print(f"  {dec.name:<22} picked {sorted(dec.selected)}")
 

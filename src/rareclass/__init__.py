@@ -17,8 +17,7 @@ from .featsel import (FeatureVoteLedger, SelectorDecision, run_default_roster,
                       select_mutual_info, select_rfe, select_sfs, vote)
 from .metrics import (ConfusionMatrix, MetricSet, RocCurve, confusion,
                       metric_set, roc_curve)
-from .models import (ModelSpec, TrainedModel, model_from_json, model_to_json,
-                     predict_scores, train)
+from .models import ModelSpec, TrainedModel, model_to_json, predict_scores, train
 from .config import PipelineConfig, load_config
 from .pipeline import EvalReport, emit_report, reproduce, run_pipeline
 

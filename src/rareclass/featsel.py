@@ -392,20 +392,18 @@ def _selector_seed(master_seed: int, name: str) -> int:
     return int(np.random.default_rng([master_seed, key]).integers(2 ** 31))
 
 
-def run_default_roster(train: Dataset, master_seed: int, n_keep: int,
-                       sfs_n_keep: int | None = None) -> list[SelectorDecision]:
+def run_default_roster(train: Dataset, master_seed: int, n_keep: int) -> list[SelectorDecision]:
     """The default 12-voter roster; `n_keep` is the budget of each selector
     that takes one.
 
     Filter selectors at three granularities (mutual information at 4/8/16
     bins), two coordinate-descent L1 strengths, a shadow-feature wrapper,
     recursive elimination under three estimators, and sequential selection
-    under two.  Sequential selection is capped at 20 unless `sfs_n_keep`
-    is set, because its cost grows with the square of its budget.
+    under two.  Sequential selection keeps at most 20, because its cost
+    grows with the square of its budget.
     """
     _check(train, n_keep)
-    if sfs_n_keep is None:
-        sfs_n_keep = min(20, n_keep)
+    sfs_n_keep = min(20, n_keep)
 
     seed_for = functools.partial(_selector_seed, master_seed)
     return [

@@ -30,7 +30,6 @@ __all__ = [
     "train_all",
     "predict_scores",
     "model_to_json",
-    "model_from_json",
 ]
 
 FAMILIES = ("logistic", "linear_svm", "decision_tree", "random_forest",
@@ -72,6 +71,8 @@ class ModelSpec:
                 raise ModelError(f"unknown hyperparameter {k!r} for {self.family}")
             merged[k] = v
         for k, v in merged.items():
+            if not math.isfinite(v):
+                raise ModelError(f"{k} must be finite")
             if k in _POSITIVE_INT:
                 if int(v) != v or v < (0 if k == "n_rounds" else 1):
                     raise ModelError(f"{k} must be a positive integer")
@@ -158,9 +159,8 @@ def train_all(specs, train_set: Dataset, class_weight: float | None = None) -> l
         forests.append((i, len(tasks), len(tasks) + k))
         tasks += [(_forest_trees, (*args, range(n * b // k, n * (b + 1) // k),
                                    hp["max_depth"], hp["min_leaf"], sub)) for b in range(k)]
-    # three whole fits and at most 4 * workers blocks per forest: pmap's
-    # chunk size, max(1, len(tasks) // (4 * workers)), is then 1, so no
-    # chunk holds two whole fits
+    # three whole fits and one forest's 4 * workers blocks are fewer than
+    # 8 * workers tasks, which pmap runs one per task: no task holds two fits
     done = parallel.pmap(_call, tasks)
     for i, m in zip(whole, done):
         out[i] = m
@@ -258,7 +258,8 @@ def predict_scores(m: TrainedModel, rows: FeatureMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization: versioned text dump, exact float round-trip via hex encoding
+# serialization: a versioned text dump, written for the train subcommand and
+# never read back; floats are hex-encoded, so each one is exact
 
 _FORMAT_VERSION = 1
 
@@ -267,17 +268,9 @@ def _hex_list(a) -> list:
     return [float(v).hex() for v in np.asarray(a, dtype=np.float64).ravel()]
 
 
-def _unhex(lst) -> np.ndarray:
-    return np.array([float.fromhex(v) for v in lst])
-
-
 def _tree_to_obj(t: Tree) -> dict:
     return {"feature": t.feature.tolist(), "threshold": _hex_list(t.threshold),
             "left": t.left.tolist(), "right": t.right.tolist(), "value": _hex_list(t.value)}
-
-
-def _tree_from_obj(o: dict) -> Tree:
-    return Tree(o["feature"], _unhex(o["threshold"]), o["left"], o["right"], _unhex(o["value"]))
 
 
 def _encode(v):
@@ -288,14 +281,6 @@ def _encode(v):
     if isinstance(v, np.ndarray):
         return _hex_list(v)
     return float(v).hex()
-
-
-# state key -> decoder of its encoded value
-_DECODERS = {
-    "weights": _unhex, "importance": _unhex,
-    "bias": float.fromhex, "base": float.fromhex, "shrinkage": float.fromhex,
-    "tree": _tree_from_obj, "trees": lambda objs: [_tree_from_obj(o) for o in objs],
-}
 
 
 def model_to_json(m: TrainedModel) -> str:
@@ -309,12 +294,3 @@ def model_to_json(m: TrainedModel) -> str:
         "state": {k: _encode(v) for k, v in m.state.items()},
     })
 
-
-def model_from_json(text: str) -> TrainedModel:
-    obj = json.loads(text)
-    if obj.get("format_version") != _FORMAT_VERSION:
-        raise ModelError(f"unsupported model format version {obj.get('format_version')}")
-    spec = ModelSpec(obj["family"], obj["hyperparams"], obj["seed"])
-    state = {k: _DECODERS[k](v) for k, v in obj["state"].items()}
-    return TrainedModel(spec, np.array(obj["column_ids"], dtype=np.int64), state,
-                        tuple(_unhex(obj["loss_trace"])))

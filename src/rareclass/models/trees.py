@@ -5,9 +5,9 @@ A `Tree` is six parallel numpy arrays indexed by node, root first:
 `gain` as float64.  feature == -1 marks a leaf, whose children are -1.
 Thresholds sit at midpoints of adjacent distinct values; rows with
 x <= threshold go left.  `gain` holds each split's gain (0.0 at leaves)
-for the forest importances; it is not serialised, so a tree read back
-from JSON has zero gains.  `_grow` collects nodes in Python lists and
-freezes them into the arrays once, when the tree is complete.
+for the forest importances; the model JSON does not hold it.  `_grow`
+collects nodes in Python lists and freezes them into the arrays once,
+when the tree is complete.
 
 All three builders run one kernel, `_grow`, which differs per criterion
 only in its per-row weighted stats, its leaf formula and its split gain.
@@ -46,7 +46,7 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray        # leaf payload (class-1 fraction or boosting weight)
-    gain: np.ndarray | None = None   # split gain, 0.0 at leaves; zeros when not given
+    gain: np.ndarray         # split gain, 0.0 at leaves
 
     def __post_init__(self):
         self.feature = np.asarray(self.feature, dtype=np.int64)
@@ -54,8 +54,7 @@ class Tree:
         self.left = np.asarray(self.left, dtype=np.int64)
         self.right = np.asarray(self.right, dtype=np.int64)
         self.value = np.asarray(self.value, dtype=np.float64)
-        self.gain = (np.zeros(len(self.feature)) if self.gain is None
-                     else np.asarray(self.gain, dtype=np.float64))
+        self.gain = np.asarray(self.gain, dtype=np.float64)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         feat, thr = self.feature, self.threshold

@@ -44,7 +44,12 @@ atexit.register(_shutdown)
 
 
 def pmap(fn, items) -> list:
-    """`[fn(*args) for args in items]`, on the pool when that can help."""
+    """`[fn(*args) for args in items]`, on the pool when that can help.
+
+    Items go out in contiguous chunks, about four per worker, so data that
+    a chunk's items share is pickled once per chunk.  A call with fewer than
+    8 * workers() items runs each item as its own task.
+    """
     global _pool
     items, n = list(items), workers()
     if n < 2 or len(items) < 2 or _in_worker:
@@ -59,8 +64,6 @@ def pmap(fn, items) -> list:
         _pool = n, ProcessPoolExecutor(n, multiprocessing.get_context("fork"),
                                        initializer=_enter_worker)
     try:
-        # about four contiguous chunks per worker; a chunk pickles data its
-        # items share only once
         return list(_pool[1].map(fn, *zip(*items), chunksize=max(1, len(items) // (4 * n))))
     except BrokenProcessPool:
         _pool = None                           # a worker died; the next call forks anew

@@ -179,6 +179,18 @@ out_dir = results
         with pytest.raises(ConfigError, match=where):
             load_config(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("where, text", [
+        (r"\[model\.random_forest\]: n_trees must be finite",
+         "[model.random_forest]\nn_trees = 1e400\n"),
+        (r"\[model\.logistic\]: learning_rate must be finite",
+         "[model.logistic]\nlearning_rate = 1e400\n"),
+    ], ids=["count", "rate"])
+    def test_non_finite_hyperparameter_rejected_at_load(self, tmp_path, where, text):
+        # 1e400 loads as inf: a count raised a bare OverflowError, and a
+        # rate failed only in the train stage, after the whole roster
+        with pytest.raises(ConfigError, match=where):
+            load_config(_write(tmp_path, text))
+
     def test_invalid_value_caught_at_load(self, tmp_path):
         with pytest.raises(ConfigError, match="scenario"):
             load_config(_write(tmp_path, "[resample]\nscenario = adasyn\n"))

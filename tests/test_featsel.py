@@ -287,14 +287,14 @@ class TestVote:
 class TestRoster:
     def test_twelve_voters_distinct_names(self):
         d = _signal_noise(n=100, seed=12)
-        decs = run_default_roster(d, master_seed=0, n_keep=3, sfs_n_keep=2)
+        decs = run_default_roster(d, master_seed=0, n_keep=3)
         assert len(decs) == 12
         assert len({dec.name for dec in decs}) == 12
 
     def test_roster_deterministic(self):
         d = _signal_noise(n=100, seed=12)
-        a = run_default_roster(d, master_seed=5, n_keep=3, sfs_n_keep=2)
-        b = run_default_roster(d, master_seed=5, n_keep=3, sfs_n_keep=2)
+        a = run_default_roster(d, master_seed=5, n_keep=3)
+        b = run_default_roster(d, master_seed=5, n_keep=3)
         assert [x.selected for x in a] == [y.selected for y in b]
 
     def test_named_rosters(self):
@@ -308,7 +308,7 @@ class TestRoster:
 
     def test_majority_vote_finds_signal(self):
         d = _signal_noise(n=150, shift=3.0, seed=13)
-        decs = run_default_roster(d, master_seed=0, n_keep=3, sfs_n_keep=2)
+        decs = run_default_roster(d, master_seed=0, n_keep=3)
         led = vote(decs, threshold=3)
         assert {0, 1, 2} <= set(led.selected)
 

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +20,15 @@ def test_package_and_cli_import_no_heavy_dependency():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+def test_every_public_name_resolves():
+    # only `from ... import *` reads __all__, so a stale entry fails nowhere else
+    import rareclass
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.walk_packages(rareclass.__path__, "rareclass.")]
+    public = {m.__name__: m.__all__ for m in modules if hasattr(m, "__all__")}
+    assert "rareclass.models" in public and "rareclass.featsel" in public
+    stale = [f"{name}.{attr}" for name, attrs in public.items()
+             for attr in attrs if not hasattr(sys.modules[name], attr)]
+    assert stale == []
