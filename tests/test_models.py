@@ -5,9 +5,10 @@ import pytest
 
 from rareclass.data import Dataset, FeatureMatrix
 from model_checks import gradient_check
-from rareclass.models import (FAMILIES, ModelError, ModelSpec, TrainingDiverged,
-                              model_to_json, predict_scores, train)
+from rareclass.models import (FAMILIES, ModelError, ModelSpec, TrainedModel,
+                              TrainingDiverged, model_to_json, predict_scores, train)
 from rareclass.models.linear import logistic_loss_grad
+from rareclass.models.trees import Tree
 
 
 def _ds(values, labels):
@@ -178,6 +179,31 @@ class TestBoosting:
         assert trace[-1] < trace[0]
 
 
+def _read_written(text):
+    # the package writes model JSON and never reads it; this test-side reader
+    # rebuilds the model from the hex floats (gains are not written: zeros)
+    obj = json.loads(text)
+
+    def floats(hexed):
+        return np.array([float.fromhex(v) for v in hexed])
+
+    def tree(o):
+        return Tree(o["feature"], floats(o["threshold"]), o["left"], o["right"],
+                    floats(o["value"]), np.zeros(len(o["feature"])))
+
+    def decode(v):
+        if isinstance(v, str):
+            return float.fromhex(v)
+        if isinstance(v, dict):
+            return tree(v)
+        return [tree(o) for o in v] if v and isinstance(v[0], dict) else floats(v)
+
+    return TrainedModel(ModelSpec(obj["family"], obj["hyperparams"], obj["seed"]),
+                        np.array(obj["column_ids"], dtype=np.int64),
+                        {k: decode(v) for k, v in obj["state"].items()},
+                        tuple(floats(obj["loss_trace"])))
+
+
 class TestSpecAndSerialization:
     def test_unknown_family(self):
         with pytest.raises(ModelError):
@@ -232,11 +258,13 @@ class TestSpecAndSerialization:
             predict_scores(m, other)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_written_json_holds_the_model_bit_for_bit(self, family):
+    def test_roundtrip_exact_scores(self, family):
+        d = _separable(n=40, seed=13)
         hp = {"n_trees": 5} if family == "random_forest" else \
              {"n_rounds": 5} if family.endswith("boosting") else {}
-        m = train(ModelSpec(family, hp, seed=4), _separable(n=40, seed=13))
-        obj = json.loads(model_to_json(m))
+        m = train(ModelSpec(family, hp, seed=4), d)
+        text = model_to_json(m)
+        obj = json.loads(text)
 
         def bits(hexed):
             return np.array([float.fromhex(v) for v in hexed]).tobytes()
@@ -259,3 +287,12 @@ class TestSpecAndSerialization:
             else:                               # a hex list for an array, a hex string for a float
                 assert bits(got if isinstance(got, list) else [got]) == \
                     np.asarray(want, dtype=np.float64).ravel().tobytes()
+        back = _read_written(text)
+        assert np.array_equal(predict_scores(m, d.features), predict_scores(back, d.features))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_json_roundtrip_is_a_fixed_point(self, family):
+        hp = {"n_trees": 3} if family == "random_forest" else \
+             {"n_rounds": 3} if family.endswith("boosting") else {}
+        text = model_to_json(train(ModelSpec(family, hp), _separable(n=40, seed=13)))
+        assert model_to_json(_read_written(text)) == text
