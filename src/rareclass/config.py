@@ -1,11 +1,13 @@
 """Pipeline configuration: a flat key=value file grouped by bracketed
-sections (configparser syntax). Unknown sections or keys are errors."""
+sections (configparser syntax). Unknown sections or keys are errors.
+Each key is declared once, by `ini` on its `PipelineConfig` field."""
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
+from typing import Callable, NamedTuple
 
 from . import featsel, impute, resample
 from .models import FAMILIES, ModelSpec
@@ -15,75 +17,82 @@ class ConfigError(ValueError):
     pass
 
 
-SCENARIOS = ("none", "smote", "combined")
-IMPUTE_METHODS = ("simple", "knn", "mice")
+# rules: (value -> whether it is allowed, what the error says it must be)
+def one_of(*choices: str) -> tuple:
+    return (lambda v: v in choices), "one of " + ", ".join(choices)
+
+
+def at_least(lo: int) -> tuple:
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+UNIT = (lambda v: 0 < v <= 1), "in (0, 1]"
+OPEN_UNIT = (lambda v: 0 < v < 1), "in (0, 1)"
+
+
+class IniKey(NamedTuple):
+    section: str
+    key: str
+    parse: Callable             # the INI text -> the field's value
+    holds: Callable | None      # the rule validate checks, unless the value is None
+    must: str | None
+
+
+def ini(section: str, key: str, default, parse=None, rule=(None, None)):
+    """Declare a `PipelineConfig` field as `[section] key`; its text is read
+    by parse, or by the default's type if parse is not given."""
+    meta = {"ini": IniKey(section, key, parse or type(default), *rule)}
+    if isinstance(default, dict):
+        return field(default_factory=dict, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _parse_overrides(value: str) -> dict:
+    """`3:median, 9:forward` -> {3: "median", 9: "forward"}."""
+    pairs = (pair.split(":") for pair in value.split(",")) if value.strip() else ()
+    return {int(cid): strat.strip() for cid, strat in pairs}
+
+
+def _parse_families(value: str) -> tuple:
+    return tuple(f.strip() for f in value.split(",") if f.strip())
 
 
 @dataclass
 class PipelineConfig:
-    # [data]
-    loader: str = "secom"                 # secom | delimited
-    data_path: str = ""
-    labels_path: str = ""
-    label_column: str = ""
-    delimiter: str = ","
-    # [preprocess]
-    missing_drop_threshold: float = 0.5
-    correlation_threshold: float = 0.7
-    # [split]
-    split_mode: str = "split"             # split | kfold
-    test_fraction: float = 0.3
-    k_folds: int = 5
-    # [impute]
-    impute_method: str = "knn"
-    knn_k: int = 5
-    mice_iterations: int = 5
-    mice_initial_fill: str = "mean"
-    mice_noise_mode: str = "deterministic_prediction"
-    skew_threshold: float = 1.0
-    impute_overrides: dict = field(default_factory=dict)   # column_id -> strategy
-    # [featsel]
-    roster: str = "default"
-    vote_threshold: int = 3
-    featsel_n_keep: int | None = None
-    # [resample]
-    scenario: str = "none"
-    over_ratio: float = 0.7
-    under_ratio: float = 0.8
-    smote_k_neighbors: int = 5
-    # [models]
-    model_families: tuple = FAMILIES
-    model_overrides: dict = field(default_factory=dict)    # family -> hyperparam dict
-    # [run]
-    seed: int = 0
-    out_dir: str = "out"
+    loader: str = ini("data", "loader", "secom", rule=one_of("secom", "delimited"))
+    data_path: str = ini("data", "data_path", "")
+    labels_path: str = ini("data", "labels_path", "")
+    label_column: str = ini("data", "label_column", "")
+    delimiter: str = ini("data", "delimiter", ",")
+    missing_drop_threshold: float = ini("preprocess", "missing_drop_threshold", 0.5, rule=UNIT)
+    correlation_threshold: float = ini("preprocess", "correlation_threshold", 0.7, rule=OPEN_UNIT)
+    split_mode: str = ini("split", "mode", "split", rule=one_of("split", "kfold"))
+    test_fraction: float = ini("split", "test_fraction", 0.3, rule=OPEN_UNIT)
+    k_folds: int = ini("split", "k", 5, rule=at_least(2))
+    impute_method: str = ini("impute", "method", "knn", rule=one_of("simple", "knn", "mice"))
+    knn_k: int = ini("impute", "k", 5)
+    mice_iterations: int = ini("impute", "iterations", 5)
+    mice_initial_fill: str = ini("impute", "initial_fill", "mean")
+    mice_noise_mode: str = ini("impute", "noise_mode", "deterministic_prediction")
+    skew_threshold: float = ini("impute", "skew_threshold", 1.0)
+    impute_overrides: dict = ini("impute", "overrides", {}, _parse_overrides)  # column_id -> strategy
+    roster: str = ini("featsel", "roster", "default", rule=one_of(*featsel.ROSTERS))
+    vote_threshold: int = ini("featsel", "vote_threshold", 3, rule=at_least(1))
+    featsel_n_keep: int | None = ini("featsel", "n_keep", None, int, at_least(1))
+    scenario: str = ini("resample", "scenario", "none", rule=one_of("none", "smote", "combined"))
+    over_ratio: float = ini("resample", "over_ratio", 0.7, rule=UNIT)
+    under_ratio: float = ini("resample", "under_ratio", 0.8, rule=UNIT)
+    smote_k_neighbors: int = ini("resample", "k_neighbors", 5)
+    model_families: tuple = ini("models", "families", FAMILIES, _parse_families)
+    model_overrides: dict = field(default_factory=dict)    # family -> its [model.<family>]
+    seed: int = ini("run", "seed", 0, rule=at_least(0))
+    out_dir: str = ini("run", "out_dir", "out")
 
     def validate(self) -> None:
-        if self.loader not in ("secom", "delimited"):
-            raise ConfigError(f"unknown loader {self.loader!r}")
-        if not 0 < self.missing_drop_threshold <= 1:
-            raise ConfigError("missing_drop_threshold must be in (0, 1]")
-        if not 0 < self.correlation_threshold < 1:
-            raise ConfigError("correlation_threshold must be in (0, 1)")
-        if self.split_mode not in ("split", "kfold"):
-            raise ConfigError(f"unknown split mode {self.split_mode!r}")
-        if not 0 < self.test_fraction < 1:
-            raise ConfigError("test_fraction must be in (0, 1)")
-        if self.k_folds < 2:
-            raise ConfigError(f"[split] k: must be >= 2, got {self.k_folds}")
-        if self.impute_method not in IMPUTE_METHODS:
-            raise ConfigError(f"unknown imputation method {self.impute_method!r}")
-        if self.roster not in featsel.ROSTERS:
-            raise ConfigError(f"unknown selector roster {self.roster!r}")
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        for r in (self.over_ratio, self.under_ratio):
-            if not 0 < r <= 1:
-                raise ConfigError("resampling ratios must be in (0, 1]")
-        if self.vote_threshold < 1:
-            raise ConfigError("vote_threshold must be >= 1")
-        if self.featsel_n_keep is not None and self.featsel_n_keep < 1:
-            raise ConfigError(f"[featsel] n_keep: must be >= 1, got {self.featsel_n_keep}")
+        for name, k in INI_KEYS.items():
+            value = getattr(self, name)
+            if k.holds is not None and value is not None and not k.holds(value):
+                raise ConfigError(f"[{k.section}] {k.key}: must be {k.must}, got {value!r}")
         for fam in self.model_families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r}")
@@ -100,9 +109,16 @@ class PipelineConfig:
 
     def digest(self) -> str:
         # out_dir is where results land, not part of what was computed
-        fields = {k: v for k, v in asdict(self).items() if k != "out_dir"}
-        payload = repr(sorted(fields.items())).encode()
+        kept = {k: v for k, v in asdict(self).items() if k != "out_dir"}
+        payload = repr(sorted(kept.items())).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
+
+
+# PipelineConfig field -> its declaration, and section -> INI key -> field:
+# the only keys and sections load_config accepts, apart from [model.<family>]
+INI_KEYS = {f.name: f.metadata["ini"] for f in fields(PipelineConfig) if "ini" in f.metadata}
+CONFIG_KEYS = {s: {k.key: name for name, k in INI_KEYS.items() if k.section == s}
+               for s in dict.fromkeys(k.section for k in INI_KEYS.values())}
 
 
 def _check(where: str, build, *args, **kwargs):
@@ -113,42 +129,6 @@ def _check(where: str, build, *args, **kwargs):
         return build(*args, **kwargs)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
-
-
-def _parse_overrides(value: str) -> dict:
-    """`3:median, 9:forward` -> {3: "median", 9: "forward"}."""
-    pairs = (pair.split(":") for pair in value.split(",")) if value.strip() else ()
-    return {int(cid): strat.strip() for cid, strat in pairs}
-
-
-def _parse_families(value: str) -> tuple:
-    return tuple(f.strip() for f in value.split(",") if f.strip())
-
-
-# section -> INI key -> (PipelineConfig field, parser); the only keys and
-# sections load_config accepts, apart from the [model.<family>] sections
-CONFIG_KEYS = {
-    "data": {"loader": ("loader", str), "data_path": ("data_path", str),
-             "labels_path": ("labels_path", str),
-             "label_column": ("label_column", str), "delimiter": ("delimiter", str)},
-    "preprocess": {"missing_drop_threshold": ("missing_drop_threshold", float),
-                   "correlation_threshold": ("correlation_threshold", float)},
-    "split": {"mode": ("split_mode", str), "test_fraction": ("test_fraction", float),
-              "k": ("k_folds", int)},
-    "impute": {"method": ("impute_method", str), "k": ("knn_k", int),
-               "iterations": ("mice_iterations", int),
-               "initial_fill": ("mice_initial_fill", str),
-               "noise_mode": ("mice_noise_mode", str),
-               "skew_threshold": ("skew_threshold", float),
-               "overrides": ("impute_overrides", _parse_overrides)},
-    "featsel": {"roster": ("roster", str), "vote_threshold": ("vote_threshold", int),
-                "n_keep": ("featsel_n_keep", int)},
-    "resample": {"scenario": ("scenario", str), "over_ratio": ("over_ratio", float),
-                 "under_ratio": ("under_ratio", float),
-                 "k_neighbors": ("smote_k_neighbors", int)},
-    "models": {"families": ("model_families", _parse_families)},
-    "run": {"seed": ("seed", int), "out_dir": ("out_dir", str)},
-}
 
 
 def load_config(path) -> PipelineConfig:
@@ -170,7 +150,6 @@ def load_config(path) -> PipelineConfig:
         for key, value in parser.items(section):
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            name, parse = keys[key]
-            setattr(cfg, name, _check(f"[{section}] {key}", parse, value))
+            setattr(cfg, keys[key], _check(f"[{section}] {key}", INI_KEYS[keys[key]].parse, value))
     cfg.validate()
     return cfg

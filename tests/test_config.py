@@ -1,6 +1,12 @@
+import dataclasses
+import re
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from rareclass.config import ConfigError, PipelineConfig, load_config
+from rareclass.cli import main
+from rareclass.config import CONFIG_KEYS, INI_KEYS, ConfigError, PipelineConfig, load_config
 
 
 def _write(tmp_path, text):
@@ -48,6 +54,7 @@ class TestValidation:
         {"smote_k_neighbors": 0},
         {"impute_overrides": {3: "bogus"}},
         {"k_folds": 1},
+        {"seed": -1},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
@@ -194,3 +201,83 @@ out_dir = results
     def test_invalid_value_caught_at_load(self, tmp_path):
         with pytest.raises(ConfigError, match="scenario"):
             load_config(_write(tmp_path, "[resample]\nscenario = adasyn\n"))
+
+
+# section -> INI key -> PipelineConfig field, as the hand-written table read
+# before the keys were declared on their fields
+INI_SURFACE = {
+    "data": {"loader": "loader", "data_path": "data_path", "labels_path": "labels_path",
+             "label_column": "label_column", "delimiter": "delimiter"},
+    "preprocess": {"missing_drop_threshold": "missing_drop_threshold",
+                   "correlation_threshold": "correlation_threshold"},
+    "split": {"mode": "split_mode", "test_fraction": "test_fraction", "k": "k_folds"},
+    "impute": {"method": "impute_method", "k": "knn_k", "iterations": "mice_iterations",
+               "initial_fill": "mice_initial_fill", "noise_mode": "mice_noise_mode",
+               "skew_threshold": "skew_threshold", "overrides": "impute_overrides"},
+    "featsel": {"roster": "roster", "vote_threshold": "vote_threshold",
+                "n_keep": "featsel_n_keep"},
+    "resample": {"scenario": "scenario", "over_ratio": "over_ratio",
+                 "under_ratio": "under_ratio", "k_neighbors": "smote_k_neighbors"},
+    "models": {"families": "model_families"},
+    "run": {"seed": "seed", "out_dir": "out_dir"},
+}
+
+# (section, key) -> a value that breaks the key's declared rule, written as
+# the INI text whose parsed value the error repeats
+BAD_VALUES = {
+    ("data", "loader"): "parquet",
+    ("preprocess", "missing_drop_threshold"): "0.0",
+    ("preprocess", "correlation_threshold"): "1.0",
+    ("split", "mode"): "loocv",
+    ("split", "test_fraction"): "1.0",
+    ("split", "k"): "1",
+    ("impute", "method"): "hot_deck",
+    ("featsel", "roster"): "everything",
+    ("featsel", "vote_threshold"): "0",
+    ("featsel", "n_keep"): "0",
+    ("resample", "scenario"): "adasyn",
+    ("resample", "over_ratio"): "1.5",
+    ("resample", "under_ratio"): "0.0",
+    ("run", "seed"): "-1",
+}
+
+RULED = sorted((k.section, k.key) for k in INI_KEYS.values() if k.holds is not None)
+
+
+class TestIniSurface:
+    def test_lookup_is_the_hand_written_table(self):
+        assert CONFIG_KEYS == INI_SURFACE
+
+    def test_every_field_but_the_overrides_has_one_key(self):
+        per_field = Counter(name for keys in CONFIG_KEYS.values() for name in keys.values())
+        assert per_field == Counter(f.name for f in dataclasses.fields(PipelineConfig)
+                                    if f.name != "model_overrides")
+
+    def test_default_digest_unchanged(self):
+        assert PipelineConfig().digest() == "ab9af146432e69b8"
+
+    def test_every_rule_has_a_bad_value(self):
+        assert sorted(BAD_VALUES) == RULED
+
+    @pytest.mark.parametrize("section, key", RULED, ids=[f"{s}.{k}" for s, k in RULED])
+    def test_rule_enforced_at_load(self, tmp_path, section, key):
+        assert (section, key) in BAD_VALUES, f"no bad value for [{section}] {key}"
+        bad = BAD_VALUES[section, key]
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: must be .*, "
+                                              rf"got '?{re.escape(bad)}'?$"):
+            load_config(_write(tmp_path, f"[{section}]\n{key} = {bad}\n"))
+
+    def test_negative_seed_fails_before_any_stage(self, tmp_path, capsys):
+        # absent data files: a stage that ran would fail on them instead
+        assert main(["reproduce", "--scenario", "3", "--seed", "-1", "--out", str(tmp_path),
+                     "--data", str(tmp_path / "absent.data"),
+                     "--labels", str(tmp_path / "absent.labels")]) == 1
+        assert capsys.readouterr().err == "error: [run] seed: must be >= 0, got -1\n"
+
+    def test_readme_table_lists_the_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = [line.split("|")[1:3] for line in readme.splitlines() if line.startswith("| `[")]
+        table = {section.strip(" `[]"): set(re.findall(r"`([^`]+)`", keys))
+                 for section, keys in rows}
+        assert table == {**{s: set(keys) for s, keys in CONFIG_KEYS.items()},
+                         "model.<family>": set()}

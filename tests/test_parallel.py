@@ -59,6 +59,27 @@ def test_families_fit_together_as_they_fit_one_by_one(data, monkeypatch):
     assert one == two
 
 
+@pytest.mark.parametrize("families", [models.FAMILIES, ("random_forest",)],
+                         ids=["six_families", "lone_forest"])
+def test_no_train_all_task_holds_two_whole_fits(data, monkeypatch, families):
+    # pmap runs one item per task only below 8 * workers() items; at or
+    # above that a task could hold two whole fits and run them in series
+    hp = dict(SMALL, random_forest={"n_trees": 200, "max_depth": 2})
+    specs = [models.ModelSpec(f, hp[f], seed=7) for f in families]
+    counts = []
+
+    def inline(fn, items):
+        items = list(items)
+        counts.append(len(items))
+        return [fn(*args) for args in items]
+    monkeypatch.setattr(parallel, "pmap", inline)
+    for n in range(2, 9):
+        monkeypatch.setattr(parallel, "workers", lambda n=n: n)
+        models.train_all(specs, data)
+        assert 4 * n <= counts[-1] < 8 * n
+    assert len(counts) == 7
+
+
 def test_a_forest_is_the_same_in_one_tree_block_or_many(data):
     X = data.features.values
     args = (X, trees.column_ranks(X), data.labels, np.where(data.labels == 1, 3.0, 1.0), 7)
