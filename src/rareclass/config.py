@@ -26,6 +26,11 @@ def at_least(lo: int) -> tuple:
     return (lambda v: v >= lo), f">= {lo}"
 
 
+def distinct_of(*choices: str) -> tuple:
+    return ((lambda v: 0 < len(v) == len(set(v)) and set(v) <= set(choices)),
+            "a non-empty list of distinct names from " + ", ".join(choices))
+
+
 UNIT = (lambda v: 0 < v <= 1), "in (0, 1]"
 OPEN_UNIT = (lambda v: 0 < v < 1), "in (0, 1)"
 
@@ -66,15 +71,13 @@ class PipelineConfig:
     delimiter: str = ini("data", "delimiter", ",")
     missing_drop_threshold: float = ini("preprocess", "missing_drop_threshold", 0.5, rule=UNIT)
     correlation_threshold: float = ini("preprocess", "correlation_threshold", 0.7, rule=OPEN_UNIT)
-    split_mode: str = ini("split", "mode", "split", rule=one_of("split", "kfold"))
     test_fraction: float = ini("split", "test_fraction", 0.3, rule=OPEN_UNIT)
-    k_folds: int = ini("split", "k", 5, rule=at_least(2))
     impute_method: str = ini("impute", "method", "knn", rule=one_of("simple", "knn", "mice"))
     knn_k: int = ini("impute", "k", 5)
     mice_iterations: int = ini("impute", "iterations", 5)
     mice_initial_fill: str = ini("impute", "initial_fill", "mean")
     mice_noise_mode: str = ini("impute", "noise_mode", "deterministic_prediction")
-    skew_threshold: float = ini("impute", "skew_threshold", 1.0)
+    skew_threshold: float = ini("impute", "skew_threshold", 1.0, rule=at_least(0))
     impute_overrides: dict = ini("impute", "overrides", {}, _parse_overrides)  # column_id -> strategy
     roster: str = ini("featsel", "roster", "default", rule=one_of(*featsel.ROSTERS))
     vote_threshold: int = ini("featsel", "vote_threshold", 3, rule=at_least(1))
@@ -83,7 +86,8 @@ class PipelineConfig:
     over_ratio: float = ini("resample", "over_ratio", 0.7, rule=UNIT)
     under_ratio: float = ini("resample", "under_ratio", 0.8, rule=UNIT)
     smote_k_neighbors: int = ini("resample", "k_neighbors", 5)
-    model_families: tuple = ini("models", "families", FAMILIES, _parse_families)
+    model_families: tuple = ini("models", "families", FAMILIES, _parse_families,
+                                distinct_of(*FAMILIES))
     model_overrides: dict = field(default_factory=dict)    # family -> its [model.<family>]
     seed: int = ini("run", "seed", 0, rule=at_least(0))
     out_dir: str = ini("run", "out_dir", "out")
@@ -92,10 +96,9 @@ class PipelineConfig:
         for name, k in INI_KEYS.items():
             value = getattr(self, name)
             if k.holds is not None and value is not None and not k.holds(value):
+                if isinstance(value, tuple):                    # a list, as its INI text
+                    value = ", ".join(map(str, value))
                 raise ConfigError(f"[{k.section}] {k.key}: must be {k.must}, got {value!r}")
-        for fam in self.model_families:
-            if fam not in FAMILIES:
-                raise ConfigError(f"unknown model family {fam!r}")
         for fam, hp in self.model_overrides.items():
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r} in section [model.{fam}]")

@@ -330,7 +330,7 @@ def select_sfs(train: Dataset, estimator: str, n_keep: int,
     spec = _estimator_spec(_SFS_ESTIMATORS, estimator, seed)
     if cv_folds < 2:
         raise FeatselError("cv_folds must be >= 2")
-    folds = stratified_kfold(train, cv_folds, seed).fold_assignments
+    folds = stratified_kfold(train, cv_folds, seed)
     chosen: list[int] = []
     remaining = train.column_ids.tolist()
     while len(chosen) < n_keep:

@@ -133,11 +133,7 @@ def _prune(cfg: PipelineConfig, res: PipelineResult) -> None:
 
 
 def _split(cfg: PipelineConfig, res: PipelineResult) -> None:
-    # a k-fold plan's train/test partition is fold 0, the only fold scored
-    if cfg.split_mode == "kfold":
-        res.split = preprocess.stratified_kfold(res.pruned, cfg.k_folds, cfg.seed)
-    else:
-        res.split = preprocess.stratified_split(res.pruned, cfg.test_fraction, cfg.seed)
+    res.split = preprocess.stratified_split(res.pruned, cfg.test_fraction, cfg.seed)
     res.hash_at_split = _hash_rows(res.pruned, res.split.test_row_indices)
 
 

@@ -63,7 +63,6 @@ class ScalerParams:
 class SplitPlan:
     train_row_indices: np.ndarray
     test_row_indices: np.ndarray
-    fold_assignments: np.ndarray | None = None   # k-fold plans; the partition is fold 0
 
 
 def _round_half_up(x: float) -> int:
@@ -179,8 +178,8 @@ def stratified_split(d: Dataset, test_fraction: float, seed: int) -> SplitPlan:
     return SplitPlan(train, test)
 
 
-def stratified_kfold(d: Dataset, k: int, seed: int) -> SplitPlan:
-    """Round-robin fold assignment per class after a seeded shuffle."""
+def stratified_kfold(d: Dataset, k: int, seed: int) -> np.ndarray:
+    """Each row's fold id in 0..k-1, dealt round-robin per class after a seeded shuffle."""
     if k < 2:
         raise PreprocessError("k must be >= 2")
     counts = np.bincount(d.labels, minlength=2)
@@ -191,5 +190,4 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> SplitPlan:
     for cls in (0, 1):
         idx = shuffled[cls]
         folds[idx] = np.arange(len(idx)) % k
-    train, test = np.nonzero(folds != 0)[0], np.nonzero(folds == 0)[0]
-    return SplitPlan(train, test, fold_assignments=folds)
+    return folds

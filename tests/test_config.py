@@ -34,7 +34,7 @@ class TestValidation:
         {"loader": "parquet"},
         {"missing_drop_threshold": 0.0},
         {"correlation_threshold": 1.0},
-        {"split_mode": "loocv"},
+        {"model_families": ()},
         {"test_fraction": 1.0},
         {"impute_method": "hot_deck"},
         {"roster": "everything"},
@@ -53,7 +53,7 @@ class TestValidation:
         {"featsel_n_keep": -3},
         {"smote_k_neighbors": 0},
         {"impute_overrides": {3: "bogus"}},
-        {"k_folds": 1},
+        {"model_families": ("logistic", "logistic")},
         {"seed": -1},
     ])
     def test_rejects(self, kw):
@@ -78,9 +78,7 @@ missing_drop_threshold = 0.4
 correlation_threshold = 0.8
 
 [split]
-mode = kfold
 test_fraction = 0.25
-k = 4
 
 [impute]
 method = mice
@@ -116,7 +114,6 @@ out_dir = results
         assert cfg.loader == "delimited"
         assert cfg.label_column == "pass_fail" and cfg.delimiter == "|"
         assert cfg.missing_drop_threshold == 0.4
-        assert cfg.split_mode == "kfold" and cfg.k_folds == 4
         assert cfg.test_fraction == 0.25
         assert cfg.impute_method == "mice" and cfg.mice_iterations == 7
         assert cfg.knn_k == 6 and cfg.mice_initial_fill == "median"
@@ -129,7 +126,7 @@ out_dir = results
         assert cfg.model_families == ("logistic", "random_forest")
         assert cfg.model_overrides["logistic"] == {"epochs": 50, "learning_rate": 0.2}
         assert cfg.seed == 11 and cfg.out_dir == "results"
-        assert cfg.digest() == "68c5c3bc349f9ff9"
+        assert cfg.digest() == "ff3dc56dbe2ce2c3"
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match="section"):
@@ -142,8 +139,10 @@ out_dir = results
                                          "[model.logistc]\nepochs = 5\n"))
 
     def test_unknown_key(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown key"):
-            load_config(_write(tmp_path, "[split]\nholdout = 0.2\n"))
+        # mode and k were the keys of the deleted fold-0 k-fold split
+        for key in ("holdout", "mode", "k"):
+            with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[split\]"):
+                load_config(_write(tmp_path, f"[split]\n{key} = 0.2\n"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -177,9 +176,9 @@ out_dir = results
         (r"\[resample\].*k_neighbors", "[resample]\nscenario = smote\nk_neighbors = 0\n"),
         (r"\[impute\] overrides.*'bogus'", "[impute]\nmethod = simple\noverrides = 3:bogus\n"),
         (r"\[impute\] overrides.*'bogus'", "[impute]\nmethod = mice\noverrides = 3:bogus\n"),
-        (r"\[split\] k: must be >= 2, got 1", "[split]\nmode = kfold\nk = 1\n"),
+        (r"\[models\] families: must be .*, got ''$", "[models]\nfamilies =\n"),
     ], ids=["n_keep_zero", "n_keep_negative", "k_neighbors", "override_simple",
-            "override_mice", "split_k"])
+            "override_mice", "families_empty"])
     def test_late_failing_value_rejected_at_load(self, tmp_path, where, text):
         # each failed only in its stage, after imputation or the whole
         # roster, or (an override under knn or mice) never
@@ -210,7 +209,7 @@ INI_SURFACE = {
              "label_column": "label_column", "delimiter": "delimiter"},
     "preprocess": {"missing_drop_threshold": "missing_drop_threshold",
                    "correlation_threshold": "correlation_threshold"},
-    "split": {"mode": "split_mode", "test_fraction": "test_fraction", "k": "k_folds"},
+    "split": {"test_fraction": "test_fraction"},
     "impute": {"method": "impute_method", "k": "knn_k", "iterations": "mice_iterations",
                "initial_fill": "mice_initial_fill", "noise_mode": "mice_noise_mode",
                "skew_threshold": "skew_threshold", "overrides": "impute_overrides"},
@@ -228,16 +227,16 @@ BAD_VALUES = {
     ("data", "loader"): "parquet",
     ("preprocess", "missing_drop_threshold"): "0.0",
     ("preprocess", "correlation_threshold"): "1.0",
-    ("split", "mode"): "loocv",
     ("split", "test_fraction"): "1.0",
-    ("split", "k"): "1",
     ("impute", "method"): "hot_deck",
+    ("impute", "skew_threshold"): "nan",
     ("featsel", "roster"): "everything",
     ("featsel", "vote_threshold"): "0",
     ("featsel", "n_keep"): "0",
     ("resample", "scenario"): "adasyn",
     ("resample", "over_ratio"): "1.5",
     ("resample", "under_ratio"): "0.0",
+    ("models", "families"): "logistic, logistic",
     ("run", "seed"): "-1",
 }
 
@@ -254,7 +253,7 @@ class TestIniSurface:
                                     if f.name != "model_overrides")
 
     def test_default_digest_unchanged(self):
-        assert PipelineConfig().digest() == "ab9af146432e69b8"
+        assert PipelineConfig().digest() == "392f5c29812e3319"
 
     def test_every_rule_has_a_bad_value(self):
         assert sorted(BAD_VALUES) == RULED

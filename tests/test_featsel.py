@@ -213,7 +213,7 @@ class TestSfs:
         d = _signal_noise(n=90, n_signal=2, n_noise=3, seed=9)
         est, cv, seed = "linear_svm", 2, 0
         spec = ModelSpec("linear_svm", {"epochs": 100, "learning_rate": 0.05}, seed=seed)
-        folds = stratified_kfold(d, cv, seed).fold_assignments
+        folds = stratified_kfold(d, cv, seed)
         scores = {int(c): _cv_balanced_accuracy(d, [int(c)], spec, folds)
                   for c in d.column_ids}
         best = min(sorted(scores), key=lambda c: (-scores[c], c))

@@ -125,17 +125,16 @@ class TestRunPipeline:
         assert seen == [res.raw.features.values.shape,
                         (len(res.split.train_row_indices), res.pruned.n_cols)]
 
-    def test_kfold_mode(self, sensor_files):
-        res = run_pipeline(_cfg(sensor_files, split_mode="kfold", k_folds=4))
+    def test_leakage_hashes_are_the_scored_rows(self, sensor_files):
+        res = run_pipeline(_cfg(sensor_files))
         r = res.report
-        assert r is not None
-        # the scored test partition is exactly fold 0's rows
-        fold0 = np.flatnonzero(res.split.fold_assignments == 0)
-        h = hashlib.sha256(res.pruned.features.values[fold0].tobytes())
-        h.update(res.pruned.labels[fold0].tobytes())
+        # both hashes cover exactly the split's test rows, the rows scored
+        test = res.split.test_row_indices
+        h = hashlib.sha256(res.pruned.features.values[test].tobytes())
+        h.update(res.pruned.labels[test].tobytes())
         assert r.leakage_hash_at_eval == h.hexdigest()
         assert r.leakage_hash_at_split == r.leakage_hash_at_eval
-        assert np.array_equal(res.test_set.labels, res.pruned.labels[fold0])
+        assert np.array_equal(res.test_set.labels, res.pruned.labels[test])
 
     def test_roster_none_keeps_all_columns(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files, roster="none"))
@@ -250,15 +249,15 @@ class TestGoldenBytes:
     digests; a change to what a run writes must re-baseline them on purpose."""
 
     GOLDEN = {
-        "scenario_1": "25602824c73b9ec93a8b1104c6fdd1b4ba02b114e0bacb7eead544d7bd3f2ce1",
-        "scenario_2": "00d10527a144ff1d1f19abf27369d01eab786b33bf2a31c14e1b0f3e05585868",
-        "scenario_3": "06003e935d9888671ed14a392263adc8bff8383ae88f52d9799e80eba5c3d70b",
-        "simple": "b8443fea1d776babb563aa6aef2e07cec76006b0825c33c0a867b23cbe8730f8",
-        "mice": "c580c6e0a2d699d18cb99c081bbb7a7c4308e2d157e864e3eb8ee1e5f2390df2",
+        "scenario_1": "4d51a7cfd396657c307434c32d57b5f036245d31b437d9f8a93055a1dd6c2c11",
+        "scenario_2": "681f549caccaba10605f25b2f2796ae017cb6d9e4bed9e1a9b4b68c98cf47f8f",
+        "scenario_3": "464340de76b3f49b3c86755a772e18fb46d5fb07fdcdb414a7d9a5d764be6397",
+        "simple": "1150bc89ad7450a6ab1387a61aa24d7fb45d5ecdd00f7a170888cb559b885e15",
+        "mice": "20d82ed9ff4246617ba24194e67b72d424c219780d00fb13285c2e599403a6b0",
         # the only golden run under the 12-voter roster: it pins the bytes
         # of the 4- and 16-bin filters, both lasso strengths, Boruta, RFE
         # and SFS
-        "scenario_3_default": "39146a64b07cd8b0f16ddfdcbda35bffb09f758ff058077b827665531d319b71",
+        "scenario_3_default": "44068394f6082493cca8449a84edce403fc9dc2d1e8b0ae0da228fb0b9c19c79",
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))

@@ -170,13 +170,12 @@ class TestKFold:
         labels = np.zeros(600, dtype=int)
         labels[:104] = 1
         d = _ds(np.arange(600, dtype=float).reshape(-1, 1), labels)
-        plan = stratified_kfold(d, 5, seed=0)
-        per_fold = [labels[plan.fold_assignments == f].sum() for f in range(5)]
+        folds = stratified_kfold(d, 5, seed=0)
+        per_fold = [labels[folds == f].sum() for f in range(5)]
         assert sorted(per_fold) == [20, 21, 21, 21, 21]
 
     def test_partition(self, clean_imbalanced):
-        plan = stratified_kfold(clean_imbalanced, 5, seed=3)
-        folds = plan.fold_assignments
+        folds = stratified_kfold(clean_imbalanced, 5, seed=3)
         assert set(folds) == set(range(5))
         covered = np.concatenate([np.nonzero(folds == f)[0] for f in range(5)])
         assert len(covered) == clean_imbalanced.n_rows
