@@ -1,9 +1,11 @@
 """Six binary classifiers with a uniform train / score contract.
 
-Families: logistic, linear_svm, decision_tree, random_forest,
-gradient_boosting (first-order residual trees with Newton leaves), and
-regularized_boosting (second-order trees with leaf L2 and a split gain
-penalty).  Scores are in [0, 1]; thresholding at 0.5 gives hard labels.
+Families: logistic and linear_svm (L2-regularized log-loss and squared
+hinge, each solved by Newton's method in `linear`), decision_tree,
+random_forest, gradient_boosting (first-order residual trees with Newton
+leaves), and regularized_boosting (second-order trees with leaf L2 and a
+split gain penalty).  Scores are in [0, 1]; thresholding at 0.5 gives hard
+labels.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ FAMILIES = ("logistic", "linear_svm", "decision_tree", "random_forest",
             "gradient_boosting", "regularized_boosting")
 
 DEFAULT_HYPERPARAMS = {
-    "logistic": {"learning_rate": 0.1, "epochs": 500, "l2": 1e-4},
-    "linear_svm": {"c": 1.0, "learning_rate": 0.01, "epochs": 500},
+    "logistic": {"l2": 1e-4},
+    "linear_svm": {"c": 1.0},
     "decision_tree": {"max_depth": 6, "min_leaf": 5},
     "random_forest": {"n_trees": 200, "max_depth": 6, "min_leaf": 5},
     "gradient_boosting": {"n_rounds": 200, "shrinkage": 0.1, "max_depth": 3, "min_leaf": 5},
@@ -48,8 +50,8 @@ DEFAULT_HYPERPARAMS = {
 _LINEAR = ("logistic", "linear_svm")
 _WHOLE_FITS = ("decision_tree", "gradient_boosting", "regularized_boosting")
 
-_POSITIVE_INT = {"epochs", "max_depth", "min_leaf", "n_trees", "n_rounds"}
-_NONNEGATIVE = {"learning_rate", "l2", "c", "shrinkage", "leaf_l2", "gamma"}
+_POSITIVE_INT = {"max_depth", "min_leaf", "n_trees", "n_rounds"}
+_NONNEGATIVE = {"l2", "c", "shrinkage", "leaf_l2", "gamma"}
 
 
 class ModelError(ValueError):
@@ -195,10 +197,10 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
     trace: list = []
 
     if fam == "logistic":
-        w, b, trace = linear.train_logistic(X, y, sw, hp["learning_rate"], hp["epochs"], hp["l2"])
+        w, b, trace = linear.train_logistic(X, y, sw, hp["l2"])
         state = {"weights": w, "bias": b}
     elif fam == "linear_svm":
-        w, b, trace = linear.train_linear_svm(X, y, sw, hp["c"], hp["learning_rate"], hp["epochs"])
+        w, b, trace = linear.train_linear_svm(X, y, sw, hp["c"])
         state = {"weights": w, "bias": b}
     elif fam == "decision_tree":
         tree = trees.build_gini_tree(X, trees.column_ranks(X), train_set.labels, sw,

@@ -126,7 +126,8 @@ def test_criterion_06_gradient_checks():
         d = _imbalanced(n // 3, n - n // 3, n_cols=p, seed=int(rng.integers(1 << 30)))
         family = "logistic" if i % 2 == 0 else "linear_svm"
         worst = max(worst, gradient_check(ModelSpec(family, seed=i), d))
-    _verdict(6, "logistic and hinge gradients match finite differences < 1e-5",
+    _verdict(6, "logistic and squared-hinge gradients and Hessians match finite "
+             "differences < 1e-5",
              worst < 1e-5, f"max rel err = {worst:.2e}")
 
 

@@ -47,7 +47,7 @@ class TestValidation:
         {"mice_iterations": 0},
         {"mice_initial_fill": "mode"},
         {"mice_noise_mode": "gausian"},
-        {"model_overrides": {"logistic": {"epochs": 1.5}}},
+        {"model_overrides": {"gradient_boosting": {"n_rounds": 1.5}}},
         {"model_overrides": {"random_forest": {"max_depth": 0}}},
         {"featsel_n_keep": 0},
         {"featsel_n_keep": -3},
@@ -104,8 +104,10 @@ k_neighbors = 3
 families = logistic, random_forest
 
 [model.logistic]
-epochs = 50
-learning_rate = 0.2
+l2 = 0.001
+
+[model.random_forest]
+n_trees = 50
 
 [run]
 seed = 11
@@ -124,9 +126,9 @@ out_dir = results
         assert cfg.scenario == "combined" and cfg.smote_k_neighbors == 3
         assert cfg.under_ratio == 1.0 and isinstance(cfg.under_ratio, float)
         assert cfg.model_families == ("logistic", "random_forest")
-        assert cfg.model_overrides["logistic"] == {"epochs": 50, "learning_rate": 0.2}
+        assert cfg.model_overrides == {"logistic": {"l2": 0.001}, "random_forest": {"n_trees": 50}}
         assert cfg.seed == 11 and cfg.out_dir == "results"
-        assert cfg.digest() == "ff3dc56dbe2ce2c3"
+        assert cfg.digest() == "032fc86f60fe09a4"
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match="section"):
@@ -136,7 +138,7 @@ out_dir = results
         # a misspelt family would be ignored by training yet change the digest
         with pytest.raises(ConfigError, match=r"\[model\.logistc\]"):
             load_config(_write(tmp_path, "[models]\nfamilies = logistic\n"
-                                         "[model.logistc]\nepochs = 5\n"))
+                                         "[model.logistc]\nl2 = 0.5\n"))
 
     def test_unknown_key(self, tmp_path):
         # mode and k were the keys of the deleted fold-0 k-fold split
@@ -144,12 +146,20 @@ out_dir = results
             with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[split\]"):
                 load_config(_write(tmp_path, f"[split]\n{key} = 0.2\n"))
 
+    @pytest.mark.parametrize("family", ["logistic", "linear_svm"])
+    @pytest.mark.parametrize("key", ["epochs", "learning_rate"])
+    def test_deleted_step_key_fails_at_load(self, tmp_path, family, key):
+        # the linear families are solved by Newton's method, with no step knobs
+        with pytest.raises(ConfigError, match=rf"\[model\.{family}\]: unknown hyperparameter "
+                                              rf"'{key}'"):
+            load_config(_write(tmp_path, f"[model.{family}]\n{key} = 50\n"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
 
     @pytest.mark.parametrize("section, text", [
-        ("model.logistic", "[model.logistic]\nepochs = 1.5\n"),
+        ("model.logistic", "[model.logistic]\nl2 = -1\n"),
         ("model.logistic", "[model.logistic]\nepoch = 5\n"),
         ("model.linear_svm", "[model.linear_svm]\nc = -1\n"),
         ("impute", "[impute]\nnoise_mode = gausian\n"),
@@ -164,7 +174,7 @@ out_dir = results
     @pytest.mark.parametrize("where, text", [
         (r"\[impute\] k:", "[impute]\nk = five\n"),
         (r"\[impute\] overrides:", "[impute]\noverrides = 3-median\n"),
-        (r"\[model\.logistic\] learning_rate:", "[model.logistic]\nlearning_rate = fast\n"),
+        (r"\[model\.logistic\] l2:", "[model.logistic]\nl2 = fast\n"),
     ], ids=["int", "overrides", "model"])
     def test_unparseable_value_names_section_and_key(self, tmp_path, where, text):
         with pytest.raises(ConfigError, match=where):
@@ -188,8 +198,8 @@ out_dir = results
     @pytest.mark.parametrize("where, text", [
         (r"\[model\.random_forest\]: n_trees must be finite",
          "[model.random_forest]\nn_trees = 1e400\n"),
-        (r"\[model\.logistic\]: learning_rate must be finite",
-         "[model.logistic]\nlearning_rate = 1e400\n"),
+        (r"\[model\.gradient_boosting\]: shrinkage must be finite",
+         "[model.gradient_boosting]\nshrinkage = 1e400\n"),
     ], ids=["count", "rate"])
     def test_non_finite_hyperparameter_rejected_at_load(self, tmp_path, where, text):
         # 1e400 loads as inf: a count raised a bare OverflowError, and a

@@ -212,7 +212,8 @@ class TestSfs:
         from rareclass.preprocess import stratified_kfold
         d = _signal_noise(n=90, n_signal=2, n_noise=3, seed=9)
         est, cv, seed = "linear_svm", 2, 0
-        spec = ModelSpec("linear_svm", {"epochs": 100, "learning_rate": 0.05}, seed=seed)
+        family, hp = featsel._SFS_ESTIMATORS[est]
+        spec = ModelSpec(family, hp, seed=seed)
         folds = stratified_kfold(d, cv, seed)
         scores = {int(c): _cv_balanced_accuracy(d, [int(c)], spec, folds)
                   for c in d.column_ids}
@@ -290,6 +291,14 @@ class TestRoster:
         decs = run_default_roster(d, master_seed=0, n_keep=3)
         assert len(decs) == 12
         assert len({dec.name for dec in decs}) == 12
+
+    @pytest.mark.parametrize("master_seed", [0, 1, 2])
+    def test_six_wrappers_get_six_seeds(self, master_seed):
+        # a seed from a name's first four bytes gave the three rfe_* one seed
+        # and the two sfs_* another
+        names = ("boruta", "rfe_logistic", "rfe_linear_svm", "rfe_forest",
+                 "sfs_boosted_trees", "sfs_linear_svm")
+        assert len({featsel._selector_seed(master_seed, n) for n in names}) == 6
 
     def test_roster_deterministic(self):
         d = _signal_noise(n=100, seed=12)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rareclass.data import Dataset, FeatureMatrix
-from model_checks import gradient_check
+from model_checks import gradient_check, linear_objective
 from rareclass.models import (FAMILIES, ModelError, ModelSpec, TrainedModel,
                               TrainingDiverged, model_to_json, predict_scores, train)
-from rareclass.models.linear import logistic_loss_grad
+from rareclass.models import linear
 from rareclass.models.trees import Tree
 
 
@@ -47,12 +47,12 @@ def _accuracy(model, d, threshold=0.5):
 class TestLinearModels:
     def test_logistic_separable_perfect(self):
         d = _separable()
-        m = train(ModelSpec("logistic", {"epochs": 2000, "learning_rate": 0.5}), d)
+        m = train(ModelSpec("logistic"), d)
         assert _accuracy(m, d) == 1.0
 
     def test_svm_separable_perfect(self):
         d = _separable()
-        m = train(ModelSpec("linear_svm", {"epochs": 2000}), d)
+        m = train(ModelSpec("linear_svm"), d)
         assert _accuracy(m, d) == 1.0
 
     def test_logistic_loss_monotone_envelope(self):
@@ -60,7 +60,7 @@ class TestLinearModels:
         m = train(ModelSpec("logistic"), d)
         trace = np.array(m.loss_trace)
         assert len(trace) > 10
-        # full-batch gradient descent with a sane step: final well below start
+        # Newton with a line search: each accepted step lowers the loss
         assert trace[-1] < trace[0]
         assert (np.diff(trace) <= 1e-10).all()
 
@@ -85,15 +85,48 @@ class TestLinearModels:
         Xd = np.concatenate([X] + [X[y == 1]] * 2)
         yd = np.concatenate([y] + [y[y == 1]] * 2)
         params = np.random.default_rng(0).normal(size=X.shape[1] + 1)
-        _, g_w = logistic_loss_grad(params, X, y, w, l2=0.0)
-        _, g_d = logistic_loss_grad(params, Xd, yd, np.ones(len(yd)), l2=0.0)
+        g_w, _ = linear.logistic_objective(X, y, w, l2=0.0)(params)[1]()
+        g_d, _ = linear.logistic_objective(Xd, yd, np.ones(len(yd)), l2=0.0)(params)[1]()
         assert np.allclose(g_w * w.sum(), g_d * len(yd), atol=1e-10)
+
+    @pytest.mark.parametrize("family", ["logistic", "linear_svm"])
+    def test_solution_is_stationary(self, family):
+        # small random class-weighted problems: the gradient of the objective
+        # the fit minimizes is zero, to the solver's tolerance, at its answer
+        rng = np.random.default_rng(21)
+        for _ in range(12):
+            n, p = int(rng.integers(20, 80)), int(rng.integers(1, 8))
+            y = (rng.random(n) < 0.2).astype(int)
+            y[:2] = [0, 1]
+            X = rng.normal(size=(n, p)) + rng.normal(size=p) * y[:, None]
+            cw = float(rng.uniform(1, 10))
+            strength = float(10 ** rng.uniform(-4, 1))
+            spec = ModelSpec(family, {"l2" if family == "logistic" else "c": strength})
+            m = train(spec, _ds(X, y), class_weight=cw)
+            objective = linear_objective(spec, X, y.astype(float), np.where(y == 1, cw, 1.0))
+            grad, _ = objective(np.append(m.state["weights"], m.state["bias"]))[1]()
+            assert np.abs(grad).max() <= linear.GRAD_TOL
+
+    @pytest.mark.parametrize("family, hp", [("logistic", {"l2": 0.0}),
+                                            ("linear_svm", {"c": 0.0})])
+    def test_unpenalized_or_unfitted_objective_solves(self, family, hp):
+        # separable data and an all-zero column: with l2 = 0 the log-loss has
+        # no minimum and a singular Hessian; with c = 0 the optimum is zero
+        d = _separable()
+        X = np.hstack([d.features.values, np.zeros((d.n_rows, 1))])
+        m = train(ModelSpec(family, hp), _ds(X, d.labels))
+        assert np.isfinite(m.state["weights"]).all() and np.isfinite(m.state["bias"])
+        if family == "logistic":
+            assert _accuracy(m, _ds(X, d.labels)) == 1.0
+        else:
+            assert not m.state["weights"].any() and m.state["bias"] == 0.0
 
     def test_divergence_raises_with_trace(self):
         d = _separable()
-        with pytest.raises(TrainingDiverged) as exc:
-            train(ModelSpec("logistic", {"learning_rate": 1e6, "epochs": 200}), d)
-        assert len(exc.value.loss_trace) >= 1
+        for c in (1e308, 1e306):            # the loss overflows; the Hessian overflows
+            with pytest.raises(TrainingDiverged) as exc:
+                train(ModelSpec("linear_svm", {"c": c}), d)
+            assert len(exc.value.loss_trace) >= 1
 
 
 class TestTrees:
@@ -221,8 +254,7 @@ class TestSpecAndSerialization:
         # an INI value such as 1e1 loads as the float 10.0
         from rareclass.config import load_config
         path = tmp_path / "c.ini"
-        path.write_text("[model.logistic]\nepochs = 5.0\n"
-                        "[model.random_forest]\nn_trees = 1e1\nmax_depth = 3.0\n"
+        path.write_text("[model.random_forest]\nn_trees = 1e1\nmax_depth = 3.0\n"
                         "[model.gradient_boosting]\nn_rounds = 4e0\n")
         cfg = load_config(str(path))
         assert cfg.model_overrides["random_forest"]["n_trees"] == 10.0

@@ -39,7 +39,7 @@ def test_forest_json_is_the_same_at_any_worker_count(data, monkeypatch):
 
 
 # every family, small enough that a fit takes milliseconds
-SMALL = {"logistic": {"epochs": 50}, "linear_svm": {"epochs": 50},
+SMALL = {"logistic": {"l2": 1e-3}, "linear_svm": {"c": 0.1},
          "decision_tree": {"max_depth": 4},
          "random_forest": {"n_trees": 12, "max_depth": 4},
          "gradient_boosting": {"n_rounds": 15},
@@ -160,10 +160,11 @@ def test_exceptions_survive_pickling(exc):
 def test_divergence_in_a_worker_reaches_the_caller(data, monkeypatch):
     monkeypatch.setattr(parallel, "workers", lambda: 2)
     # the spec is built in the caller, so the workers see the patched table
-    monkeypatch.setitem(featsel._SFS_ESTIMATORS, "linear_svm",
-                        ("linear_svm", {"epochs": 100, "learning_rate": 1e200}))
-    with pytest.raises(TrainingDiverged, match="linear SVM") as exc:
-        featsel.select_sfs(data, "linear_svm", 1, cv_folds=2)
+    family, hp = featsel._SFS_ESTIMATORS["boosted_trees"]
+    monkeypatch.setitem(featsel._SFS_ESTIMATORS, "boosted_trees",
+                        (family, {**hp, "shrinkage": 1e308}))
+    with pytest.raises(TrainingDiverged, match="gradient boosting") as exc:
+        featsel.select_sfs(data, "boosted_trees", 1, cv_folds=2)
     trace = exc.value.loss_trace
     assert len(trace) >= 2 and np.isfinite(trace[0]) and not np.isfinite(trace[-1])
     assert os.getpid() not in parallel.pmap(_pid, [(0,), (1,)])   # the pool still works

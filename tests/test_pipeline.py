@@ -32,7 +32,7 @@ def _cfg(sensor_files, **kw):
     base = dict(data_path=data, labels_path=labels, roster="fast",
                 featsel_n_keep=7, vote_threshold=2,
                 model_families=("logistic", "decision_tree"),
-                model_overrides={"logistic": {"epochs": 100}})
+                model_overrides={"logistic": {"l2": 1e-3}})
     base.update(kw)
     return PipelineConfig(**base)
 
@@ -172,7 +172,7 @@ class TestRunPipeline:
             f"[data]\nloader = delimited\ndata_path = {tmp_path / 's.csv'}\n"
             "label_column = yield\n[featsel]\nroster = fast\nn_keep = 7\n"
             "vote_threshold = 2\n[models]\nfamilies = logistic, decision_tree\n"
-            "[model.logistic]\nepochs = 100\n")
+            "[model.logistic]\nl2 = 0.001\n")
         got = run_pipeline(load_config(tmp_path / "run.ini")).report.model_results
         want = run_pipeline(_cfg(sensor_files)).report.model_results
         assert {f: r.auc for f, r in got.items()} == {f: r.auc for f, r in want.items()}
@@ -249,15 +249,15 @@ class TestGoldenBytes:
     digests; a change to what a run writes must re-baseline them on purpose."""
 
     GOLDEN = {
-        "scenario_1": "4d51a7cfd396657c307434c32d57b5f036245d31b437d9f8a93055a1dd6c2c11",
-        "scenario_2": "681f549caccaba10605f25b2f2796ae017cb6d9e4bed9e1a9b4b68c98cf47f8f",
-        "scenario_3": "464340de76b3f49b3c86755a772e18fb46d5fb07fdcdb414a7d9a5d764be6397",
-        "simple": "1150bc89ad7450a6ab1387a61aa24d7fb45d5ecdd00f7a170888cb559b885e15",
-        "mice": "20d82ed9ff4246617ba24194e67b72d424c219780d00fb13285c2e599403a6b0",
+        "scenario_1": "728600932f21c4a833b144aae96c9a06e2f30dd8fca8769095747eee15248714",
+        "scenario_2": "f218fca26494ec63c35e49567a4de13c60d82f2a469266a5d22d989fe5df1a6b",
+        "scenario_3": "a4e7cc8ef6405e153c7f26374780c848d52171713802152d19bde48f48f7d34e",
+        "simple": "adde2380fca4c393fc0c544380603fe9fb87acad3077ab057797861588fa0a41",
+        "mice": "888ef5041e4f9ec08a509c42f18aa4b592d25bc92f57a1ea2355c8b7b95420c8",
         # the only golden run under the 12-voter roster: it pins the bytes
         # of the 4- and 16-bin filters, both lasso strengths, Boruta, RFE
         # and SFS
-        "scenario_3_default": "44068394f6082493cca8449a84edce403fc9dc2d1e8b0ae0da228fb0b9c19c79",
+        "scenario_3_default": "437c698667b33e5d93f1e22e018b8a6173a25fc0a76f9374b6083409439678c1",
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -355,7 +355,7 @@ out_dir = {tmp_path / 'out'}
         ini.write_text(f"[data]\ndata_path = {data}\nlabels_path = {labels}\n"
                        f"[featsel]\nroster = {roster}\nvote_threshold = 2\nn_keep = 7\n"
                        "[models]\nfamilies = logistic, decision_tree\n"
-                       "[model.logistic]\nepochs = 100\n"
+                       "[model.logistic]\nl2 = 0.001\n"
                        f"[run]\nout_dir = {tmp_path / roster}\n")
         return str(ini), tmp_path / roster
 
