@@ -1,4 +1,4 @@
-"""End-to-end orchestration: load -> explore -> prune -> split -> scale ->
+"""End-to-end orchestration: load -> explore -> split -> prune -> scale ->
 impute -> select -> resample -> train -> evaluate, with a leakage guard on
 the untouched test partition and deterministic report emission."""
 
@@ -69,13 +69,14 @@ class EvalReport:
 class PipelineResult:
     """The one state object the stages fill in order; `report` is filled
     at completion.  `train_set` and `test_set` hold the partitions as
-    scale, impute and select replace them."""
+    prune, scale, impute and select replace them."""
     raw: Dataset = None
-    missing_stats: dict = field(default_factory=dict)    # before_prune, after_prune
-    pruned: Dataset = None
-    drop_logs: dict = field(default_factory=dict)
+    missing_stats: dict = field(default_factory=dict)    # before_prune, after_prune; all rows
     split: preprocess.SplitPlan = None
     hash_at_split: str = None
+    pruned: Dataset = None                              # every row of raw, on the kept columns
+    drop_logs: dict = field(default_factory=dict)
+    train_stats: list = field(default_factory=list)     # column_stats of prune's train_set
     scaler: preprocess.ScalerParams = None
     train_set: Dataset = None
     test_set: Dataset = None
@@ -121,35 +122,31 @@ def _eda(cfg: PipelineConfig, res: PipelineResult) -> None:
     res.missing_stats["before_prune"] = _missing_stats(res.raw)
 
 
+def _split(cfg: PipelineConfig, res: PipelineResult) -> None:
+    res.split = preprocess.stratified_split(res.raw, cfg.test_fraction, cfg.seed)
+    res.hash_at_split = _hash_rows(res.raw, res.split.test_row_indices)
+
+
 def _prune(cfg: PipelineConfig, res: PipelineResult) -> None:
-    stats = {s.column_id: s for s in column_stats(res.raw)}     # one pass serves both drops
-    d, log_m = preprocess.drop_high_missing(res.raw, cfg.missing_drop_threshold,
+    """Decide the columns on the raw training rows; one column_stats pass serves prune and scale."""
+    train = res.raw.take_rows(res.split.train_row_indices)
+    stats = {s.column_id: s for s in column_stats(train)}
+    d, log_m = preprocess.drop_high_missing(train, cfg.missing_drop_threshold,
                                             list(stats.values()))
     d, log_c = preprocess.drop_constant(d, [stats[int(c)] for c in d.column_ids])
     d, log_r = preprocess.drop_correlated(d, cfg.correlation_threshold)
     res.drop_logs = {"high_missing": log_m, "constant": log_c, "correlated": log_r}
-    res.pruned = d
-    res.missing_stats["after_prune"] = _missing_stats(d)
-
-
-def _split(cfg: PipelineConfig, res: PipelineResult) -> None:
-    res.split = preprocess.stratified_split(res.pruned, cfg.test_fraction, cfg.seed)
-    res.hash_at_split = _hash_rows(res.pruned, res.split.test_row_indices)
+    res.pruned = res.raw.select_columns(d.column_ids)
+    res.train_set, res.test_set = d, res.pruned.take_rows(res.split.test_row_indices)
+    res.train_stats = [stats[int(c)] for c in d.column_ids]
+    res.missing_stats["after_prune"] = _missing_stats(res.pruned)
 
 
 def _scale(cfg: PipelineConfig, res: PipelineResult) -> None:
-    train_d = res.pruned.take_rows(res.split.train_row_indices)
-    test_d = res.pruned.take_rows(res.split.test_row_indices)
-    # columns that became constant within the training partition
-    # cannot be scaled; drop them from both partitions
-    keep = [s for s in column_stats(train_d) if not s.is_constant and s.missing_fraction < 1.0]
-    if len(keep) < train_d.n_cols:
-        ids = [s.column_id for s in keep]
-        train_d = train_d.select_columns(ids)
-        test_d = test_d.select_columns(ids)
-    res.scaler = preprocess.fit_scaler(train_d, keep)
-    res.train_set = preprocess.apply_scaler(res.scaler, train_d)
-    res.test_set = preprocess.apply_scaler(res.scaler, test_d)
+    """Scale by prune's training statistics; prune left no constant or empty column."""
+    res.scaler = preprocess.fit_scaler(res.train_set, res.train_stats)
+    res.train_set = preprocess.apply_scaler(res.scaler, res.train_set)
+    res.test_set = preprocess.apply_scaler(res.scaler, res.test_set)
 
 
 def _impute(cfg: PipelineConfig, res: PipelineResult) -> None:
@@ -205,7 +202,7 @@ def _train(cfg: PipelineConfig, res: PipelineResult) -> None:
 
 
 def _evaluate(cfg: PipelineConfig, res: PipelineResult) -> None:
-    hash_at_eval = _hash_rows(res.pruned, res.split.test_row_indices)
+    hash_at_eval = _hash_rows(res.raw, res.split.test_row_indices)
     if hash_at_eval != res.hash_at_split:
         raise RuntimeError("leakage guard tripped: test partition changed")
     results = {}
@@ -228,7 +225,7 @@ def _evaluate(cfg: PipelineConfig, res: PipelineResult) -> None:
     )
 
 
-_STAGE_TABLE = (("load", _load), ("eda", _eda), ("prune", _prune), ("split", _split),
+_STAGE_TABLE = (("load", _load), ("eda", _eda), ("split", _split), ("prune", _prune),
                 ("scale", _scale), ("impute", _impute), ("select", _select),
                 ("resample", _resample), ("train", _train), ("evaluate", _evaluate))
 STAGES = tuple(name for name, _ in _STAGE_TABLE)

@@ -161,16 +161,18 @@ def _class_shuffles(labels: np.ndarray, seed: int) -> dict[int, np.ndarray]:
 
 
 def stratified_split(d: Dataset, test_fraction: float, seed: int) -> SplitPlan:
-    """Per-class seeded shuffle; per-class test count rounds half-up."""
+    """Per-class seeded shuffle; per-class test count rounds half-up.  A
+    class left with no test row or no training row is an error."""
     if not 0 < test_fraction < 1:
         raise PreprocessError("test_fraction must be in (0, 1)")
     counts = np.bincount(d.labels, minlength=2)
-    if counts[0] < 2 or counts[1] < 2:
-        raise PreprocessError("each class needs at least 2 members to split")
     shuffled = _class_shuffles(d.labels, seed)
     test_parts, train_parts = [], []
     for cls in (0, 1):
         n_test = _round_half_up(counts[cls] * test_fraction)
+        if not 0 < n_test < counts[cls]:
+            raise PreprocessError(f"class {cls} has {counts[cls]} rows; test_fraction {test_fraction:g}"
+                                  f" leaves {n_test} to test and {counts[cls] - n_test} to training")
         test_parts.append(shuffled[cls][:n_test])
         train_parts.append(shuffled[cls][n_test:])
     train = np.sort(np.concatenate(train_parts))

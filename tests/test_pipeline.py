@@ -11,7 +11,7 @@ from rareclass.cli import main
 from rareclass.config import ConfigError, PipelineConfig, load_config
 from rareclass.data import Dataset, FeatureMatrix, load_secom
 from rareclass.pipeline import (STAGES, PipelineError, emit_report, reproduce,
-                                run_pipeline, scenario_config)
+                                run_pipeline, scenario_config, write_drops)
 from rareclass.synth import make_imbalanced, write_secom_like
 
 
@@ -119,22 +119,25 @@ class TestRunPipeline:
             module = importlib.import_module(f"rareclass.{name}")
             real = module.column_stats
             monkeypatch.setattr(module, "column_stats",
-                                lambda d, real=real: seen.append(d.features.values.shape) or real(d))
+                                lambda d, real=real: seen.append(d) or real(d))
         res = run_pipeline(_cfg(sensor_files), stop_after="scale")
-        # the raw data in prune, the training partition in scale
-        assert seen == [res.raw.features.values.shape,
-                        (len(res.split.train_row_indices), res.pruned.n_cols)]
+        # one pass over the raw training rows serves prune and scale
+        assert len(seen) == 1
+        train = res.split.train_row_indices
+        assert np.array_equal(seen[0].column_ids, res.raw.column_ids)
+        assert np.array_equal(seen[0].features.values, res.raw.features.values[train],
+                              equal_nan=True)
 
     def test_leakage_hashes_are_the_scored_rows(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files))
         r = res.report
-        # both hashes cover exactly the split's test rows, the rows scored
+        # both hashes cover exactly the split's raw test rows, the rows scored
         test = res.split.test_row_indices
-        h = hashlib.sha256(res.pruned.features.values[test].tobytes())
-        h.update(res.pruned.labels[test].tobytes())
+        h = hashlib.sha256(res.raw.features.values[test].tobytes())
+        h.update(res.raw.labels[test].tobytes())
         assert r.leakage_hash_at_eval == h.hexdigest()
         assert r.leakage_hash_at_split == r.leakage_hash_at_eval
-        assert np.array_equal(res.test_set.labels, res.pruned.labels[test])
+        assert np.array_equal(res.test_set.labels, res.raw.labels[test])
 
     def test_roster_none_keeps_all_columns(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files, roster="none"))
@@ -188,10 +191,25 @@ class TestRunPipeline:
         write_secom_like(Dataset(FeatureMatrix(np.column_stack([d.features.values, col]),
                                                np.arange(extra + 1)), d.labels), *paths)
         res = run_pipeline(_cfg(paths), stop_after="scale")
-        assert extra in res.pruned.column_ids
+        assert extra in [e.column_id for e in res.drop_logs["constant"].entries]
+        assert f"\n{extra},constant,,\n" in write_drops(res.drop_logs, tmp_path).read_text()
+        assert extra not in res.pruned.column_ids
         assert extra not in res.train_set.column_ids
         assert extra not in res.test_set.column_ids
-        assert res.train_set.n_cols == res.test_set.n_cols == res.pruned.n_cols - 1
+        assert res.train_set.n_cols == res.test_set.n_cols == res.pruned.n_cols
+
+    @pytest.mark.parametrize("fraction, n_test", [(0.004, 0), (0.99, 32)])
+    def test_a_class_missing_from_a_partition_fails_the_split_stage(
+            self, tmp_path, fraction, n_test):
+        d = make_imbalanced(n_rows=400, positive_fraction=0.08, seed=0)
+        assert d.labels.sum() == 32
+        paths = str(tmp_path / "s.data"), str(tmp_path / "s_labels.data")
+        write_secom_like(d, *paths)
+        with pytest.raises(PipelineError, match=f"stage split: class 1 has 32 rows; test_fraction "
+                                                f"{fraction:g} leaves {n_test} to test and "
+                                                f"{32 - n_test} to training") as exc:
+            run_pipeline(_cfg(paths, test_fraction=fraction))
+        assert exc.value.stage == "split"
 
     def test_smote_scenario_resamples_train_only(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files, scenario="smote", over_ratio=0.7))

@@ -1,22 +1,26 @@
-"""Scaling and imputation depend only on training rows.
+"""Pruning, scaling and imputation depend only on training rows.
 
-Property 1: what the training partition turns into is the same bits when
-the test rows are changed, added or dropped; for MICE in both noise modes.
+Property 1: which columns prune keeps, with its drops.csv text, and what
+the training partition turns into, are the same bits when the test rows
+are changed, added or dropped; for MICE in both noise modes.
 Property 2 (kNN and deterministic MICE, which fill train then test as one
 table fitted on its first n_train rows): the training rows of that call
 equal the training partition filled alone, and each test row equals that
 row filled alone after the training rows, bit for bit.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rareclass import impute, pipeline
+from rareclass import impute, models, pipeline
 from rareclass.config import PipelineConfig
 from rareclass.data import Dataset, FeatureMatrix
-from rareclass.preprocess import SplitPlan
+from rareclass.preprocess import SplitPlan, stratified_split
+from rareclass.synth import make_imbalanced, write_secom_like
 
 FULL_ROWS = 3       # training rows with no missing cell, so every fit is defined
 
@@ -35,10 +39,25 @@ def _rows(rng, n_rows, n_cols, missing, full=0):
     return v
 
 
+def _plant(rng, train, *tests):
+    """Append four columns that only their training rows make prunable:
+    constant there, present on one training row, missing on every training
+    row, and an exact linear image of column 0.  Their test rows are
+    present and spread far wider."""
+    n = len(train)
+    one_present = np.full(n, np.nan)
+    one_present[0] = 1.0
+    planted = np.column_stack([np.full(n, 3.0), one_present, np.full(n, np.nan),
+                               2.0 * train[:, 0] + 1.0])
+    return [np.hstack([train, planted])] + [
+        np.hstack([t, rng.normal(size=(len(t), 4)) * 1e3]) for t in tests]
+
+
 @st.composite
-def partitions(draw):
+def partitions(draw, planted=False):
     """A training and a test partition, and a second test partition that
-    changes, extends or shrinks the first."""
+    changes, extends or shrinks the first; with `planted`, `_plant`'s
+    columns are appended to all three."""
     # a row-wise sum of eight or more terms is where summation order shows
     n_cols = draw(st.integers(2, 14))
     n_train = draw(st.integers(FULL_ROWS + 1, 20))
@@ -54,14 +73,29 @@ def partitions(draw):
         other = np.vstack([test, _rows(rng, draw(st.integers(1, 4)), n_cols, missing)])
     else:
         other = test[np.sort(rng.permutation(n_test)[:draw(st.integers(0, n_test - 1))])]
+    if planted:
+        train, test, other = _plant(rng, train, test, other)
     return _dataset(train), _dataset(test), _dataset(other)
 
 
-def _scaled_train(train, test):
+def _pruned(train, test, cfg=PipelineConfig()):
+    """The result of the prune stage on the training rows then the test rows."""
     n = train.n_rows + test.n_rows
     res = pipeline.PipelineResult(
-        pruned=_dataset(np.vstack([train.features.values, test.features.values])),
+        raw=_dataset(np.vstack([train.features.values, test.features.values])),
         split=SplitPlan(np.arange(train.n_rows), np.arange(train.n_rows, n)))
+    pipeline._prune(cfg, res)
+    return res
+
+
+def _kept_and_drops(train, test, threshold):
+    res = _pruned(train, test, PipelineConfig(missing_drop_threshold=threshold))
+    with tempfile.TemporaryDirectory() as out:
+        return res.pruned.column_ids.tolist(), pipeline.write_drops(res.drop_logs, out).read_text()
+
+
+def _scaled_train(train, test):
+    res = _pruned(train, test)
     pipeline._scale(PipelineConfig(), res)
     return res.train_set
 
@@ -86,6 +120,15 @@ def _same(a: Dataset, b: Dataset) -> bool:
     return (np.array_equal(a.features.values, b.features.values, equal_nan=True)
             and np.array_equal(a.column_ids, b.column_ids)
             and np.array_equal(a.labels, b.labels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(partitions(planted=True), st.sampled_from([0.5, 1.0]))
+def test_pruned_columns_ignore_the_test_rows(parts, threshold):
+    train, test, other = parts
+    kept, drops = _kept_and_drops(train, test, threshold)
+    assert not set(kept) & set(train.column_ids[-4:].tolist())
+    assert (kept, drops) == _kept_and_drops(train, other, threshold)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,3 +164,29 @@ def test_one_pass_equals_two(parts, method):
     for r, row in enumerate(test.features.values):
         alone = fill(p, _dataset(np.vstack([tv, row])), n_train=n).features.values
         assert np.array_equal(one[n + r], alone[n])
+
+
+def test_test_row_values_never_reach_a_fitted_artifact(tmp_path):
+    # two fixtures that differ only in the feature values of the test
+    # rows; the labels, and so the split, are the same
+    d = make_imbalanced(n_rows=300, n_informative=4, n_noise=8, positive_fraction=0.15,
+                        missing_fraction=0.05, n_constant=1, n_duplicate=1,
+                        n_high_missing=1, seed=0)
+    test = stratified_split(d, PipelineConfig().test_fraction, 0).test_row_indices
+    values = d.features.values.copy()
+    values[test] = np.random.default_rng(1).normal(size=(len(test), d.n_cols))
+    runs = []
+    for name, v in (("a", d.features.values), ("b", values)):
+        paths = str(tmp_path / f"{name}.data"), str(tmp_path / f"{name}_labels.data")
+        write_secom_like(Dataset(FeatureMatrix(v, d.column_ids), d.labels), *paths)
+        cfg = pipeline.scenario_config(3, 0, *paths, out_dir=tmp_path / name, roster="fast")
+        res = pipeline.run_pipeline(cfg)
+        pipeline.emit_report(res.report, cfg.out_dir, result=res)
+        runs.append((res, tmp_path / name))
+    (a, out_a), (b, out_b) = runs
+    assert not np.array_equal(a.test_set.features.values, b.test_set.features.values)
+    assert set(a.trained) == set(models.FAMILIES)
+    for name in ("drops.csv", "votes.csv", "resample_plan.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    for fam in a.trained:
+        assert models.model_to_json(a.trained[fam]) == models.model_to_json(b.trained[fam]), fam
