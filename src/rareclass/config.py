@@ -33,6 +33,7 @@ def distinct_of(*choices: str) -> tuple:
 
 UNIT = (lambda v: 0 < v <= 1), "in (0, 1]"
 OPEN_UNIT = (lambda v: 0 < v < 1), "in (0, 1)"
+NON_EMPTY = (lambda v: v != ""), r"non-empty (\t is a tab)"
 
 
 class IniKey(NamedTuple):
@@ -58,6 +59,11 @@ def _parse_overrides(value: str) -> dict:
     return {int(cid): strat.strip() for cid, strat in pairs}
 
 
+def _parse_delimiter(value: str) -> str:
+    r"""`\t` is a tab, which configparser would strip if written as one."""
+    return "\t" if value == r"\t" else value
+
+
 def _parse_families(value: str) -> tuple:
     return tuple(f.strip() for f in value.split(",") if f.strip())
 
@@ -68,7 +74,7 @@ class PipelineConfig:
     data_path: str = ini("data", "data_path", "")
     labels_path: str = ini("data", "labels_path", "")
     label_column: str = ini("data", "label_column", "")
-    delimiter: str = ini("data", "delimiter", ",")
+    delimiter: str = ini("data", "delimiter", ",", _parse_delimiter, NON_EMPTY)
     missing_drop_threshold: float = ini("preprocess", "missing_drop_threshold", 0.5, rule=UNIT)
     correlation_threshold: float = ini("preprocess", "correlation_threshold", 0.7, rule=OPEN_UNIT)
     test_fraction: float = ini("split", "test_fraction", 0.3, rule=OPEN_UNIT)
@@ -144,8 +150,7 @@ def load_config(path) -> PipelineConfig:
         if section.startswith("model."):
             family = section.split(".", 1)[1]
             cfg.model_overrides[family] = {
-                k: _check(f"[{section}] {k}", float if "." in v or "e" in v.lower() else int, v)
-                for k, v in parser.items(section)}
+                k: _check(f"[{section}] {k}", float, v) for k, v in parser.items(section)}
             continue
         if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")

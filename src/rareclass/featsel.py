@@ -212,6 +212,7 @@ def select_lasso(train: Dataset, lam: float) -> SelectorDecision:
 
 
 BORUTA_ALPHA, BORUTA_MAX_DEPTH = 0.05, 5       # binomial test level, shadow forest depth
+BORUTA_ROUNDS, BORUTA_TREES = 20, 40            # shadow rounds, trees per shadow forest
 
 
 def _boruta_round(train: Dataset, seed: int, it: int, n_trees: int) -> np.ndarray:
@@ -236,21 +237,17 @@ def _half_binom_mass(n: int, ks) -> float:
     return sum(math.comb(n, k) for k in ks) / 2 ** n
 
 
-def select_boruta(train: Dataset, max_iterations: int = 20, seed: int = 0,
-                  n_trees: int = 40) -> SelectorDecision:
+def select_boruta(train: Dataset, seed: int = 0) -> SelectorDecision:
     """Shadow-feature wrapper: each round pits random-forest importances
     against per-column permuted copies; a binomial test over rounds
     classifies features as confirmed, rejected, or tentative.  Only
     confirmed features are selected."""
     _check(train)
-    if max_iterations < 5:
-        raise FeatselError("max_iterations must be >= 5")
+    n, n_trees = BORUTA_ROUNDS, BORUTA_TREES     # read here, so a patch reaches the workers
     hits = np.zeros(train.n_cols, dtype=np.int64)
-    for beat in pmap(_boruta_round, [(train, seed, it, n_trees)
-                                     for it in range(max_iterations)]):
+    for beat in pmap(_boruta_round, [(train, seed, it, n_trees) for it in range(n)]):
         hits += beat
 
-    n = max_iterations
     confirmed, rejected, tentative = [], [], []
     for j, cid in enumerate(train.column_ids):
         h = int(hits[j])
@@ -261,7 +258,7 @@ def select_boruta(train: Dataset, max_iterations: int = 20, seed: int = 0,
         else:
             tentative.append(int(cid))
     return _decision("boruta", train, confirmed, hits.tolist(), rejected=tuple(rejected),
-                     tentative=tuple(tentative), max_iterations=max_iterations,
+                     tentative=tuple(tentative), max_iterations=n,
                      alpha=BORUTA_ALPHA)
 
 
@@ -278,6 +275,7 @@ _SFS_ESTIMATORS = {
                       {"n_rounds": 15, "max_depth": 2, "shrinkage": 0.3, "min_leaf": 2}),
     "linear_svm": ("linear_svm", {}),
 }
+SFS_FOLDS = 2           # cross-validation folds scoring each candidate subset
 
 
 def _estimator_spec(table: dict, estimator: str, seed: int) -> models.ModelSpec:
@@ -325,15 +323,12 @@ def _cv_balanced_accuracy(train: Dataset, col_ids, spec: models.ModelSpec,
     return float(np.mean(scores))
 
 
-def select_sfs(train: Dataset, estimator: str, n_keep: int,
-               cv_folds: int = 3, seed: int = 0) -> SelectorDecision:
+def select_sfs(train: Dataset, estimator: str, n_keep: int, seed: int = 0) -> SelectorDecision:
     """Greedy forward selection by mean cross-validated balanced accuracy;
     score ties go to the lowest column id."""
     _check(train, n_keep)
     spec = _estimator_spec(_SFS_ESTIMATORS, estimator, seed)
-    if cv_folds < 2:
-        raise FeatselError("cv_folds must be >= 2")
-    folds = stratified_kfold(train, cv_folds, seed)
+    folds = stratified_kfold(train, SFS_FOLDS, seed)
     chosen: list[int] = []
     remaining = train.column_ids.tolist()
     while len(chosen) < n_keep:
@@ -343,7 +338,7 @@ def select_sfs(train: Dataset, estimator: str, n_keep: int,
         chosen.append(best)
         remaining.remove(best)
 
-    return _decision(f"sfs_{estimator}_forward", train, sorted(chosen), cv_folds=cv_folds)
+    return _decision(f"sfs_{estimator}_forward", train, sorted(chosen), cv_folds=SFS_FOLDS)
 
 
 def vote(decisions: list[SelectorDecision], threshold: int) -> FeatureVoteLedger:
@@ -415,12 +410,10 @@ def run_default_roster(train: Dataset, master_seed: int, n_keep: int) -> list[Se
         select_mutual_info(train, n_keep, n_bins=16),
         select_lasso(train, lam=0.005),
         select_lasso(train, lam=0.02),
-        select_boruta(train, max_iterations=20, seed=seed_for("boruta")),
+        select_boruta(train, seed=seed_for("boruta")),
         select_rfe(train, "logistic", n_keep, seed=seed_for("rfe_logistic")),
         select_rfe(train, "linear_svm", n_keep, seed=seed_for("rfe_linear_svm")),
         select_rfe(train, "forest", n_keep, seed=seed_for("rfe_forest")),
-        select_sfs(train, "boosted_trees", sfs_n_keep, cv_folds=2,
-                   seed=seed_for("sfs_boosted_trees")),
-        select_sfs(train, "linear_svm", sfs_n_keep, cv_folds=2,
-                   seed=seed_for("sfs_linear_svm")),
+        select_sfs(train, "boosted_trees", sfs_n_keep, seed=seed_for("sfs_boosted_trees")),
+        select_sfs(train, "linear_svm", sfs_n_keep, seed=seed_for("sfs_linear_svm")),
     ]

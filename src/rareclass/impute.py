@@ -29,6 +29,7 @@ __all__ = [
 
 SIMPLE_STRATEGIES = ("mean", "median", "most_frequent", "forward", "backward",
                      "linear_interpolation")
+MICE_RIDGE = 1e-8       # added to the diagonal of every column's regression system
 
 
 class ImputeError(ValueError):
@@ -63,7 +64,6 @@ class MiceParams:
     initial_fill: str = "mean"          # mean | median
     seed: int = 0
     noise_mode: str = "deterministic_prediction"  # or gaussian_residual_draw
-    ridge: float = 1e-8
 
     def __post_init__(self):
         if self.n_iterations < 1:
@@ -296,7 +296,7 @@ def mice_impute(p: MiceParams, d: Dataset, *, n_train: int) -> Dataset:
             C[flat] = 0.0
             C[:, flat] = 0.0
             gram = np.delete(np.delete(C, j, 0), j, 1)
-            gram.flat[::n_cols] += p.ridge                 # diagonal of the (p-1)x(p-1) system
+            gram.flat[::n_cols] += MICE_RIDGE                # diagonal of the (p-1)x(p-1) system
             means = mu + fills
             Xm, ym = np.delete(means, j), means[j]
             try:

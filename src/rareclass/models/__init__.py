@@ -51,7 +51,7 @@ _LINEAR = ("logistic", "linear_svm")
 _WHOLE_FITS = ("decision_tree", "gradient_boosting", "regularized_boosting")
 
 _POSITIVE_INT = {"max_depth", "min_leaf", "n_trees", "n_rounds"}
-_NONNEGATIVE = {"l2", "c", "shrinkage", "leaf_l2", "gamma"}
+_NONNEGATIVE = {"l2", "shrinkage", "leaf_l2", "gamma"}
 
 
 class ModelError(ValueError):
@@ -81,6 +81,8 @@ class ModelSpec:
                 merged[k] = int(v)               # an integral float such as 1e2 counts
             if k in _NONNEGATIVE and v < 0:
                 raise ModelError(f"{k} must be >= 0")
+            if k == "c" and v <= 0:           # at c = 0 the SVM objective has no data term
+                raise ModelError("c must be > 0")
         object.__setattr__(self, "hyperparams", merged)
 
 

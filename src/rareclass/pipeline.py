@@ -152,6 +152,10 @@ def _scale(cfg: PipelineConfig, res: PipelineResult) -> None:
 def _impute(cfg: PipelineConfig, res: PipelineResult) -> None:
     train, test = res.train_set, res.test_set
     if cfg.impute_method == "simple":
+        # an override of a column the data lacks is an error; of a pruned one, ignored
+        absent = [c for c in sorted(cfg.impute_overrides) if c not in res.raw.column_ids]
+        if absent:
+            raise impute.ImputeError(f"[impute] overrides name columns not in the data: {absent}")
         # order-based strategies fill along row order, so each partition
         # is filled on its own
         plan = impute.fit_skew_refined_plan(train, cfg.skew_threshold, cfg.impute_overrides)
@@ -349,9 +353,9 @@ def write_drops(drop_logs: dict, out_dir) -> Path:
     return path
 
 
-def emit_report(r: EvalReport, out_dir, result: PipelineResult | None = None) -> list[str]:
-    """Write report.txt, the per-model ROC tables and plots and, given the
-    run's result, its ledgers; returns the paths written."""
+def emit_report(r: EvalReport, out_dir, result: PipelineResult) -> list[str]:
+    """Write report.txt, the per-model ROC tables and plots and the run's
+    ledgers; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [format_report_table(r), ""]
@@ -390,11 +394,10 @@ def emit_report(r: EvalReport, out_dir, result: PipelineResult | None = None) ->
         put(f"roc_{fam}.csv", mr.roc.to_csv())
     for fam, mr in r.model_results.items():
         put(f"roc_{fam}.svg", _roc_svg(mr.roc, f"ROC: {fam}"))
-    if result is not None:
-        if result.ledger is not None:
-            put("votes.csv", result.ledger.to_csv())
-        if result.drop_logs:
-            written.append(str(write_drops(result.drop_logs, out)))
-        if result.resample_plan is not None:
-            put("resample_plan.csv", result.resample_plan.to_csv())
+    if result.ledger is not None:
+        put("votes.csv", result.ledger.to_csv())
+    if result.drop_logs:
+        written.append(str(write_drops(result.drop_logs, out)))
+    if result.resample_plan is not None:
+        put("resample_plan.csv", result.resample_plan.to_csv())
     return written

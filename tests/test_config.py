@@ -127,8 +127,9 @@ out_dir = results
         assert cfg.under_ratio == 1.0 and isinstance(cfg.under_ratio, float)
         assert cfg.model_families == ("logistic", "random_forest")
         assert cfg.model_overrides == {"logistic": {"l2": 0.001}, "random_forest": {"n_trees": 50}}
+        assert isinstance(cfg.model_overrides["random_forest"]["n_trees"], float)
         assert cfg.seed == 11 and cfg.out_dir == "results"
-        assert cfg.digest() == "032fc86f60fe09a4"
+        assert cfg.digest() == "1a4af9a4d55f16a2"
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match="section"):
@@ -162,6 +163,7 @@ out_dir = results
         ("model.logistic", "[model.logistic]\nl2 = -1\n"),
         ("model.logistic", "[model.logistic]\nepoch = 5\n"),
         ("model.linear_svm", "[model.linear_svm]\nc = -1\n"),
+        ("model.linear_svm", "[model.linear_svm]\nc = 0\n"),      # scored every row 0.5
         ("impute", "[impute]\nnoise_mode = gausian\n"),
         ("impute", "[impute]\nmethod = mice\niterations = 0\n"),
         ("impute", "[impute]\nk = 0\n"),
@@ -207,6 +209,16 @@ out_dir = results
         with pytest.raises(ConfigError, match=where):
             load_config(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("family, key, spellings", [
+        ("linear_svm", "c", ("1", "1.0", "1e0")),
+        ("random_forest", "n_trees", ("50", "50.0", "5e1")),
+    ], ids=["rate", "count"])
+    def test_one_value_in_any_spelling_has_one_digest(self, tmp_path, family, key, spellings):
+        # an integer spelling was read as an int and digested apart
+        digests = {load_config(_write(tmp_path, f"[model.{family}]\n{key} = {v}\n")).digest()
+                   for v in spellings}
+        assert len(digests) == 1
+
     def test_invalid_value_caught_at_load(self, tmp_path):
         with pytest.raises(ConfigError, match="scenario"):
             load_config(_write(tmp_path, "[resample]\nscenario = adasyn\n"))
@@ -235,6 +247,7 @@ INI_SURFACE = {
 # the INI text whose parsed value the error repeats
 BAD_VALUES = {
     ("data", "loader"): "parquet",
+    ("data", "delimiter"): "",
     ("preprocess", "missing_drop_threshold"): "0.0",
     ("preprocess", "correlation_threshold"): "1.0",
     ("split", "test_fraction"): "1.0",

@@ -131,29 +131,27 @@ class TestLasso:
 
 
 class TestBoruta:
-    def test_recovers_signal_across_seeds(self):
+    def test_recovers_signal_across_seeds(self, monkeypatch):
+        monkeypatch.setattr(featsel, "BORUTA_ROUNDS", 12)
         hits = 0
         for seed in range(20):
             d = _signal_noise(n=120, shift=3.0, seed=seed)
-            dec = select_boruta(d, max_iterations=12, seed=seed)
+            dec = select_boruta(d, seed=seed)
             if {0, 1, 2} <= set(dec.selected):
                 hits += 1
         assert hits >= 19
 
-    def test_rarely_confirms_pure_noise(self):
+    def test_rarely_confirms_pure_noise(self, monkeypatch):
+        monkeypatch.setattr(featsel, "BORUTA_ROUNDS", 10)
         false_pos = 0
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             x = rng.normal(size=(100, 8))
             y = (rng.random(100) < 0.3).astype(int)
             y[:2] = [0, 1]
-            dec = select_boruta(_ds(x, y), max_iterations=10, seed=seed)
+            dec = select_boruta(_ds(x, y), seed=seed)
             false_pos += len(dec.selected)
         assert false_pos <= 4
-
-    def test_min_iterations_enforced(self):
-        with pytest.raises(FeatselError):
-            select_boruta(_signal_noise(), max_iterations=2)
 
     def test_exact_binomial_tails(self):
         # Binomial(20, 1/2): C(20,15) + ... + C(20,20) = 21700
@@ -169,14 +167,15 @@ class TestBoruta:
         hits = np.array([15, 14, 5, 6])
         monkeypatch.setattr(parallel, "workers", lambda: 1)
         monkeypatch.setattr(featsel, "_boruta_round", lambda train, seed, it, *_: it < hits)
-        dec = select_boruta(_signal_noise(n_signal=2, n_noise=2), max_iterations=20)
+        dec = select_boruta(_signal_noise(n_signal=2, n_noise=2))         # 20 rounds
         assert dec.selected == (0,) and dec.scores == {0: 15, 1: 14, 2: 5, 3: 6}
         assert dec.diagnostics["rejected"] == (2,)
         assert dec.diagnostics["tentative"] == (1, 3)
 
-    def test_diagnostics_partition(self):
+    def test_diagnostics_partition(self, monkeypatch):
+        monkeypatch.setattr(featsel, "BORUTA_ROUNDS", 10)
         d = _signal_noise(seed=3)
-        dec = select_boruta(d, max_iterations=10, seed=3)
+        dec = select_boruta(d, seed=3)
         diag = dec.diagnostics
         all_cols = set(dec.selected) | set(diag["rejected"]) | set(diag["tentative"])
         assert all_cols == set(dec.universe)
@@ -211,19 +210,19 @@ class TestSfs:
         from rareclass.models import ModelSpec
         from rareclass.preprocess import stratified_kfold
         d = _signal_noise(n=90, n_signal=2, n_noise=3, seed=9)
-        est, cv, seed = "linear_svm", 2, 0
+        est, seed = "linear_svm", 0
         family, hp = featsel._SFS_ESTIMATORS[est]
         spec = ModelSpec(family, hp, seed=seed)
-        folds = stratified_kfold(d, cv, seed)
+        folds = stratified_kfold(d, featsel.SFS_FOLDS, seed)
         scores = {int(c): _cv_balanced_accuracy(d, [int(c)], spec, folds)
                   for c in d.column_ids}
         best = min(sorted(scores), key=lambda c: (-scores[c], c))
-        dec = select_sfs(d, est, n_keep=1, cv_folds=cv, seed=seed)
+        dec = select_sfs(d, est, n_keep=1, seed=seed)
         assert dec.selected == (best,)
 
     def test_forward_finds_signal(self):
         d = _signal_noise(n=120, shift=3.0, seed=10)
-        dec = select_sfs(d, "linear_svm", n_keep=3, cv_folds=2, seed=1)
+        dec = select_sfs(d, "linear_svm", n_keep=3, seed=1)
         assert len(set(dec.selected) & {0, 1, 2}) >= 2
 
 

@@ -32,3 +32,13 @@ def test_every_public_name_resolves():
     stale = [f"{name}.{attr}" for name, attrs in public.items()
              for attr in attrs if not hasattr(sys.modules[name], attr)]
     assert stale == []
+
+
+def test_package_defines_no_name_but_its_version():
+    # each name has one import path, through its module; the package only
+    # loads the modules, so `import rareclass` still costs what it did
+    import types
+    import rareclass
+    own = [name for name, value in vars(rareclass).items()
+           if not name.startswith("__") and not isinstance(value, types.ModuleType)]
+    assert own == []

@@ -111,15 +111,21 @@ class TestLinearModels:
                                             ("linear_svm", {"c": 0.0})])
     def test_unpenalized_or_unfitted_objective_solves(self, family, hp):
         # separable data and an all-zero column: with l2 = 0 the log-loss has
-        # no minimum and a singular Hessian; with c = 0 the optimum is zero
+        # no minimum and a singular Hessian; with c = 0 the optimum is zero.
+        # A spec rejects c = 0, a classifier scoring every row 0.5, so the
+        # solver is called directly
         d = _separable()
         X = np.hstack([d.features.values, np.zeros((d.n_rows, 1))])
-        m = train(ModelSpec(family, hp), _ds(X, d.labels))
-        assert np.isfinite(m.state["weights"]).all() and np.isfinite(m.state["bias"])
         if family == "logistic":
+            m = train(ModelSpec(family, hp), _ds(X, d.labels))
+            assert np.isfinite(m.state["weights"]).all() and np.isfinite(m.state["bias"])
             assert _accuracy(m, _ds(X, d.labels)) == 1.0
         else:
-            assert not m.state["weights"].any() and m.state["bias"] == 0.0
+            with pytest.raises(ModelError, match="c must be > 0"):
+                ModelSpec(family, hp)
+            w, b, _ = linear.train_linear_svm(X, d.labels.astype(float), np.ones(d.n_rows),
+                                              hp["c"])
+            assert not w.any() and b == 0.0
 
     def test_divergence_raises_with_trace(self):
         d = _separable()

@@ -93,9 +93,12 @@ def test_a_forest_is_the_same_in_one_tree_block_or_many(data):
 
 
 def test_selector_decisions_are_the_same_at_any_worker_count(data, monkeypatch):
+    monkeypatch.setattr(featsel, "BORUTA_ROUNDS", 6)
+    monkeypatch.setattr(featsel, "BORUTA_TREES", 8)
+
     def run():
-        return repr((featsel.select_boruta(data, max_iterations=6, seed=3, n_trees=8),
-                     featsel.select_sfs(data, "boosted_trees", 3, cv_folds=2, seed=4)))
+        return repr((featsel.select_boruta(data, seed=3),
+                     featsel.select_sfs(data, "boosted_trees", 3, seed=4)))
     one, two = _at_one_and_two_workers(monkeypatch, run)
     assert one == two
 
@@ -164,7 +167,7 @@ def test_divergence_in_a_worker_reaches_the_caller(data, monkeypatch):
     monkeypatch.setitem(featsel._SFS_ESTIMATORS, "boosted_trees",
                         (family, {**hp, "shrinkage": 1e308}))
     with pytest.raises(TrainingDiverged, match="gradient boosting") as exc:
-        featsel.select_sfs(data, "boosted_trees", 1, cv_folds=2)
+        featsel.select_sfs(data, "boosted_trees", 1)
     trace = exc.value.loss_trace
     assert len(trace) >= 2 and np.isfinite(trace[0]) and not np.isfinite(trace[-1])
     assert os.getpid() not in parallel.pmap(_pid, [(0,), (1,)])   # the pool still works

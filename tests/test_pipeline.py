@@ -180,6 +180,32 @@ class TestRunPipeline:
         want = run_pipeline(_cfg(sensor_files)).report.model_results
         assert {f: r.auc for f, r in got.items()} == {f: r.auc for f, r in want.items()}
 
+    def test_tab_delimited_file_loads(self, tmp_path):
+        # configparser strips a literal tab, so the INI text spells it \t;
+        # read as two characters, it failed with the label not in the header
+        (tmp_path / "s.tsv").write_text("a\tb\tcls\n1.5\tNaN\tpass\n2.5\t3\tfail\n"
+                                        "0.5\t1\tpass\n")
+        (tmp_path / "run.ini").write_text(
+            f"[data]\nloader = delimited\ndata_path = {tmp_path / 's.tsv'}\n"
+            "label_column = cls\ndelimiter = \\t\n")
+        raw = run_pipeline(load_config(tmp_path / "run.ini"), stop_after="load").raw
+        assert raw.labels.tolist() == [0, 1, 0]
+        assert np.array_equal(raw.features.values, [[1.5, np.nan], [2.5, 3.0], [0.5, 1.0]],
+                              equal_nan=True)
+
+    def test_override_of_a_column_not_in_the_data_fails_the_impute_stage(self, sensor_files):
+        # it landed in the plan and filled nothing; an override of a column
+        # that pruning dropped is still ignored
+        pruned = run_pipeline(_cfg(sensor_files), stop_after="prune").drop_logs
+        dropped = pruned["constant"].entries[0].column_id
+        ok = _cfg(sensor_files, impute_method="simple", impute_overrides={dropped: "median"})
+        assert dropped not in run_pipeline(ok, stop_after="impute").train_set.column_ids
+        bad = _cfg(sensor_files, impute_method="simple",
+                   impute_overrides={9999: "median", dropped: "median", 9998: "forward"})
+        with pytest.raises(PipelineError, match=r"stage impute: \[impute\] overrides name "
+                                                r"columns not in the data: \[9998, 9999\]$"):
+            run_pipeline(bad, stop_after="impute")
+
     def test_column_constant_on_the_training_rows_leaves_both_partitions(
             self, sensor_files, tmp_path):
         d = load_secom(*sensor_files)
@@ -298,7 +324,7 @@ class TestGoldenBytes:
 class TestEmitReport:
     def test_roc_csv_header(self, sensor_files, tmp_path):
         res = run_pipeline(_cfg(sensor_files))
-        files = [f for f in emit_report(res.report, tmp_path / "csv")
+        files = [f for f in emit_report(res.report, tmp_path / "csv", result=res)
                  if Path(f).name.startswith("roc_") and f.endswith(".csv")]
         assert len(files) == len(res.report.model_results)
         for f in files:
@@ -307,7 +333,7 @@ class TestEmitReport:
 
     def test_roc_csv_cells_are_plain_floats(self, sensor_files, tmp_path):
         res = run_pipeline(_cfg(sensor_files))
-        files = [f for f in emit_report(res.report, tmp_path / "csv")
+        files = [f for f in emit_report(res.report, tmp_path / "csv", result=res)
                  if Path(f).name.startswith("roc_") and f.endswith(".csv")]
         for f, mr in zip(files, res.report.model_results.values()):
             rows = [line.split(",") for line in Path(f).read_text().splitlines()[1:]]
@@ -318,7 +344,7 @@ class TestEmitReport:
     def test_svg_is_wellformed(self, sensor_files, tmp_path):
         import xml.etree.ElementTree as ET
         res = run_pipeline(_cfg(sensor_files))
-        files = [f for f in emit_report(res.report, tmp_path / "svg") if f.endswith(".svg")]
+        files = [f for f in emit_report(res.report, tmp_path / "svg", result=res) if f.endswith(".svg")]
         assert len(files) == len(res.report.model_results)
         for f in files:
             ET.parse(f)  # raises on malformed xml
