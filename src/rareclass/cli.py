@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands mirror the pipeline stages: eda, preprocess, select, train,
+Subcommands mirror the pipeline stages: eda, preprocess, select,
 evaluate, and reproduce.  All but eda/reproduce take --config; exit code 0
 on success, 1 with a stage-named message otherwise.
 """
@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import featsel, models
+from . import featsel
 from .config import ConfigError, load_config
 from .data import column_stats, load_secom
 from .pipeline import (SCENARIOS, PipelineError, emit_report, format_report_table,
@@ -50,13 +50,6 @@ def _write_votes(res, out: Path) -> None:
           f"{res.ledger.threshold}; ledger in {out / 'votes.csv'}")
 
 
-def _write_models(res, out: Path) -> None:
-    for fam, m in res.trained.items():
-        path = out / f"model_{fam}.json"
-        path.write_text(models.model_to_json(m))
-        print(f"trained {fam} -> {path}")
-
-
 def _write_report(res, out: Path) -> None:
     print("\n".join(emit_report(res.report, out, result=res)))
 
@@ -65,7 +58,6 @@ def _write_report(res, out: Path) -> None:
 _STAGE_COMMANDS = {
     "preprocess": ("prune", _write_drops),
     "select": ("select", _write_votes),
-    "train": ("train", _write_models),
     "evaluate": ("evaluate", _write_report),
 }
 

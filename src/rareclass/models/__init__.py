@@ -10,7 +10,6 @@ labels.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +30,6 @@ __all__ = [
     "train",
     "train_all",
     "predict_scores",
-    "model_to_json",
 ]
 
 FAMILIES = ("logistic", "linear_svm", "decision_tree", "random_forest",
@@ -51,7 +49,8 @@ _LINEAR = ("logistic", "linear_svm")
 _WHOLE_FITS = ("decision_tree", "gradient_boosting", "regularized_boosting")
 
 _POSITIVE_INT = {"max_depth", "min_leaf", "n_trees", "n_rounds"}
-_NONNEGATIVE = {"l2", "shrinkage", "leaf_l2", "gamma"}
+_NONNEGATIVE = {"l2", "leaf_l2", "gamma"}
+_POSITIVE = {"c", "shrinkage"}      # at 0 the SVM has no data term; boosting stays at the prior
 
 
 class ModelError(ValueError):
@@ -81,8 +80,8 @@ class ModelSpec:
                 merged[k] = int(v)               # an integral float such as 1e2 counts
             if k in _NONNEGATIVE and v < 0:
                 raise ModelError(f"{k} must be >= 0")
-            if k == "c" and v <= 0:           # at c = 0 the SVM objective has no data term
-                raise ModelError("c must be > 0")
+            if k in _POSITIVE and v <= 0:
+                raise ModelError(f"{k} must be > 0")
         object.__setattr__(self, "hyperparams", merged)
 
 
@@ -259,42 +258,3 @@ def predict_scores(m: TrainedModel, rows: FeatureMatrix) -> np.ndarray:
     for tree in m.state["trees"]:
         f += m.state["shrinkage"] * tree.apply(X)
     return sigmoid(f)
-
-
-# ---------------------------------------------------------------------------
-# serialization: a versioned text dump, written for the train subcommand and
-# never read back; floats are hex-encoded, so each one is exact
-
-_FORMAT_VERSION = 1
-
-
-def _hex_list(a) -> list:
-    return [float(v).hex() for v in np.asarray(a, dtype=np.float64).ravel()]
-
-
-def _tree_to_obj(t: Tree) -> dict:
-    return {"feature": t.feature.tolist(), "threshold": _hex_list(t.threshold),
-            "left": t.left.tolist(), "right": t.right.tolist(), "value": _hex_list(t.value)}
-
-
-def _encode(v):
-    if isinstance(v, Tree):
-        return _tree_to_obj(v)
-    if isinstance(v, list):                        # a list of trees
-        return [_tree_to_obj(t) for t in v]
-    if isinstance(v, np.ndarray):
-        return _hex_list(v)
-    return float(v).hex()
-
-
-def model_to_json(m: TrainedModel) -> str:
-    return json.dumps({
-        "format_version": _FORMAT_VERSION,
-        "family": m.spec.family,
-        "hyperparams": m.spec.hyperparams,
-        "seed": m.spec.seed,
-        "column_ids": [int(c) for c in m.column_ids],
-        "loss_trace": _hex_list(m.loss_trace),
-        "state": {k: _encode(v) for k, v in m.state.items()},
-    })
-

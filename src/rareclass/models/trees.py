@@ -5,9 +5,8 @@ A `Tree` is six parallel numpy arrays indexed by node, root first:
 `gain` as float64.  feature == -1 marks a leaf, whose children are -1.
 Thresholds sit at midpoints of adjacent distinct values; rows with
 x <= threshold go left.  `gain` holds each split's gain (0.0 at leaves)
-for the forest importances; the model JSON does not hold it.  `_grow`
-collects nodes in Python lists and freezes them into the arrays once,
-when the tree is complete.
+for the forest importances.  `_grow` collects nodes in Python lists and
+freezes them into the arrays once, when the tree is complete.
 
 All three builders run one kernel, `_grow`, which differs per criterion
 only in its per-row weighted stats, its leaf formula and its split gain.

@@ -1,9 +1,35 @@
 """Checks on the model families that only the tests use."""
 
+import dataclasses
+
 import numpy as np
 
 from rareclass.data import Dataset
-from rareclass.models import ModelError, ModelSpec, _check_trainable, linear
+from rareclass.models import ModelError, ModelSpec, TrainedModel, _check_trainable, linear
+from rareclass.models.trees import Tree
+
+
+def _array_bytes(a) -> bytes:
+    a = np.asarray(a)
+    return f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
+
+
+def tree_bytes(t: Tree) -> bytes:
+    """A tree's six arrays, gains included, as dtype, shape and raw bytes."""
+    return b"".join(_array_bytes(getattr(t, f.name)) for f in dataclasses.fields(t))
+
+
+def model_bytes(m: TrainedModel) -> bytes:
+    """A model as one byte string: its spec, column ids and loss trace, and
+    each state entry's arrays and trees as dtype, shape and raw bytes.  Two
+    fits are the same model exactly when their byte strings are equal."""
+    parts = [repr(m.spec).encode(), _array_bytes(m.column_ids),
+             _array_bytes(np.array(m.loss_trace, dtype=np.float64))]
+    for key, value in m.state.items():
+        items = value if isinstance(value, list) else [value]
+        parts.append(f"{key}[{len(items)}]".encode())
+        parts += [tree_bytes(v) if isinstance(v, Tree) else _array_bytes(v) for v in items]
+    return b"".join(parts)
 
 
 def linear_objective(spec: ModelSpec, X, y, sw):

@@ -164,6 +164,8 @@ out_dir = results
         ("model.logistic", "[model.logistic]\nepoch = 5\n"),
         ("model.linear_svm", "[model.linear_svm]\nc = -1\n"),
         ("model.linear_svm", "[model.linear_svm]\nc = 0\n"),      # scored every row 0.5
+        ("model.gradient_boosting", "[model.gradient_boosting]\nshrinkage = 0\n"),
+        ("model.regularized_boosting", "[model.regularized_boosting]\nshrinkage = 0\n"),
         ("impute", "[impute]\nnoise_mode = gausian\n"),
         ("impute", "[impute]\nmethod = mice\niterations = 0\n"),
         ("impute", "[impute]\nk = 0\n"),
@@ -218,6 +220,13 @@ out_dir = results
         digests = {load_config(_write(tmp_path, f"[model.{family}]\n{key} = {v}\n")).digest()
                    for v in spellings}
         assert len(digests) == 1
+
+    def test_a_config_built_in_code_digests_as_loaded(self, tmp_path):
+        # load_config reads each model value as a float; an int built in code
+        # was digested apart from it
+        loaded = load_config(_write(tmp_path, "[model.linear_svm]\nc = 1\n")).digest()
+        assert {PipelineConfig(model_overrides={"linear_svm": {"c": v}}).digest()
+                for v in (1, 1.0)} == {loaded}
 
     def test_invalid_value_caught_at_load(self, tmp_path):
         with pytest.raises(ConfigError, match="scenario"):

@@ -14,6 +14,7 @@ from rareclass.config import PipelineConfig
 from rareclass.models import TrainingDiverged
 from rareclass.pipeline import PipelineError, reproduce, run_pipeline
 from rareclass.synth import make_imbalanced, write_secom_like
+from model_checks import model_bytes, tree_bytes
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ def _at_one_and_two_workers(monkeypatch, run):
 def test_forest_json_is_the_same_at_any_worker_count(data, monkeypatch):
     spec = models.ModelSpec("random_forest", {"n_trees": 16, "max_depth": 4}, seed=7)
     one, two = _at_one_and_two_workers(
-        monkeypatch, lambda: models.model_to_json(models.train(spec, data, class_weight=3.0)))
+        monkeypatch, lambda: model_bytes(models.train(spec, data, class_weight=3.0)))
     assert one == two
 
 
@@ -50,9 +51,8 @@ def test_families_fit_together_as_they_fit_one_by_one(data, monkeypatch):
     specs = [models.ModelSpec(f, SMALL[f], seed=7) for f in models.FAMILIES]
 
     def run():
-        together = [models.model_to_json(m)
-                    for m in models.train_all(specs, data, class_weight=3.0)]
-        alone = [models.model_to_json(models.train(s, data, class_weight=3.0)) for s in specs]
+        together = [model_bytes(m) for m in models.train_all(specs, data, class_weight=3.0)]
+        alone = [model_bytes(models.train(s, data, class_weight=3.0)) for s in specs]
         assert together == alone
         return together
     one, two = _at_one_and_two_workers(monkeypatch, run)
@@ -88,8 +88,7 @@ def test_a_forest_is_the_same_in_one_tree_block_or_many(data):
             for t in models._forest_trees(*args, block, 4, 5, 3)]
     assert len(one) == len(many) == 10
     for a, b in zip(one, many):
-        assert models._tree_to_obj(a) == models._tree_to_obj(b)
-        assert a.gain.tobytes() == b.gain.tobytes()
+        assert tree_bytes(a) == tree_bytes(b)
 
 
 def test_selector_decisions_are_the_same_at_any_worker_count(data, monkeypatch):

@@ -1,13 +1,13 @@
+import argparse
 import hashlib
 import importlib
-import json
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rareclass.cli import main
+from rareclass.cli import build_parser, main
 from rareclass.config import ConfigError, PipelineConfig, load_config
 from rareclass.data import Dataset, FeatureMatrix, load_secom
 from rareclass.pipeline import (STAGES, PipelineError, emit_report, reproduce,
@@ -420,15 +420,24 @@ out_dir = {tmp_path / 'out'}
         assert "selector roster is 'none'; nothing to vote on" in capsys.readouterr().out
         assert not (out / "votes.csv").exists()
 
-    def test_train_writes_one_model_per_family(self, sensor_files, tmp_path, capsys):
-        ini, out = self._ini(sensor_files, tmp_path)
-        assert main(["train", "--config", ini]) == 0
-        printed = capsys.readouterr().out
-        names = sorted(p.name for p in out.iterdir())
-        assert names == ["model_decision_tree.json", "model_logistic.json"]
-        for fam in ("logistic", "decision_tree"):
-            assert f"trained {fam} -> {out / f'model_{fam}.json'}" in printed
-            assert json.loads((out / f"model_{fam}.json").read_text())["family"] == fam
+    def test_readme_lists_exactly_the_subcommands(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        documented = [line.split()[1] for line in block.splitlines()
+                      if line.startswith("rareclass ")]
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert documented == list(sub.choices) == ["eda", "preprocess", "select", "evaluate",
+                                                   "reproduce"]
+
+    def test_train_is_not_a_subcommand(self, tmp_path, capsys):
+        # it wrote a model file that nothing read
+        ini = tmp_path / "run.ini"
+        ini.write_text("[models]\nfamilies = logistic\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(ini)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'train'" in capsys.readouterr().err
 
     def test_reproduce_cli(self, sensor_files, tmp_path, capsys):
         data, labels = sensor_files

@@ -21,6 +21,7 @@ from rareclass.config import PipelineConfig
 from rareclass.data import Dataset, FeatureMatrix
 from rareclass.preprocess import SplitPlan, stratified_split
 from rareclass.synth import make_imbalanced, write_secom_like
+from model_checks import model_bytes
 
 FULL_ROWS = 3       # training rows with no missing cell, so every fit is defined
 
@@ -189,4 +190,4 @@ def test_test_row_values_never_reach_a_fitted_artifact(tmp_path):
     for name in ("drops.csv", "votes.csv", "resample_plan.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     for fam in a.trained:
-        assert models.model_to_json(a.trained[fam]) == models.model_to_json(b.trained[fam]), fam
+        assert model_bytes(a.trained[fam]) == model_bytes(b.trained[fam]), fam

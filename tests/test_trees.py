@@ -1,5 +1,5 @@
 """The rank-sorted split kernel against a per-column reference search, and
-golden digests of the tree families' serialised models."""
+golden digests of the tree families' models."""
 
 import hashlib
 
@@ -13,6 +13,7 @@ from rareclass.data import Dataset, FeatureMatrix
 from rareclass.models import trees
 from rareclass.models.trees import GAIN_TOL
 from rareclass.synth import make_imbalanced
+from model_checks import model_bytes
 
 # ---------------------------------------------------------------------------
 # reference: at every node, a stable argsort of each candidate column's values
@@ -184,16 +185,17 @@ def test_column_ranks_are_dense_and_order_preserving():
 
 
 # ---------------------------------------------------------------------------
-# golden digests of model_to_json, taken before the kernel was vectorised
+# golden digests of model_bytes: the same models as the model-text digests
+# taken before the kernel was vectorised, now with each tree's gains
 
 GOLDEN = {
-    "decision_tree": ({}, "41ab64287a7074285abafd846b5f674154277d25d2b20ca39bada8217a60d543"),
+    "decision_tree": ({}, "cfd5ff795a990f5bda6bc718322ee1f87ddcb83315db86583831337e8a0a4d91"),
     "random_forest": ({"n_trees": 12},
-                      "32f2cd3a44be77e3ff8fe7673af2e5d9b6028ede5d571c78d4754d1fe06714bf"),
+                      "1a3e1ac87a4482089a897afaeb84265fc12d0feb1524c22f6b6ae64c2bb66488"),
     "gradient_boosting": ({"n_rounds": 25},
-                          "5762ccc8239d3a5e404e3375ad274f3ce487fd37aafe3a05535a2f0f11d8e57a"),
+                          "3ee6687dc5599215c6da76cd2a5dd54eeb307d435f9ec0e334dae9d3182adcc4"),
     "regularized_boosting": ({"n_rounds": 25},
-                             "9adeb0e85326083ef84b60ae04b159d4ede2638dc7fd1956b50ea499e5e2ad72"),
+                             "87e3482ef497068a308e8539b002c6f969d48f6c6bf5c93a737f8c6f83f029b2"),
 }
 
 
@@ -210,7 +212,7 @@ def test_tree_family_json_is_unchanged(tied_dataset, family):
     hyperparams, digest = GOLDEN[family]
     m = models.train(models.ModelSpec(family, hyperparams, seed=3), tied_dataset,
                      class_weight=2.5)
-    assert hashlib.sha256(models.model_to_json(m).encode()).hexdigest() == digest
+    assert hashlib.sha256(model_bytes(m)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kind", ["variance", "second_order"])
