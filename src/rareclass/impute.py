@@ -253,9 +253,10 @@ def mice_impute(p: MiceParams, d: Dataset, *, n_train: int) -> Dataset:
 
     The fitting rows are kept as Z = training rows minus their initial
     fills, with S = Z'Z and the column sums of Z.  Column j's system C takes
-    out the k_j rows where j is missing and centres with n_obs * mu mu';
+    out the k_j rows where j is missing and centres with n_obs * mu mu',
+    or, where n_obs <= k_j, is built from the n_obs centred observed rows;
     after its fill, row and column j of S are fresh dot products.  A step
-    costs O(k_j * p^2 + n * p) plus the solve, not O(n * p^2).
+    costs O(min(k_j, n_obs) * p^2 + n * p) plus the solve, not O(n * p^2).
     """
     if d.n_cols < 2:
         raise ImputeError("chained-equation imputation needs at least 2 columns")
@@ -283,13 +284,22 @@ def mice_impute(p: MiceParams, d: Dataset, *, n_train: int) -> Dataset:
         for j in incomplete:
             rows = np.flatnonzero(orig_missing[:, j])
             k = int(np.searchsorted(rows, n_train))     # rows[:k] are fitting rows
-            Zm = Z[rows[:k]]
-            mu = (sums - Zm.sum(axis=0)) / n_obs[j]       # mean of Z over observed rows
-            C = S - Zm.T @ Zm
-            C -= n_obs[j] * mu[:, None] * mu
+            if k < n_obs[j]:
+                Zm = Z[rows[:k]]
+                mu = (sums - Zm.sum(axis=0)) / n_obs[j]   # mean of Z over observed rows
+                C = S - Zm.T @ Zm
+                C -= n_obs[j] * mu[:, None] * mu
+            else:
+                # no more observed rows than missing ones: centring them
+                # directly is cheaper, and it does not cancel S down to a
+                # spread that is small beside it
+                Zo = Z[np.flatnonzero(~orig_missing[:n_train, j])]
+                mu = Zo.mean(axis=0)
+                Zo = Zo - mu
+                C = Zo.T @ Zo
             # a column constant on the observed rows (a regressor filled
-            # there, say) is left with the downdate's rounding; zero its row
-            # and column as direct centring would, so its weight is 0.  The
+            # there, say) is left with the rounding of the downdate or of
+            # its mean; zero its row and column, so its weight is 0.  The
             # cut sits at that rounding level, not above it: a regressor
             # that varies a little on the observed rows keeps its weight
             flat = np.diagonal(C) <= 1e-13 * np.diagonal(S)

@@ -435,8 +435,8 @@ class TestMiceImpute:
     def test_regressor_that_varies_a_little_on_the_observed_rows_keeps_its_weight(self):
         # column 0 is observed on two rows, where column 1 differs by 1e-4
         # while it spreads over tens elsewhere: its centred variance there
-        # (5e-9) is far below S's diagonal, yet well above the downdate's
-        # rounding, so at ridge 1 it still moves column 0's fills
+        # (5e-9) is far below S's diagonal, yet well above the cut at
+        # 1e-13 of it, so at ridge 1 it still moves column 0's fills
         rng = np.random.default_rng(5)
         v = np.column_stack([np.full(30, np.nan), 50.0 + 10.0 * rng.normal(size=30)])
         v[:2] = [[10.0, 50.0], [20.0, 50.0001]]
@@ -447,6 +447,22 @@ class TestMiceImpute:
             ref = _reference_mice(p, _ds(v), 27)
         assert np.all(np.abs(got[27:, 0] - 15.0) > 1e-3)
         assert np.all(np.abs(got - ref) <= 1e-9 * np.nanmax(np.abs(v), axis=0))
+
+    def test_two_observed_rows_close_in_their_regressor_match_the_reference(self):
+        # column 0 is observed on rows 1 and 15; row 15 misses column 1, so
+        # there column 1 is its fill, 1e-3 from row 1's value.  The centred
+        # spread of column 1 on those rows (5e-7) is about 1e-8 of S's diagonal:
+        # taken out of S it would keep only a few digits of it
+        rng = np.random.default_rng(3)
+        v = np.column_stack([np.full(25, np.nan), 52.7 + 1.2 * rng.normal(size=25)])
+        v[[15, 17, 19], 1] = np.nan
+        others = np.setdiff1d(np.flatnonzero(~np.isnan(v[:23, 1])), [1])
+        v[1, 1] = (len(others) + 1) * 1e-3 / len(others) + v[others, 1].mean()
+        v[[1, 15, 23], 0] = [17.3, 18.8, 21.6]
+        p = MiceParams(1)
+        got = mice_impute(p, _ds(v), n_train=23).features.values
+        ref = _reference_mice(p, _ds(v), 23)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max(axis=0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_residual_scale_of_a_near_exact_linear_column(self, monkeypatch, seed):
