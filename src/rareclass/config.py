@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import numbers
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable, NamedTuple
 
@@ -40,14 +41,20 @@ class IniKey(NamedTuple):
     section: str
     key: str
     parse: Callable             # the INI text -> the field's value
+    kind: type                  # the type of the parsed value
     holds: Callable | None      # the rule validate checks, unless the value is None
     must: str | None
+
+
+# parsed type -> the values a field set in code may hold in its place
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, tuple: (tuple, list)}
 
 
 def ini(section: str, key: str, default, parse=None, rule=(None, None)):
     """Declare a `PipelineConfig` field as `[section] key`; its text is read
     by parse, or by the default's type if parse is not given."""
-    meta = {"ini": IniKey(section, key, parse or type(default), *rule)}
+    kind = parse if default is None else type(default)
+    meta = {"ini": IniKey(section, key, parse or type(default), kind, *rule)}
     if isinstance(default, dict):
         return field(default_factory=dict, metadata=meta)
     return field(default=default, metadata=meta)
@@ -101,6 +108,10 @@ class PipelineConfig:
     def validate(self) -> None:
         for name, k in INI_KEYS.items():
             value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, _ACCEPTS.get(k.kind, k.kind))):
+                raise ConfigError(f"[{k.section}] {k.key}: must be {k.kind.__name__}, "
+                                  f"got {value!r}")
             if k.holds is not None and value is not None and not k.holds(value):
                 if isinstance(value, tuple):                    # a list, as its INI text
                     value = ", ".join(map(str, value))
@@ -122,6 +133,7 @@ class PipelineConfig:
         # a model value is a float, as load_config reads it, so 1 and 1.0 digest alike
         kept["model_overrides"] = {fam: {k: float(v) for k, v in hp.items()}
                                    for fam, hp in self.model_overrides.items()}
+        kept["model_families"] = tuple(self.model_families)     # as load_config reads it
         payload = repr(sorted(kept.items())).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 

@@ -181,28 +181,26 @@ def simple_impute(plan: SimpleImputePlan, d: Dataset) -> Dataset:
     return d.with_values(v)
 
 
-def _knn_fill_rows(rows: np.ndarray, tv0: np.ndarray, tp: np.ndarray, col_means: list,
-                   k: int) -> np.ndarray:
-    """rows with their missing cells filled in place, one row at a time,
-    each from the training rows and itself alone (a pmap task).  tp marks
-    the training rows' present cells and tv0 holds their values, 0 where
-    missing."""
-    for row in rows:
-        missing = np.isnan(row)
-        rp = ~missing
-        shared = tp[:, rp]                           # (n_train, n_shared_candidates)
-        diff = tv0[:, rp] - np.where(shared, row[rp], 0.0)
-        diff[~shared] = 0.0
-        cnt = shared.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            dist = np.sqrt((diff ** 2).sum(axis=1) / cnt)
-        dist[cnt == 0] = np.inf
-        order = np.argsort(dist, kind="stable")
-        order = order[np.isfinite(dist[order])]
-        for j in np.nonzero(missing)[0]:
-            donors = order[tp[order, j]][:k]         # present in column j: tv0 is tv there
-            row[j] = tv0[donors, j].mean() if len(donors) == k else col_means[j]
-    return rows
+def _knn_fill_row(row: np.ndarray, tv0: np.ndarray, tp: np.ndarray, col_means: list,
+                  k: int) -> np.ndarray:
+    """row with its missing cells filled in place, from the training rows
+    and itself alone (a pmap item).  tp marks the training rows' present
+    cells and tv0 holds their values, 0 where missing."""
+    missing = np.isnan(row)
+    rp = ~missing
+    shared = tp[:, rp]                               # (n_train, n_shared_candidates)
+    diff = tv0[:, rp] - np.where(shared, row[rp], 0.0)
+    diff[~shared] = 0.0
+    cnt = shared.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dist = np.sqrt((diff ** 2).sum(axis=1) / cnt)
+    dist[cnt == 0] = np.inf
+    order = np.argsort(dist, kind="stable")
+    order = order[np.isfinite(dist[order])]
+    for j in np.nonzero(missing)[0]:
+        donors = order[tp[order, j]][:k]             # present in column j: tv0 is tv there
+        row[j] = tv0[donors, j].mean() if len(donors) == k else col_means[j]
+    return row
 
 
 def knn_impute(p: KnnImputeParams, d: Dataset, *, n_train: int) -> Dataset:
@@ -214,11 +212,9 @@ def knn_impute(p: KnnImputeParams, d: Dataset, *, n_train: int) -> Dataset:
     in favour of the next nearest; with no eligible neighbour the column's
     training mean is used.
 
-    What runs where: the rows with a missing cell are cut into contiguous
-    blocks, about four per worker, and each block is one pool task that
-    fills its rows one by one from the training rows.  A row's fill reads
-    only the training rows and that row, and the blocks are written back
-    in order, so the result is the same at any worker count.
+    What runs where: each row with a missing cell is one `pmap` item.  A
+    row's fill reads only the training rows and that row, so the result is
+    the same at any worker count.
     """
     col_means = [s.mean for s in _train_stats(d, n_train)]
     tv = d.features.values[:n_train]
@@ -231,10 +227,9 @@ def knn_impute(p: KnnImputeParams, d: Dataset, *, n_train: int) -> Dataset:
     out = d.features.values.copy()
     tv0 = np.where(tp, tv, 0.0)
     todo = np.flatnonzero(np.isnan(out).any(axis=1))
-    blocks = [b for b in np.array_split(todo, 4 * parallel.workers()) if len(b)]
-    for b, filled in zip(blocks, parallel.pmap(_knn_fill_rows, [(out[b], tv0, tp, col_means, p.k)
-                                                                for b in blocks])):
-        out[b] = filled
+    for i, row in zip(todo, parallel.pmap(_knn_fill_row, [(out[i], tv0, tp, col_means, p.k)
+                                                         for i in todo])):
+        out[i] = row
     return d.with_values(out)
 
 

@@ -11,6 +11,7 @@ labels.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,8 @@ class ModelSpec:
                 raise ModelError(f"unknown hyperparameter {k!r} for {self.family}")
             merged[k] = v
         for k, v in merged.items():
+            if not isinstance(v, numbers.Real):
+                raise ModelError(f"{k} must be a real number, got {v!r}")
             if not math.isfinite(v):
                 raise ModelError(f"{k} must be finite")
             if k in _POSITIVE_INT:
@@ -114,21 +117,28 @@ def _prior_logodds(y: np.ndarray, sw: np.ndarray) -> float:
     return math.log(p / (1 - p))
 
 
-def _forest_trees(X, ranks, y, sw, seed: int, block: range, max_depth: int, min_leaf: int,
-                  n_subsample: int) -> list[Tree]:
-    """Bootstrapped random-forest trees t in `block`, each seeded by [seed, t]."""
-    out = []
-    for t in block:
-        rng = np.random.default_rng([seed, t])
-        boot = rng.integers(0, len(X), size=len(X))
-        out.append(trees.build_gini_tree(X[boot], ranks[boot], y[boot], sw[boot], max_depth,
-                                         min_leaf, rng=rng, n_subsample=n_subsample))
-    return out
+def _forest_tree(X, ranks, y, sw, seed: int, max_depth: int, min_leaf: int, n_subsample: int,
+                 t: int) -> Tree:
+    """Random-forest tree t, grown on a bootstrap sample seeded by [seed, t]."""
+    rng = np.random.default_rng([seed, t])
+    boot = rng.integers(0, len(X), size=len(X))
+    return trees.build_gini_tree(X[boot], ranks[boot], y[boot], sw[boot], max_depth, min_leaf,
+                                 rng=rng, n_subsample=n_subsample)
 
 
-def _call(fn, args):
-    """fn(*args): one task of train_all's pmap, a whole fit or a block of trees."""
-    return fn(*args)
+def _forest(spec: ModelSpec, train_set: Dataset, class_weight: float | None) -> TrainedModel:
+    """A random forest, its trees one pmap item each; the gains are added in
+    tree order, so the model is the same at any worker count."""
+    X, hp = train_set.features.values, spec.hyperparams
+    args = (X, trees.column_ranks(X), train_set.labels,
+            _sample_weights(train_set.labels, class_weight), spec.seed, hp["max_depth"],
+            hp["min_leaf"], max(1, int(round(math.sqrt(X.shape[1])))))
+    forest = parallel.pmap(_forest_tree, [(*args, t) for t in range(hp["n_trees"])])
+    importance = np.zeros(train_set.n_cols)
+    for tree in forest:
+        trees.add_gains(importance, tree)
+    return TrainedModel(spec, train_set.column_ids.copy(),
+                        {"trees": forest, "importance": importance})
 
 
 def train_all(specs, train_set: Dataset, class_weight: float | None = None) -> list[TrainedModel]:
@@ -136,44 +146,21 @@ def train_all(specs, train_set: Dataset, class_weight: float | None = None) -> l
     spec order, the same as `[train(s, train_set, class_weight) for s in specs]`.
 
     What runs where: linear families are fit inline, in the calling
-    process.  The decision tree and each boosting family are one pool task
-    each, a whole fit by `train`; a forest's trees are cut into contiguous
-    blocks, about four per worker, one pool task each.  The whole fits are
-    queued ahead of the blocks and no task holds two of them.  Each tree t
-    is seeded [seed, t] and a forest's gains are added in tree order, so
-    the models are the same at any worker count.  A lone forest still
-    spreads its trees, a lone whole fit runs inline, and linear families
-    alone start no pool.
+    process.  The decision tree and the boosting families go to `pmap` as
+    one map of whole fits by `train`, few enough that each is its own
+    task; then each forest's trees go as a map of their own.  Linear
+    families alone start no pool.
     """
     _check_trainable(train_set)
     specs = list(specs)
     out = [train(s, train_set, class_weight) if s.family in _LINEAR else None for s in specs]
     whole = [i for i, s in enumerate(specs) if s.family in _WHOLE_FITS]
-    tasks = [(train, (specs[i], train_set, class_weight)) for i in whole]
-    forests = []                            # (spec index, its first and last task + 1)
-    for i, s in enumerate(specs):
-        if s.family != "random_forest":
-            continue
-        X, hp = train_set.features.values, s.hyperparams
-        args = (X, trees.column_ranks(X), train_set.labels,
-                _sample_weights(train_set.labels, class_weight), s.seed)
-        sub = max(1, int(round(math.sqrt(X.shape[1]))))
-        n, k = hp["n_trees"], min(hp["n_trees"], 4 * parallel.workers())
-        forests.append((i, len(tasks), len(tasks) + k))
-        tasks += [(_forest_trees, (*args, range(n * b // k, n * (b + 1) // k),
-                                   hp["max_depth"], hp["min_leaf"], sub)) for b in range(k)]
-    # three whole fits and one forest's 4 * workers blocks are fewer than
-    # 8 * workers tasks, which pmap runs one per task: no task holds two fits
-    done = parallel.pmap(_call, tasks)
-    for i, m in zip(whole, done):
+    for i, m in zip(whole, parallel.pmap(train, [(specs[i], train_set, class_weight)
+                                                 for i in whole])):
         out[i] = m
-    for i, lo, hi in forests:
-        forest = [tree for block in done[lo:hi] for tree in block]
-        importance = np.zeros(train_set.n_cols)
-        for tree in forest:                 # in tree order, as one loop would add them
-            trees.add_gains(importance, tree)
-        out[i] = TrainedModel(specs[i], train_set.column_ids.copy(),
-                              {"trees": forest, "importance": importance})
+    for i, s in enumerate(specs):
+        if s.family == "random_forest":
+            out[i] = _forest(s, train_set, class_weight)
     return out
 
 
@@ -182,13 +169,12 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
 
     class_weight multiplies the minority-class sample weight; with an
     integer weight it is equivalent to duplicating each minority row that
-    many times.  A random forest is the one-spec case of `train_all`,
-    which spreads its trees over the pool; every other family is fit here,
-    in the calling process.
+    many times.  A random forest's trees go to `pmap` by `_forest`; every
+    other family is fit here, in the calling process.
     """
-    if spec.family == "random_forest":
-        return train_all([spec], train_set, class_weight)[0]
     _check_trainable(train_set)
+    if spec.family == "random_forest":
+        return _forest(spec, train_set, class_weight)
     X = train_set.features.values
     y = train_set.labels.astype(np.float64)
     sw = _sample_weights(train_set.labels, class_weight)

@@ -7,8 +7,10 @@ results come back in item order, so a caller reduces them exactly as its
 loop did.  It runs inline when there is one CPU, fewer than two items, no
 `fork` start method, or when called inside a worker, so pools never nest.
 `fn` is pickled by reference, so it must be a module-level function, and
-each task must seed its own randomness.  The worker count is the number of
-CPUs this process may run on: limit it with `taskset`.
+each item must seed its own randomness.  The worker count is the number of
+CPUs this process may run on: limit it with `taskset`.  Callers hand `pmap`
+natural units (a shadow round, a candidate subset, a whole fit, a forest
+tree, a row to impute); it alone groups them into tasks.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ def pmap(fn, items) -> list:
 
     Items go out in contiguous chunks, about four per worker, so data that
     a chunk's items share is pickled once per chunk.  A call with fewer than
-    8 * workers() items runs each item as its own task.
+    8 * workers() items runs each item as its own task, so that a few long
+    items, such as whole model fits, each go to the first free worker.
     """
     global _pool
     items, n = list(items), workers()

@@ -60,6 +60,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(**kw).validate()
 
+    @pytest.mark.parametrize("where, kw", [
+        (r"\[model\.logistic\]: l2 ", {"model_overrides": {"logistic": {"l2": "0.1"}}}),
+        (r"\[impute\] k: ", {"knn_k": "5"}),
+        (r"\[featsel\] vote_threshold: ", {"vote_threshold": "3"}),
+        (r"\[impute\] k: ", {"knn_k": 2.5}),
+        (r"\[impute\] k: ", {"knn_k": 5.0}),
+        (r"\[impute\] iterations: ", {"mice_iterations": 2.5}),
+    ], ids=["model_str", "k_str", "vote_threshold_str", "k_fraction", "k_float",
+            "iterations_fraction"])
+    def test_wrong_type_set_in_code_names_section_and_key(self, where, kw):
+        # a str raised a bare TypeError here, and a float k or iteration
+        # count failed only in the impute stage
+        with pytest.raises(ConfigError, match=where):
+            PipelineConfig(**kw).validate()
+
 
 class TestLoadFile:
     def test_full_file(self, tmp_path):
@@ -227,6 +242,10 @@ out_dir = results
         loaded = load_config(_write(tmp_path, "[model.linear_svm]\nc = 1\n")).digest()
         assert {PipelineConfig(model_overrides={"linear_svm": {"c": v}}).digest()
                 for v in (1, 1.0)} == {loaded}
+        # and the families as a tuple; a list was digested apart from it
+        loaded = load_config(_write(tmp_path, "[models]\nfamilies = logistic, linear_svm\n"))
+        assert {PipelineConfig(model_families=v(["logistic", "linear_svm"])).digest()
+                for v in (list, tuple)} == {loaded.digest()}
 
     def test_invalid_value_caught_at_load(self, tmp_path):
         with pytest.raises(ConfigError, match="scenario"):

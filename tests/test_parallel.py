@@ -62,33 +62,30 @@ def test_families_fit_together_as_they_fit_one_by_one(data, monkeypatch):
 @pytest.mark.parametrize("families", [models.FAMILIES, ("random_forest",)],
                          ids=["six_families", "lone_forest"])
 def test_no_train_all_task_holds_two_whole_fits(data, monkeypatch, families):
-    # pmap runs one item per task only below 8 * workers() items; at or
-    # above that a task could hold two whole fits and run them in series
+    # pmap runs one item per task below 8 * workers() items, so the whole
+    # fits must go out as a map of their own, apart from any forest's trees
     hp = dict(SMALL, random_forest={"n_trees": 200, "max_depth": 2})
     specs = [models.ModelSpec(f, hp[f], seed=7) for f in families]
-    counts = []
+    maps = []
 
     def inline(fn, items):
         items = list(items)
-        counts.append(len(items))
+        maps.append((fn, len(items)))
         return [fn(*args) for args in items]
     monkeypatch.setattr(parallel, "pmap", inline)
-    for n in range(2, 9):
-        monkeypatch.setattr(parallel, "workers", lambda n=n: n)
-        models.train_all(specs, data)
-        assert 4 * n <= counts[-1] < 8 * n
-    assert len(counts) == 7
+    models.train_all(specs, data)
+    whole = sum(f in models._WHOLE_FITS for f in families)
+    assert maps[0] == (models.train, whole) and whole < 8 * 2
+    assert maps[1:] == [(models._forest_tree, 200)]
 
 
-def test_a_forest_is_the_same_in_one_tree_block_or_many(data):
+def test_a_forest_tree_is_the_same_whatever_was_built_before_it(data):
     X = data.features.values
-    args = (X, trees.column_ranks(X), data.labels, np.where(data.labels == 1, 3.0, 1.0), 7)
-    one = models._forest_trees(*args, range(10), 4, 5, 3)
-    many = [t for block in (range(0, 1), range(1, 4), range(4, 10))
-            for t in models._forest_trees(*args, block, 4, 5, 3)]
-    assert len(one) == len(many) == 10
-    for a, b in zip(one, many):
-        assert tree_bytes(a) == tree_bytes(b)
+    args = (X, trees.column_ranks(X), data.labels, np.where(data.labels == 1, 3.0, 1.0), 7,
+            4, 5, 3)
+    forward = [tree_bytes(models._forest_tree(*args, t)) for t in range(10)]
+    backward = [tree_bytes(models._forest_tree(*args, t)) for t in reversed(range(10))]
+    assert forward == backward[::-1] and len(set(forward)) == 10
 
 
 def test_selector_decisions_are_the_same_at_any_worker_count(data, monkeypatch):
@@ -135,6 +132,47 @@ def test_pmap_inside_a_worker_runs_inline(monkeypatch):
     results = parallel.pmap(_pid_and_inner_pids, [(i,) for i in range(4)])
     assert all(pid != os.getpid() for pid, _ in results)          # ran in workers
     assert all(inner == [pid] * 3 for pid, inner in results)      # nested: inline
+
+
+class _RecordingPool:
+    """Stands in for the executor: cuts items into tasks as
+    ProcessPoolExecutor.map does, records each task's size, and runs the
+    tasks last to first."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def map(self, fn, *iterables, chunksize=1):
+        items = list(zip(*iterables))
+        chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
+        self.tasks.append([len(c) for c in chunks])
+        done = {i: [fn(*args) for args in chunks[i]] for i in reversed(range(len(chunks)))}
+        return [r for i in range(len(chunks)) for r in done[i]]
+
+
+def _square(x):
+    return x * x
+
+
+def test_pmap_alone_groups_items_into_tasks(monkeypatch):
+    pool = _RecordingPool()
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    monkeypatch.setattr(parallel, "_pool", (2, pool))
+    assert parallel.pmap(_square, [(i,) for i in range(3)]) == [0, 1, 4]
+    assert parallel.pmap(_square, [(i,) for i in range(200)]) == [i * i for i in range(200)]
+    assert pool.tasks == [[1, 1, 1], [25] * 8]      # below 8 * workers: one item per task
+
+
+def _row_dot(a, i):
+    return a[i] @ a[i + 1]
+
+
+def test_a_pooled_map_over_one_shared_array_equals_the_loop(monkeypatch):
+    a = np.random.default_rng(0).normal(size=(41, 50))
+    items = [(a, i) for i in range(40)]
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    assert parallel.pmap(_row_dot, items) == [_row_dot(*args) for args in items]
+    assert parallel._pool is not None and parallel._pool[0] == 2
 
 
 def test_fast_linear_run_starts_no_pool(tmp_path, monkeypatch):
