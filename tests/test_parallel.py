@@ -79,13 +79,15 @@ def test_no_train_all_task_holds_two_whole_fits(data, monkeypatch, families):
     assert maps[1:] == [(models._forest_tree, 200)]
 
 
-def test_a_forest_tree_is_the_same_whatever_was_built_before_it(data):
+def test_a_forest_is_the_same_in_one_tree_block_or_many(data):
     X = data.features.values
     args = (X, trees.column_ranks(X), data.labels, np.where(data.labels == 1, 3.0, 1.0), 7,
             4, 5, 3)
-    forward = [tree_bytes(models._forest_tree(*args, t)) for t in range(10)]
-    backward = [tree_bytes(models._forest_tree(*args, t)) for t in reversed(range(10))]
-    assert forward == backward[::-1] and len(set(forward)) == 10
+    one = [tree_bytes(models._forest_tree(*args, t)) for t in range(10)]
+    blocks = {b: [tree_bytes(models._forest_tree(*args, t)) for t in b]
+              for b in (range(4, 10), range(1, 4), range(0, 1))}
+    many = [t for b in sorted(blocks, key=lambda b: b.start) for t in blocks[b]]
+    assert one == many and len(set(one)) == 10
 
 
 def test_selector_decisions_are_the_same_at_any_worker_count(data, monkeypatch):
