@@ -8,7 +8,6 @@ class up-weighted so the vote is biased toward rare-class signal.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import warnings
@@ -276,6 +275,7 @@ _SFS_ESTIMATORS = {
     "linear_svm": ("linear_svm", {}),
 }
 SFS_FOLDS = 2           # cross-validation folds scoring each candidate subset
+SFS_MAX_KEEP = 20       # SFS's budget cap: its cost grows with the square of its budget
 
 
 def _estimator_spec(table: dict, estimator: str, seed: int) -> models.ModelSpec:
@@ -360,25 +360,49 @@ def vote(decisions: list[SelectorDecision], threshold: int) -> FeatureVoteLedger
                              tuple(c for c in universe if votes[c] >= threshold))
 
 
-ROSTERS = ("default", "fast", "none")
+# roster name -> its rows, run in order: (seed key or None, call(train, n_keep, seed));
+# each call looks its select_* up as it runs, where benchmarks/spans.py wraps it
+ROSTERS = {
+    "default": (
+        (None, lambda d, n, s: select_f_score(d, n)),
+        (None, lambda d, n, s: select_mutual_info(d, n, n_bins=4)),
+        (None, lambda d, n, s: select_mutual_info(d, n, n_bins=8)),
+        (None, lambda d, n, s: select_mutual_info(d, n, n_bins=16)),
+        (None, lambda d, n, s: select_lasso(d, lam=0.005)),
+        (None, lambda d, n, s: select_lasso(d, lam=0.02)),
+        ("boruta", lambda d, n, s: select_boruta(d, seed=s)),
+        ("rfe_logistic", lambda d, n, s: select_rfe(d, "logistic", n, seed=s)),
+        ("rfe_linear_svm", lambda d, n, s: select_rfe(d, "linear_svm", n, seed=s)),
+        ("rfe_forest", lambda d, n, s: select_rfe(d, "forest", n, seed=s)),
+        ("sfs_boosted_trees",
+         lambda d, n, s: select_sfs(d, "boosted_trees", min(SFS_MAX_KEEP, n), seed=s)),
+        ("sfs_linear_svm",
+         lambda d, n, s: select_sfs(d, "linear_svm", min(SFS_MAX_KEEP, n), seed=s)),
+    ),
+    "fast": (
+        (None, lambda d, n, s: select_f_score(d, n)),
+        (None, lambda d, n, s: select_mutual_info(d, n, n_bins=8)),
+        (None, lambda d, n, s: select_lasso(d, lam=0.01)),
+    ),
+    "none": (),
+}
 
 
 def run_roster(roster: str, train: Dataset, master_seed: int = 0,
                n_keep: int | None = None) -> list[SelectorDecision]:
-    """Run the named roster on the training partition: `default` (the 12
-    voters of run_default_roster), `fast` (the F score, 8-bin mutual
-    information and lasso at 0.01) or `none` (no selector, so no vote).
-    The per-selector budget `n_keep` defaults to half the columns."""
+    """Run `ROSTERS[roster]`'s rows in order on the training partition; a row
+    that takes a budget gets `n_keep`, half the columns if not given."""
     if roster not in ROSTERS:
         raise FeatselError(f"unknown selector roster {roster!r}")
-    if roster == "none":
-        return []
     if n_keep is None:
         n_keep = max(1, train.n_cols // 2)
-    if roster == "default":
+    if roster == "default":     # the module global, which benchmarks/spans.py times as one span
         return run_default_roster(train, master_seed, n_keep)
-    return [select_f_score(train, n_keep), select_mutual_info(train, n_keep, n_bins=8),
-            select_lasso(train, lam=0.01)]
+    return _run_rows(ROSTERS[roster], train, master_seed, n_keep)
+
+
+def _run_rows(rows, train: Dataset, master_seed: int, n_keep: int) -> list[SelectorDecision]:
+    return [call(train, n_keep, key and _selector_seed(master_seed, key)) for key, call in rows]
 
 
 def _selector_seed(master_seed: int, name: str) -> int:
@@ -390,30 +414,4 @@ def _selector_seed(master_seed: int, name: str) -> int:
 
 
 def run_default_roster(train: Dataset, master_seed: int, n_keep: int) -> list[SelectorDecision]:
-    """The default 12-voter roster; `n_keep` is the budget of each selector
-    that takes one.
-
-    Filter selectors at three granularities (mutual information at 4/8/16
-    bins), two coordinate-descent L1 strengths, a shadow-feature wrapper,
-    recursive elimination under three estimators, and sequential selection
-    under two.  Sequential selection keeps at most 20, because its cost
-    grows with the square of its budget.
-    """
-    _check(train, n_keep)
-    sfs_n_keep = min(20, n_keep)
-
-    seed_for = functools.partial(_selector_seed, master_seed)
-    return [
-        select_f_score(train, n_keep),
-        select_mutual_info(train, n_keep, n_bins=4),
-        select_mutual_info(train, n_keep, n_bins=8),
-        select_mutual_info(train, n_keep, n_bins=16),
-        select_lasso(train, lam=0.005),
-        select_lasso(train, lam=0.02),
-        select_boruta(train, seed=seed_for("boruta")),
-        select_rfe(train, "logistic", n_keep, seed=seed_for("rfe_logistic")),
-        select_rfe(train, "linear_svm", n_keep, seed=seed_for("rfe_linear_svm")),
-        select_rfe(train, "forest", n_keep, seed=seed_for("rfe_forest")),
-        select_sfs(train, "boosted_trees", sfs_n_keep, seed=seed_for("sfs_boosted_trees")),
-        select_sfs(train, "linear_svm", sfs_n_keep, seed=seed_for("sfs_linear_svm")),
-    ]
+    return _run_rows(ROSTERS["default"], train, master_seed, n_keep)
