@@ -116,6 +116,10 @@ class PipelineConfig:
                 if isinstance(value, tuple):                    # a list, as its INI text
                     value = ", ".join(map(str, value))
                 raise ConfigError(f"[{k.section}] {k.key}: must be {k.must}, got {value!r}")
+        voters = len(featsel.ROSTERS[self.roster])
+        if voters and self.vote_threshold > voters:         # roster none holds no vote
+            raise ConfigError(f"[featsel] vote_threshold: must be <= {voters} (the voters of "
+                              f"roster {self.roster}), got {self.vote_threshold}")
         for fam, hp in self.model_overrides.items():
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r} in section [model.{fam}]")

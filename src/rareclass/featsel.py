@@ -2,8 +2,11 @@
 
 A roster of selectors each nominates a feature subset from the training
 partition; a feature enters the final set when at least `threshold`
-selectors chose it.  Estimator-backed selectors train with the minority
-class up-weighted so the vote is biased toward rare-class signal.
+selectors chose it.  Each roster is a tuple of rows in `ROSTERS`, run in
+order.  A row's budget is half the surviving columns unless given, at most
+SFS_MAX_KEEP for sequential selection, and none for lasso and Boruta.
+Estimator-backed selectors train with the minority class up-weighted so
+the vote is biased toward rare-class signal.
 """
 
 from __future__ import annotations

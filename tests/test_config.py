@@ -247,6 +247,22 @@ out_dir = results
         assert {PipelineConfig(model_families=v(["logistic", "linear_svm"])).digest()
                 for v in (list, tuple)} == {loaded.digest()}
 
+    @pytest.mark.parametrize("roster, voters", [("fast", 3), ("default", 12)])
+    def test_vote_threshold_above_the_roster_fails_at_load(self, tmp_path, roster, voters):
+        # it failed only in the select stage, after the whole roster had run
+        def load(threshold):
+            return load_config(_write(tmp_path, f"[featsel]\nroster = {roster}\n"
+                                                f"vote_threshold = {threshold}\n"))
+        assert load(voters).vote_threshold == voters
+        with pytest.raises(ConfigError, match=rf"^\[featsel\] vote_threshold: must be "
+                                              rf"<= {voters} .*, got {voters + 1}$"):
+            load(voters + 1)
+
+    def test_roster_none_takes_any_vote_threshold(self, tmp_path):
+        # no selector runs, so no vote is held
+        cfg = load_config(_write(tmp_path, "[featsel]\nroster = none\nvote_threshold = 13\n"))
+        assert cfg.vote_threshold == 13
+
     def test_invalid_value_caught_at_load(self, tmp_path):
         with pytest.raises(ConfigError, match="scenario"):
             load_config(_write(tmp_path, "[resample]\nscenario = adasyn\n"))

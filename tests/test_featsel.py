@@ -286,18 +286,21 @@ class TestVote:
 
 class TestRoster:
     def test_twelve_voters_distinct_names(self):
+        # twelve names, in the order of the contributors in votes.csv
         d = _signal_noise(n=100, seed=12)
         decs = run_default_roster(d, master_seed=0, n_keep=3)
-        assert len(decs) == 12
-        assert len({dec.name for dec in decs}) == 12
+        assert [dec.name for dec in decs] == [
+            "f_score", "mutual_info_4", "mutual_info_8", "mutual_info_16",
+            "lasso_0.005", "lasso_0.02", "boruta", "rfe_logistic", "rfe_linear_svm",
+            "rfe_forest", "sfs_boosted_trees_forward", "sfs_linear_svm_forward"]
 
     @pytest.mark.parametrize("master_seed", [0, 1, 2])
     def test_six_wrappers_get_six_seeds(self, master_seed):
         # a seed from a name's first four bytes gave the three rfe_* one seed
         # and the two sfs_* another
-        names = ("boruta", "rfe_logistic", "rfe_linear_svm", "rfe_forest",
-                 "sfs_boosted_trees", "sfs_linear_svm")
-        assert len({featsel._selector_seed(master_seed, n) for n in names}) == 6
+        keys = {key for key, _ in featsel.ROSTERS["default"] if key is not None}
+        assert len(keys) == 6
+        assert len({featsel._selector_seed(master_seed, k) for k in keys}) == 6
 
     def test_roster_deterministic(self):
         d = _signal_noise(n=100, seed=12)

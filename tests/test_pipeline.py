@@ -145,15 +145,16 @@ class TestRunPipeline:
         assert res.train_set.n_cols == res.pruned.n_cols
 
     def test_a_vote_that_keeps_no_column_fails_the_select_stage(self, tmp_path):
-        # three selectors cannot give any column four votes
-        d = make_imbalanced(n_rows=200, n_informative=3, n_noise=5, positive_fraction=0.15,
-                            missing_fraction=0.05, seed=0)
+        # on noise alone, the F score and mutual information keep one
+        # column each, and not the same one, so no column has all 3 votes
+        d = make_imbalanced(n_rows=200, n_informative=0, n_noise=8, positive_fraction=0.15,
+                            missing_fraction=0.05, seed=1)
         data, labels = str(tmp_path / "s.data"), str(tmp_path / "s_labels.data")
         write_secom_like(d, data, labels)
-        cfg = PipelineConfig(data_path=data, labels_path=labels, roster="fast", vote_threshold=4)
-        with (pytest.warns(UserWarning, match="selection is empty"),
-              pytest.raises(PipelineError, match="stage select: vote threshold 4 keeps no column; "
-                                                 "the top vote count is 3") as exc):
+        cfg = PipelineConfig(data_path=data, labels_path=labels, roster="fast",
+                             featsel_n_keep=1, vote_threshold=3)
+        with pytest.raises(PipelineError, match="stage select: vote threshold 3 keeps no column; "
+                                                "the top vote count is 2") as exc:
             run_pipeline(cfg, stop_after="select")
         assert exc.value.stage == "select"
 
