@@ -161,20 +161,24 @@ def _check(where: str, build, *args, **kwargs):
 
 def load_config(path) -> PipelineConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        # interpolation raises for a bare % here, not in read
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as e:
+        raise ConfigError(f"{path}: {e}") from e
     cfg = PipelineConfig()
-    for section in parser.sections():
+    for section, items in sections.items():
         if section.startswith("model."):
             family = section.split(".", 1)[1]
             cfg.model_overrides[family] = {
-                k: _check(f"[{section}] {k}", float, v) for k, v in parser.items(section)}
+                k: _check(f"[{section}] {k}", float, v) for k, v in items}
             continue
         if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         keys = CONFIG_KEYS[section]
-        for key, value in parser.items(section):
+        for key, value in items:
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             setattr(cfg, keys[key], _check(f"[{section}] {key}", INI_KEYS[keys[key]].parse, value))

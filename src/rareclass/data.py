@@ -130,8 +130,6 @@ class ColumnStats:
 
 
 def _parse_float(token: str, path: str, line_no: int) -> float:
-    if token == "NaN" or token == "":
-        return math.nan
     try:
         return float(token)
     except ValueError:
@@ -154,33 +152,27 @@ def _tokenize_secom(fh, path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _c_read(fh, **kw) -> np.ndarray | None:
-    """The table from the rest of `fh`, parsed by numpy's C reader, which
-    converts each cell with the same routine as `float()` after stripping
-    its blanks; None when the reader rejects the text (a bad cell, ragged
-    rows) or finds no rows.  Each loader then parses the file again with
-    its token loop, so an accepted file loads to the loop's bits and a
-    rejected one raises the loop's DataError."""
-    try:
-        with warnings.catch_warnings():
-            # an empty file: the token loop raises for it
-            warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2, **kw)
-    except ValueError:
-        return None
-    return values if values.shape[0] else None
-
-
 def load_secom(data_path, labels_path) -> Dataset:
     """Load the whitespace-separated sensor file and its labels file.
 
     The data file uses the literal token "NaN" for missing cells.  Each
     labels line starts with -1 (pass) or 1 (fail); trailing tokens (a
     timestamp) are ignored.
+
+    numpy's C reader parses the data file, converting each cell with the
+    same routine as `float()`.  A file it rejects (a bad cell, ragged
+    rows) or finds empty is parsed again by the token loop, so every file
+    loads to the loop's bits or raises the loop's DataError.
     """
     with open(data_path) as fh:
-        values = _c_read(fh)
-        if values is None:
+        try:
+            with warnings.catch_warnings():
+                # an empty file: the token loop raises for it
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:                   # a bad cell or ragged rows
+            values = np.empty((0, 0))
+        if not values.shape[0]:
             fh.seek(0)
             values = _tokenize_secom(fh, data_path)
 
@@ -200,30 +192,17 @@ def load_secom(data_path, labels_path) -> Dataset:
     return Dataset(FeatureMatrix(values, np.arange(values.shape[1])), np.array(labels))
 
 
-def _read_delimited(fh, label_column, delimiter):
-    """The feature values and stripped label cells by the C reader, or None
-    for `_tokenize_delimited` to read the file.  The C reader rejects the
-    empty and `NA` missing cells and reads `NaN` as the loop does; it takes
-    only a one-character delimiter, and reads a line of blanks as a row
-    when the label is the only column, so such files go to the loop too."""
-    if len(delimiter) != 1:
-        return None
-    header = next((ln.rstrip("\n") for ln in fh if ln.strip()), "").split(delimiter)
-    if len(header) < 2 or label_column not in header:
-        return None
-    label_pos = header.index(label_column)
-    raw_labels = []
-    values = _c_read(fh, delimiter=delimiter, converters={
-        label_pos: lambda cell: raw_labels.append(cell.strip()) or 0.0})
-    if values is None or values.shape != (len(raw_labels), len(header)):
-        return None
-    return np.delete(values, label_pos, axis=1), raw_labels
+def load_delimited(path, label_column: str, delimiter: str = ",") -> Dataset:
+    """Load a delimited text file with a header row.  An empty, `NA` or
+    `NaN` cell is missing.  The file is parsed one cell at a time, so every
+    error names the file and, for a row, its line in the file.
 
-
-def _tokenize_delimited(fh, path, label_column, delimiter):
-    """Parse the delimited file one cell at a time; every error names the
-    file and, for a row, its line in the file."""
-    lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    The label column must hold exactly two distinct values; the less
+    frequent one becomes class 1.  A frequency tie is broken by mapping the
+    lexicographically larger value to class 1.
+    """
+    with open(path) as fh:
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise DataError(f"empty input: {path}")
     header = lines[0][1].split(delimiter)
@@ -247,23 +226,7 @@ def _tokenize_delimited(fh, path, label_column, delimiter):
         rows.append(row)
     if not rows:
         raise DataError(f"empty input: {path}")
-    return np.array(rows, dtype=np.float64), raw_labels
-
-
-def load_delimited(path, label_column: str, delimiter: str = ",") -> Dataset:
-    """Load a delimited text file with a header row.  An empty, `NA` or
-    `NaN` cell is missing.
-
-    The label column must hold exactly two distinct values; the less
-    frequent one becomes class 1.  A frequency tie is broken by mapping the
-    lexicographically larger value to class 1.
-    """
-    with open(path) as fh:
-        parsed = _read_delimited(fh, label_column, delimiter)
-        if parsed is None:
-            fh.seek(0)
-            parsed = _tokenize_delimited(fh, path, label_column, delimiter)
-    values, raw_labels = parsed
+    values = np.array(rows, dtype=np.float64)
 
     distinct = sorted(set(raw_labels))
     if len(distinct) != 2:
@@ -321,8 +284,10 @@ def correlation_matrix(d: Dataset) -> np.ndarray:
 
     Entry (i, j) uses only rows where both columns are present.  Pairs with
     fewer than 2 shared rows or zero variance on the shared rows are NaN.
-    The result is exactly symmetric with unit diagonal for non-degenerate
-    columns.
+    A variance counts as zero when the centred sum of squares is at most
+    1e-12 of the uncentred one, a cut that does not depend on the column's
+    units.  The result is exactly symmetric with unit diagonal for
+    non-degenerate columns.
     """
     v = d.features.values
     missing = np.isnan(v)
@@ -341,14 +306,10 @@ def correlation_matrix(d: Dataset) -> np.ndarray:
         denom = np.sqrt(var_i * var_i.T)
         r = cov / denom
 
-    eps = 1e-12
-    bad = (n < 2) | (var_i <= eps * np.maximum(sxx, 1.0)) | (var_i.T <= eps * np.maximum(sxx.T, 1.0))
+    flat = var_i <= 1e-12 * sxx      # relative to the column's own scale
+    bad = (n < 2) | flat | flat.T
     r[bad] = np.nan
     r = np.clip(r, -1.0, 1.0)
     r = (r + r.T) / 2.0              # enforce exact symmetry
-
-    # unit diagonal for columns with >= 2 present values and nonzero variance
-    diag_ok = (np.diag(n) >= 2) & (np.diag(var_i) > eps * np.maximum(np.diag(sxx), 1.0))
-    dg = np.where(diag_ok, 1.0, np.nan)
-    np.fill_diagonal(r, dg)
+    np.fill_diagonal(r, np.where(np.diag(bad), np.nan, 1.0))
     return r

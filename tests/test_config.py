@@ -174,6 +174,26 @@ out_dir = results
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
 
+    @pytest.mark.parametrize("text", [
+        "seed = 1\n",                                   # no section header
+        "[run]\nseed = 1\n[run]\nseed = 2\n",            # a section twice
+        "[run]\nseed = 1\nseed = 2\n",                   # a key twice
+        "[run]\nout_dir = out%x\n",                     # a bare %, raised by interpolation
+    ], ids=["no_section", "duplicate_section", "duplicate_key", "bare_percent"])
+    def test_malformed_file_names_the_file(self, tmp_path, text):
+        path = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
+            load_config(path)
+
+    def test_malformed_file_fails_on_the_command_line_without_a_traceback(self, tmp_path,
+                                                                          capsys):
+        path = _write(tmp_path, "seed = 1\n")
+        assert main(["evaluate", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: File contains no section")
+
+    def test_escaped_percent_is_a_literal(self, tmp_path):
+        assert load_config(_write(tmp_path, "[run]\nout_dir = out%%x\n")).out_dir == "out%x"
+
     @pytest.mark.parametrize("section, text", [
         ("model.logistic", "[model.logistic]\nl2 = -1\n"),
         ("model.logistic", "[model.logistic]\nepoch = 5\n"),

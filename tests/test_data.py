@@ -264,10 +264,9 @@ _LABEL_PAIRS = (("pass", "fail"), ("-1", "1"), ("A", " B "), ("", "x"))
 def _delimited_text(draw, max_rows=6, max_features=4):
     """A delimited file with a header and a label column first, in the
     middle or last: number cells as in the sensor file, `NaN`, and (unless
-    `clean`) empty and `NA` cells, all padded with spaces, with blank lines
-    before the header and between rows.  Returns the text, the delimiter,
-    and whether the C reader should accept the file: it rejects empty and
-    `NA` cells and blank lines that hold blanks."""
+    the file is drawn clean) empty and `NA` cells, all padded with spaces,
+    with blank lines before the header and between rows (in a clean file,
+    only empty ones).  Returns the text and the delimiter."""
     delimiter = draw(st.sampled_from(_DELIMITERS))
     n_features = draw(st.integers(1, max_features))
     label_pos = draw(st.integers(0, n_features))
@@ -285,7 +284,7 @@ def _delimited_text(draw, max_rows=6, max_features=4):
         cells = [draw(pad) + draw(cell) + draw(pad) for _ in range(n_features)]
         cells.insert(label_pos, draw(st.sampled_from(pair)))
         lines.append(delimiter.join(cells))
-    return "\n".join(lines) + ("\n" if draw(st.booleans()) else ""), delimiter, clean
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else ""), delimiter
 
 
 def _delimited_outcome(load, path, delimiter):
@@ -298,18 +297,10 @@ def _delimited_outcome(load, path, delimiter):
 
 @settings(max_examples=300, deadline=None)
 @given(case=_delimited_text())
-def test_delimited_c_reader_loads_the_loops_bits(tmp_path_factory, case):
-    text, delimiter, clean = case
+def test_delimited_loads_the_reference_bits(tmp_path_factory, case):
+    text, delimiter = case
     path = tmp_path_factory.mktemp("csv") / "f.csv"
     path.write_text(text)
-    with open(path) as fh:
-        c_path = data._read_delimited(fh, "cls", delimiter)
-    with open(path) as fh:
-        looped = data._tokenize_delimited(fh, str(path), "cls", delimiter)
-    assert c_path is not None or not clean
-    if c_path is not None:
-        assert c_path[0].shape == looped[0].shape
-        assert c_path[0].tobytes() == looped[0].tobytes() and c_path[1] == looped[1]
     assert (_delimited_outcome(load_delimited, str(path), delimiter)
             == _delimited_outcome(_reference_load_delimited, str(path), delimiter))
 
@@ -322,9 +313,9 @@ _DELIMITED_FAULTS = ("bad_token", "underscore", "ragged", "extra_field", "header
 @given(case=_delimited_text(), fault=st.sampled_from(_DELIMITED_FAULTS),
        where=st.integers(0, 10 ** 6))
 def test_delimited_rejected_files_fail_as_before(tmp_path_factory, case, fault, where):
-    """Files the C reader rejects, or may not read, load or fail with the
-    same DataError text as with the cell-by-cell loader."""
-    text, delimiter, _ = case
+    """Faulty files load, or fail with the same DataError text, as with
+    the cell-by-cell loader."""
+    text, delimiter = case
     lines = text.split("\n")
     header, *rows = [i for i, ln in enumerate(lines) if ln.strip()]
     assume(rows)                                     # every data row blank: no row to break

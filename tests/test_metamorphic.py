@@ -3,10 +3,18 @@
 Scaling one raw column by a power of two is exact in floating point, and
 every stage after the scaler reads the min-max scaled column, which is
 the same bits at any such scale.  Prune reads the raw training rows, but
-only through scale-free figures (missing fraction, constancy, |r|).  So
+only through scale-free figures (missing fraction, constancy, |r|, whose
+zero-variance cut is relative to the column's own sum of squares).  So
 the run must write every artifact byte for byte as before; only the
 leakage hashes of the raw test rows may change, and they are not
-written.  The dataset is handed to the pipeline in memory, since
+written.
+
+Appending an exact copy of a surviving column gives the copy |r| = 1 with
+its original, so the correlation prune drops it and no later stage sees
+it: only `drops.csv` gains its line, and the report only its pruning and
+pre-prune missing-cell figures.
+
+The dataset is handed to the pipeline in memory, since
 `write_secom_like` rounds each cell to 4 decimals.
 """
 
@@ -16,6 +24,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -66,9 +75,39 @@ def _check_scale_is_invisible(column: int, k: int, method: str, scenario: int, r
        st.sampled_from(["simple", "knn", "mice"]), st.sampled_from([1, 2, 3]))
 @example(11, -3, "knn", 3)          # a near-copy shrunk: |cov| drops under 0.7, |r| does not
 @example(0, 3, "mice", 2)
+@example(11, -26, "knn", 3)         # sums of squares far below 1: |r| must not read NaN
+@example(12, -26, "knn", 3)
 def test_a_power_of_two_column_scale_changes_no_artifact(column, k, method, scenario):
     _check_scale_is_invisible(column, k, method, scenario, "fast")
 
 
 def test_the_default_roster_sees_no_power_of_two_column_scale():
     _check_scale_is_invisible(2, -2, "knn", 3, "default")
+
+
+def _with_copy(column: int) -> Dataset:
+    """RAW with an exact copy of `column` appended as a new last column."""
+    values = RAW.features.values
+    return Dataset(FeatureMatrix(np.column_stack([values, values[:, column]]),
+                                 np.append(RAW.features.column_ids, RAW.n_cols)), RAW.labels)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 9), st.sampled_from(["simple", "knn", "mice"]), st.sampled_from([1, 2, 3]))
+def test_an_appended_column_copy_changes_only_the_prune_records(column, method, scenario):
+    want, before = _unscaled_run(method, scenario, "fast")
+    got, after = _run(_with_copy(column), method, scenario, "fast")
+    assert sorted(got) == sorted(want)
+    assert [name for name in want
+            if got[name] != want[name] and name not in ("drops.csv", "report.txt")] == []
+    # columns 0-9 all survive prune, so the copy's partner is its original
+    copy_line = f"{RAW.n_cols},correlated,0.7,{column}"
+    drops = got["drops.csv"].decode().splitlines()
+    assert drops.count(copy_line) == 1
+    assert [ln for ln in drops if ln != copy_line] == want["drops.csv"].decode().splitlines()
+    assert after.prune_counts == {**before.prune_counts,
+                                  "correlated": before.prune_counts["correlated"] + 1}
+    assert after.missing_stats["after_prune"] == before.missing_stats["after_prune"]
+    lines, old = got["report.txt"].decode().splitlines(), want["report.txt"].decode().splitlines()
+    assert len(lines) == len(old)
+    assert {a.split(":")[0] for a, b in zip(lines, old) if a != b} <= {"pruning", "missing cells"}
