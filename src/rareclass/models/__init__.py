@@ -46,7 +46,6 @@ DEFAULT_HYPERPARAMS = {
                              "min_leaf": 5, "leaf_l2": 1.0, "gamma": 0.0},
 }
 
-_LINEAR = ("logistic", "linear_svm")
 _WHOLE_FITS = ("decision_tree", "gradient_boosting", "regularized_boosting")
 
 _POSITIVE_INT = {"max_depth", "min_leaf", "n_trees", "n_rounds"}
@@ -126,42 +125,23 @@ def _forest_tree(X, ranks, y, sw, seed: int, max_depth: int, min_leaf: int, n_su
                                  rng=rng, n_subsample=n_subsample)
 
 
-def _forest(spec: ModelSpec, train_set: Dataset, class_weight: float | None) -> TrainedModel:
-    """A random forest, its trees one pmap item each; the gains are added in
-    tree order, so the model is the same at any worker count."""
-    X, hp = train_set.features.values, spec.hyperparams
-    args = (X, trees.column_ranks(X), train_set.labels,
-            _sample_weights(train_set.labels, class_weight), spec.seed, hp["max_depth"],
-            hp["min_leaf"], max(1, int(round(math.sqrt(X.shape[1])))))
-    forest = parallel.pmap(_forest_tree, [(*args, t) for t in range(hp["n_trees"])])
-    importance = np.zeros(train_set.n_cols)
-    for tree in forest:
-        trees.add_gains(importance, tree)
-    return TrainedModel(spec, train_set.column_ids.copy(),
-                        {"trees": forest, "importance": importance})
-
-
 def train_all(specs, train_set: Dataset, class_weight: float | None = None) -> list[TrainedModel]:
     """Fit each spec's family on one training set; the models come back in
     spec order, the same as `[train(s, train_set, class_weight) for s in specs]`.
 
-    What runs where: linear families are fit inline, in the calling
-    process.  The decision tree and the boosting families go to `pmap` as
-    one map of whole fits by `train`, few enough that each is its own
-    task; then each forest's trees go as a map of their own.  Linear
-    families alone start no pool.
+    Every model is one `train` call.  What runs where: the decision tree
+    and the boosting families go to `pmap` first, as one map of whole fits,
+    few enough that each is its own task.  Then every other spec is fit in
+    the calling process, in spec order: a linear family there, a forest by
+    handing its trees to `pmap` as a map of their own.  Linear families
+    alone start no pool.
     """
     _check_trainable(train_set)
     specs = list(specs)
-    out = [train(s, train_set, class_weight) if s.family in _LINEAR else None for s in specs]
-    whole = [i for i, s in enumerate(specs) if s.family in _WHOLE_FITS]
-    for i, m in zip(whole, parallel.pmap(train, [(specs[i], train_set, class_weight)
-                                                 for i in whole])):
-        out[i] = m
-    for i, s in enumerate(specs):
-        if s.family == "random_forest":
-            out[i] = _forest(s, train_set, class_weight)
-    return out
+    whole = iter(parallel.pmap(train, [(s, train_set, class_weight) for s in specs
+                                       if s.family in _WHOLE_FITS]))
+    return [next(whole) if s.family in _WHOLE_FITS else train(s, train_set, class_weight)
+            for s in specs]
 
 
 def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None) -> TrainedModel:
@@ -169,12 +149,12 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
 
     class_weight multiplies the minority-class sample weight; with an
     integer weight it is equivalent to duplicating each minority row that
-    many times.  A random forest's trees go to `pmap` by `_forest`; every
-    other family is fit here, in the calling process.
+    many times.  Every model the package makes comes from here.  A random
+    forest's trees go to `pmap`, one tree per item, and their gains are
+    added in tree order, so the model is the same at any worker count;
+    every other family is fit here, in the calling process.
     """
     _check_trainable(train_set)
-    if spec.family == "random_forest":
-        return _forest(spec, train_set, class_weight)
     X = train_set.features.values
     y = train_set.labels.astype(np.float64)
     sw = _sample_weights(train_set.labels, class_weight)
@@ -193,6 +173,14 @@ def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None
         tree = trees.build_gini_tree(X, trees.column_ranks(X), train_set.labels, sw,
                                      hp["max_depth"], hp["min_leaf"])
         state = {"tree": tree}
+    elif fam == "random_forest":
+        args = (X, trees.column_ranks(X), train_set.labels, sw, spec.seed, hp["max_depth"],
+                hp["min_leaf"], max(1, int(round(math.sqrt(X.shape[1])))))
+        forest = parallel.pmap(_forest_tree, [(*args, t) for t in range(hp["n_trees"])])
+        importance = np.zeros(train_set.n_cols)
+        for tree in forest:
+            trees.add_gains(importance, tree)
+        state = {"trees": forest, "importance": importance}
     else:                                   # the two boosting families
         ranks = trees.column_ranks(X)
         depth, leaf = hp["max_depth"], hp["min_leaf"]
