@@ -355,9 +355,14 @@ def write_drops(drop_logs: dict, out_dir) -> Path:
 
 def emit_report(r: EvalReport, out_dir, result: PipelineResult) -> list[str]:
     """Write report.txt, the per-model ROC tables and plots and the run's
-    ledgers; returns the paths written."""
+    ledgers; returns the paths written.  Any artifact an earlier run left in
+    out_dir is removed first, so the directory holds this run's alone; no
+    other file is touched."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("report.txt", "votes.csv", "drops.csv", "resample_plan.csv",
+                 *(f"roc_{f}.{ext}" for f in models.FAMILIES for ext in ("csv", "svg"))):
+        (out / name).unlink(missing_ok=True)
     lines = [format_report_table(r), ""]
     lines.append(f"config digest: {r.config_digest}   seed: {r.seed}")
     pc = r.prune_counts

@@ -32,7 +32,7 @@ def _at_one_and_two_workers(monkeypatch, run):
     return out
 
 
-def test_forest_json_is_the_same_at_any_worker_count(data, monkeypatch):
+def test_forest_is_the_same_at_any_worker_count(data, monkeypatch):
     spec = models.ModelSpec("random_forest", {"n_trees": 16, "max_depth": 4}, seed=7)
     one, two = _at_one_and_two_workers(
         monkeypatch, lambda: model_bytes(models.train(spec, data, class_weight=3.0)))
@@ -57,6 +57,24 @@ def test_families_fit_together_as_they_fit_one_by_one(data, monkeypatch):
         return together
     one, two = _at_one_and_two_workers(monkeypatch, run)
     assert one == two
+
+
+def test_train_all_fits_every_spec_by_one_train_call(data, monkeypatch):
+    # the forest too: each model train_all returns is what one call of
+    # models.train made for that spec
+    monkeypatch.setattr(parallel, "workers", lambda: 1)
+    specs = [models.ModelSpec(f, SMALL[f], seed=7) for f in models.FAMILIES]
+    fit, calls = models.train, []
+
+    def counted(spec, *args):
+        calls.append((spec, fit(spec, *args)))
+        return calls[-1][1]
+    monkeypatch.setattr(models, "train", counted)
+    out = models.train_all(specs, data, class_weight=3.0)
+    assert len(calls) == len(specs) == 6
+    calls.sort(key=lambda call: specs.index(call[0]))
+    assert [s for s, _ in calls] == specs
+    assert all(m is made for m, (_, made) in zip(out, calls))
 
 
 @pytest.mark.parametrize("families", [models.FAMILIES, ("random_forest",)],

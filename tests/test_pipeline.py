@@ -342,6 +342,23 @@ class TestEmitReport:
             want = np.column_stack([mr.roc.fpr, mr.roc.tpr, mr.roc.thresholds])
             assert np.array_equal(got, want)
 
+    def test_a_reused_directory_holds_only_the_last_runs_artifacts(self, sensor_files,
+                                                                      tmp_path):
+        # the first run writes votes.csv, resample_plan.csv and two ROC
+        # pairs; the second has no vote, no resampling and one family
+        first = _cfg(sensor_files, scenario="combined", over_ratio=0.4, under_ratio=0.8)
+        last = _cfg(sensor_files, roster="none", model_families=("logistic",))
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        reused.mkdir()
+        (reused / "notes.txt").write_text("not an artifact\n")
+        for cfg, out in ((first, reused), (last, reused), (last, fresh)):
+            res = run_pipeline(cfg)
+            emit_report(res.report, out, result=res)
+        names = {p.name for p in reused.iterdir()}
+        assert {"votes.csv", "resample_plan.csv", "roc_decision_tree.csv"}.isdisjoint(names)
+        assert names == {p.name for p in fresh.iterdir()} | {"notes.txt"}
+        assert (reused / "notes.txt").read_text() == "not an artifact\n"
+
     def test_svg_is_wellformed(self, sensor_files, tmp_path):
         import xml.etree.ElementTree as ET
         res = run_pipeline(_cfg(sensor_files))

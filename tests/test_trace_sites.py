@@ -52,6 +52,19 @@ def test_traced_spans_fire_on_a_run(tmp_path):
     assert expected <= recorded
 
 
+def test_the_train_stage_forest_is_a_traced_fit(tmp_path):
+    # the fast roster fits no forest, so this span can only come from the
+    # train stage's forest going through the wrapped models.train
+    d = make_imbalanced(n_rows=120, n_informative=3, n_noise=4, positive_fraction=0.2,
+                        missing_fraction=0.0, seed=2)
+    data, labels = str(tmp_path / "s.data"), str(tmp_path / "s_labels.data")
+    write_secom_like(d, data, labels)
+    spans = _spans()
+    with spans.installed(spans.Tracer()) as tracer:
+        reproduce(3, 0, tmp_path / "out", data, labels, roster="fast")
+    assert "models.train.random_forest" in {name for name, *_ in tracer.spans}
+
+
 def test_default_roster_spans_fire(tmp_path):
     # the roster and every selector are traced where the pipeline reaches
     # them: through featsel's module globals, not through function objects
