@@ -293,12 +293,14 @@ def correlation_matrix(d: Dataset) -> np.ndarray:
     missing = np.isnan(v)
     m = (~missing).astype(np.float64)
     x = np.where(missing, 0.0, v)
+    del missing                      # each n x p temporary is freed once it is last read
 
-    n = m.T @ m                      # shared present counts
     sx = x.T @ m                     # sx[i,j] = sum of col i over rows where j present
     sxy = x.T @ x
-    sxx = np.multiply(x, x, out=x).T @ m     # x is not read again
-    del missing, m, x                # free the n x p temporaries before the p x p arithmetic
+    sxx = np.multiply(x, x, out=x).T @ m
+    del x
+    n = m.T @ m                      # shared present counts
+    del m                            # the p x p arithmetic below holds no n x p array
 
     with np.errstate(invalid="ignore", divide="ignore"):
         cov = sxy - sx * sx.T / n

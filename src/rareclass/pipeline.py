@@ -90,8 +90,8 @@ class PipelineResult:
 
 def _hash_rows(d: Dataset, idx: np.ndarray) -> str:
     h = hashlib.sha256()
-    h.update(d.features.values[idx].tobytes())
-    h.update(d.labels[idx].tobytes())
+    h.update(d.features.values[idx])     # C-ordered: hashed in place, no bytes copy
+    h.update(d.labels[idx])
     return h.hexdigest()
 
 
@@ -133,6 +133,7 @@ def _prune(cfg: PipelineConfig, res: PipelineResult) -> None:
     stats = {s.column_id: s for s in column_stats(train)}
     d, log_m = preprocess.drop_high_missing(train, cfg.missing_drop_threshold,
                                             list(stats.values()))
+    del train                        # raw width: not held through the correlation workspace
     d, log_c = preprocess.drop_constant(d, [stats[int(c)] for c in d.column_ids])
     d, log_r = preprocess.drop_correlated(d, cfg.correlation_threshold)
     res.drop_logs = {"high_missing": log_m, "constant": log_c, "correlated": log_r}
@@ -150,7 +151,6 @@ def _scale(cfg: PipelineConfig, res: PipelineResult) -> None:
 
 
 def _impute(cfg: PipelineConfig, res: PipelineResult) -> None:
-    train, test = res.train_set, res.test_set
     if cfg.impute_method == "simple":
         # an override of a column the data lacks is an error; of a pruned one, ignored
         absent = [c for c in sorted(cfg.impute_overrides) if c not in res.raw.column_ids]
@@ -158,8 +158,9 @@ def _impute(cfg: PipelineConfig, res: PipelineResult) -> None:
             raise impute.ImputeError(f"[impute] overrides name columns not in the data: {absent}")
         # order-based strategies fill along row order, so each partition
         # is filled on its own
-        plan = impute.fit_skew_refined_plan(train, cfg.skew_threshold, cfg.impute_overrides)
-        res.train_set, res.test_set = impute.simple_impute(plan, train), impute.simple_impute(plan, test)
+        plan = impute.fit_skew_refined_plan(res.train_set, cfg.skew_threshold, cfg.impute_overrides)
+        res.train_set = impute.simple_impute(plan, res.train_set)
+        res.test_set = impute.simple_impute(plan, res.test_set)
         return
     if cfg.impute_method == "knn":
         fill, p = impute.knn_impute, impute.KnnImputeParams(k=cfg.knn_k)
@@ -167,13 +168,18 @@ def _impute(cfg: PipelineConfig, res: PipelineResult) -> None:
         fill, p = impute.mice_impute, impute.MiceParams(
             n_iterations=cfg.mice_iterations, initial_fill=cfg.mice_initial_fill,
             seed=cfg.seed, noise_mode=cfg.mice_noise_mode)
-    # one pass fills both; every fit comes from the first train.n_rows rows
+    # one pass fills both; every fit comes from the first n_train rows.  The
+    # fill copies its input: the partitions go before it, the stacked input after
+    train, test, n_train = res.train_set, res.test_set, res.train_set.n_rows
     both = Dataset(FeatureMatrix(np.vstack([train.features.values, test.features.values]),
                                  train.column_ids),
                    np.concatenate([train.labels, test.labels]))
-    filled = fill(p, both, n_train=train.n_rows)
-    res.train_set = filled.take_rows(np.arange(train.n_rows))
-    res.test_set = filled.take_rows(np.arange(train.n_rows, both.n_rows))
+    del train, test
+    res.train_set = res.test_set = None
+    filled = fill(p, both, n_train=n_train)
+    del both
+    res.train_set = filled.take_rows(np.arange(n_train))
+    res.test_set = filled.take_rows(np.arange(n_train, filled.n_rows))
 
 
 def _select(cfg: PipelineConfig, res: PipelineResult) -> None:

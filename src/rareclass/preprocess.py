@@ -148,7 +148,10 @@ def apply_scaler(p: ScalerParams, d: Dataset) -> Dataset:
         raise PreprocessError(f"scaler has no parameters for column {e.args[0]}") from None
     ave = p.ave_x[idx]
     rng = p.max_x[idx] - p.min_x[idx]
-    return d.with_values(0.5 + (d.features.values - ave) / rng)
+    t = d.features.values - ave      # one n x p result; t + 0.5 is 0.5 + t bit for bit
+    t /= rng
+    t += 0.5
+    return d.with_values(t)
 
 
 def _class_shuffles(labels: np.ndarray, seed: int) -> dict[int, np.ndarray]:

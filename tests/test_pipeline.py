@@ -2,11 +2,13 @@ import argparse
 import hashlib
 import importlib
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rareclass import impute, preprocess
 from rareclass.cli import build_parser, main
 from rareclass.config import ConfigError, PipelineConfig, load_config
 from rareclass.data import Dataset, FeatureMatrix, load_secom
@@ -245,6 +247,47 @@ class TestRunPipeline:
         assert n_min == int(0.7 * n_maj)
         # test partition untouched
         assert res.test_set.n_rows == len(res.split.test_row_indices)
+
+    def test_a_replaced_table_is_dead_before_the_next_large_workspace(
+            self, tmp_path, monkeypatch):
+        # scenario 2 with MICE on a wide table of planted constant,
+        # duplicate and high-missing columns, scaled down
+        d = make_imbalanced(n_rows=300, n_informative=6, n_noise=24, n_constant=12,
+                            n_duplicate=20, n_high_missing=3, missing_fraction=0.045,
+                            positive_fraction=0.07, class_separation=0.6, seed=0)
+        paths = str(tmp_path / "s.data"), str(tmp_path / "s_labels.data")
+        write_secom_like(d, *paths)
+        cfg = PipelineConfig(data_path=paths[0], labels_path=paths[1], impute_method="mice",
+                             roster="fast", scenario="smote", over_ratio=0.7,
+                             model_families=("logistic", "linear_svm"))
+        # weak references only: a spy must not keep alive what it watches
+        raw_width, scaled, seen = [], [], {}
+
+        def spy(module, name, before=None, after=None):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                if before:
+                    before(*args)
+                out = real(*args, **kwargs)
+                if after:
+                    after(out)
+                return out
+            monkeypatch.setattr(module, name, call)
+
+        spy(preprocess, "drop_high_missing",
+            before=lambda train, *_: raw_width.append(weakref.ref(train.features.values)))
+        spy(preprocess, "correlation_matrix",
+            before=lambda _: seen.setdefault("correlation", [r() is None for r in raw_width]))
+        spy(preprocess, "apply_scaler",
+            after=lambda out: scaled.append(weakref.ref(out.features.values)))
+        spy(impute, "mice_impute",
+            before=lambda *_: seen.setdefault("fill", [r() is None for r in scaled]))
+        run_pipeline(cfg, stop_after="impute")
+        # the raw-width training copy is gone before the n x p correlation
+        # workspace, and the scaled partitions before the fill's copy
+        assert seen["correlation"] == [True]
+        assert seen["fill"] == [True, True]
 
 
 class TestScenarios:
