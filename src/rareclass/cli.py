@@ -15,7 +15,7 @@ from . import featsel
 from .config import ConfigError, load_config
 from .data import column_stats, load_secom
 from .pipeline import (SCENARIOS, PipelineError, emit_report, format_report_table,
-                       reproduce, run_pipeline, write_drops)
+                       reproduce, run_pipeline)
 
 
 def cmd_eda(args) -> int:
@@ -36,39 +36,29 @@ def cmd_eda(args) -> int:
     return 0
 
 
-def _write_drops(res, out: Path) -> None:
-    path = write_drops(res.drop_logs, out)
-    print(f"{res.pruned.n_cols} columns survive pruning; drop log in {path}")
-
-
-def _write_votes(res, out: Path) -> None:
+def _select_summary(res, written: dict) -> str:
     if res.ledger is None:
-        print("selector roster is 'none'; nothing to vote on")
-        return
-    (out / "votes.csv").write_text(res.ledger.to_csv())
-    print(f"{len(res.ledger.selected)} features selected at threshold "
-          f"{res.ledger.threshold}; ledger in {out / 'votes.csv'}")
+        return "selector roster is 'none'; nothing to vote on"
+    return (f"{len(res.ledger.selected)} features selected at threshold "
+            f"{res.ledger.threshold}; ledger in {written['votes.csv']}")
 
 
-def _write_report(res, out: Path) -> None:
-    print("\n".join(emit_report(res.report, out, result=res)))
-
-
-# subcommand -> (last stage it runs, writer of that stage's output)
+# subcommand -> (last stage it runs, its summary of the result and of the
+# paths emit_report wrote, by file name)
 _STAGE_COMMANDS = {
-    "preprocess": ("prune", _write_drops),
-    "select": ("select", _write_votes),
-    "evaluate": ("evaluate", _write_report),
+    "preprocess": ("prune", lambda res, written: f"{len(res.train_stats)} columns survive "
+                                                 f"pruning; drop log in {written['drops.csv']}"),
+    "select": ("select", _select_summary),
+    "evaluate": ("evaluate", lambda res, written: "\n".join(written.values())),
 }
 
 
 def _run_stages(args) -> int:
     cfg = load_config(args.config)
-    stop_after, write = _STAGE_COMMANDS[args.command]
+    stop_after, summary = _STAGE_COMMANDS[args.command]
     res = run_pipeline(cfg, stop_after=stop_after)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write(res, out)
+    written = emit_report(res.report, cfg.out_dir, result=res)
+    print(summary(res, {Path(p).name: p for p in written}))
     return 0
 
 

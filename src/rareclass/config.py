@@ -134,9 +134,11 @@ class PipelineConfig:
     def digest(self) -> str:
         # out_dir is where results land, not part of what was computed
         kept = {k: v for k, v in asdict(self).items() if k != "out_dir"}
-        # a model value is a float, as load_config reads it, so 1 and 1.0 digest alike
-        kept["model_overrides"] = {fam: {k: float(v) for k, v in hp.items()}
-                                   for fam, hp in self.model_overrides.items()}
+        # dicts by key, so INI files that differ only in order digest alike; a
+        # model value is a float, as load_config reads it, so 1 and 1.0 do too
+        kept["impute_overrides"] = dict(sorted(self.impute_overrides.items()))
+        kept["model_overrides"] = {fam: {k: float(v) for k, v in sorted(hp.items())}
+                                   for fam, hp in sorted(self.model_overrides.items())}
         kept["model_families"] = tuple(self.model_families)     # as load_config reads it
         payload = repr(sorted(kept.items())).encode()
         return hashlib.sha256(payload).hexdigest()[:16]

@@ -8,6 +8,7 @@ unchanged through any downstream pruning.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ __all__ = [
     "load_delimited",
     "column_stats",
     "correlation_matrix",
+    "is_count",
 ]
 
 
@@ -31,6 +33,11 @@ _MISSING_TOKENS = frozenset(("", "NaN", "NA"))
 
 class DataError(ValueError):
     """Raised for malformed or inconsistent input files."""
+
+
+def is_count(v) -> bool:
+    """An integer >= 1 and not a bool, such as a neighbour or iteration count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import parallel
-from .data import ColumnStats, Dataset, column_stats
+from .data import ColumnStats, Dataset, column_stats, is_count
 
 __all__ = [
     "SimpleImputePlan",
@@ -54,8 +54,8 @@ class KnnImputeParams:
     k: int = 5
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ImputeError("k must be >= 1")
+        if not is_count(self.k):
+            raise ImputeError(f"k must be an integer >= 1, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class MiceParams:
     noise_mode: str = "deterministic_prediction"  # or gaussian_residual_draw
 
     def __post_init__(self):
-        if self.n_iterations < 1:
-            raise ImputeError("n_iterations must be >= 1")
+        if not is_count(self.n_iterations):
+            raise ImputeError(f"n_iterations must be an integer >= 1, got {self.n_iterations!r}")
         if self.initial_fill not in ("mean", "median"):
             raise ImputeError("initial_fill must be mean or median")
         if self.noise_mode not in ("deterministic_prediction", "gaussian_residual_draw"):

@@ -72,7 +72,7 @@ class ModelSpec:
                 raise ModelError(f"unknown hyperparameter {k!r} for {self.family}")
             merged[k] = v
         for k, v in merged.items():
-            if not isinstance(v, numbers.Real):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ModelError(f"{k} must be a real number, got {v!r}")
             if not math.isfinite(v):
                 raise ModelError(f"{k} must be finite")

@@ -24,7 +24,6 @@ __all__ = [
     "SCENARIOS",
     "reproduce",
     "emit_report",
-    "write_drops",
 ]
 
 REFERENCE_TARGETS = {"recall": 0.96, "auc": 0.95, "precision": 0.66}
@@ -74,7 +73,6 @@ class PipelineResult:
     missing_stats: dict = field(default_factory=dict)    # before_prune, after_prune; all rows
     split: preprocess.SplitPlan = None
     hash_at_split: str = None
-    pruned: Dataset = None                              # every row of raw, on the kept columns
     drop_logs: dict = field(default_factory=dict)
     train_stats: list = field(default_factory=list)     # column_stats of prune's train_set
     scaler: preprocess.ScalerParams = None
@@ -137,10 +135,10 @@ def _prune(cfg: PipelineConfig, res: PipelineResult) -> None:
     d, log_c = preprocess.drop_constant(d, [stats[int(c)] for c in d.column_ids])
     d, log_r = preprocess.drop_correlated(d, cfg.correlation_threshold)
     res.drop_logs = {"high_missing": log_m, "constant": log_c, "correlated": log_r}
-    res.pruned = res.raw.select_columns(d.column_ids)
-    res.train_set, res.test_set = d, res.pruned.take_rows(res.split.test_row_indices)
+    pruned = res.raw.select_columns(d.column_ids)    # every row: dead when prune returns
+    res.missing_stats["after_prune"] = _missing_stats(pruned)
+    res.train_set, res.test_set = d, pruned.take_rows(res.split.test_row_indices)
     res.train_stats = [stats[int(c)] for c in d.column_ids]
-    res.missing_stats["after_prune"] = _missing_stats(res.pruned)
 
 
 def _scale(cfg: PipelineConfig, res: PipelineResult) -> None:
@@ -226,7 +224,7 @@ def _evaluate(cfg: PipelineConfig, res: PipelineResult) -> None:
         seed=cfg.seed,
         stage_timings={},                # set once every stage is timed
         prune_counts={**{reason: len(log.entries) for reason, log in res.drop_logs.items()},
-                      "surviving": res.pruned.n_cols},
+                      "surviving": len(res.train_stats)},
         missing_stats=res.missing_stats,
         vote_summary=_vote_summary(res.ledger),
         resample_summary=_resample_summary(res.resample_plan),
@@ -349,26 +347,7 @@ def format_report_table(r: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def write_drops(drop_logs: dict, out_dir) -> Path:
-    """Write the prune stage's drop logs, in stage order, to one drops.csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "drops.csv"
-    path.write_text(preprocess.DropLog(
-        tuple(e for log in drop_logs.values() for e in log.entries)).to_csv())
-    return path
-
-
-def emit_report(r: EvalReport, out_dir, result: PipelineResult) -> list[str]:
-    """Write report.txt, the per-model ROC tables and plots and the run's
-    ledgers; returns the paths written.  Any artifact an earlier run left in
-    out_dir is removed first, so the directory holds this run's alone; no
-    other file is touched."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in ("report.txt", "votes.csv", "drops.csv", "resample_plan.csv",
-                 *(f"roc_{f}.{ext}" for f in models.FAMILIES for ext in ("csv", "svg"))):
-        (out / name).unlink(missing_ok=True)
+def _report_text(r: EvalReport) -> str:
     lines = [format_report_table(r), ""]
     lines.append(f"config digest: {r.config_digest}   seed: {r.seed}")
     pc = r.prune_counts
@@ -394,21 +373,38 @@ def emit_report(r: EvalReport, out_dir, result: PipelineResult) -> list[str]:
                  f"recall {REFERENCE_TARGETS['recall']:.2f}, "
                  f"AUC {REFERENCE_TARGETS['auc']:.2f}, "
                  f"precision {REFERENCE_TARGETS['precision']:.2f}")
+    return "\n".join(lines) + "\n"
+
+
+def emit_report(r: EvalReport | None, out_dir, result: PipelineResult) -> list[str]:
+    """Write every artifact of the stages `result` ran and return the paths
+    written: report.txt and the per-model ROC tables and plots when there is
+    a report `r`, then votes.csv, drops.csv and resample_plan.csv when the
+    select, prune and resample stages made them.  Any artifact an earlier
+    run left in out_dir is removed first, so the directory holds this run's
+    alone; no other file is touched."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ("report.txt", "votes.csv", "drops.csv", "resample_plan.csv",
+                 *(f"roc_{f}.{ext}" for f in models.FAMILIES for ext in ("csv", "svg"))):
+        (out / name).unlink(missing_ok=True)
     written = []
 
     def put(name: str, text: str) -> None:
         (out / name).write_text(text)
         written.append(str(out / name))
 
-    put("report.txt", "\n".join(lines) + "\n")
-    for fam, mr in r.model_results.items():
-        put(f"roc_{fam}.csv", mr.roc.to_csv())
-    for fam, mr in r.model_results.items():
-        put(f"roc_{fam}.svg", _roc_svg(mr.roc, f"ROC: {fam}"))
+    if r is not None:
+        put("report.txt", _report_text(r))
+        for fam, mr in r.model_results.items():
+            put(f"roc_{fam}.csv", mr.roc.to_csv())
+        for fam, mr in r.model_results.items():
+            put(f"roc_{fam}.svg", _roc_svg(mr.roc, f"ROC: {fam}"))
     if result.ledger is not None:
         put("votes.csv", result.ledger.to_csv())
     if result.drop_logs:
-        written.append(str(write_drops(result.drop_logs, out)))
+        put("drops.csv", preprocess.DropLog(
+            tuple(e for log in result.drop_logs.values() for e in log.entries)).to_csv())
     if result.resample_plan is not None:
         put("resample_plan.csv", result.resample_plan.to_csv())
     return written

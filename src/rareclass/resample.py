@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, FeatureMatrix
+from .data import Dataset, FeatureMatrix, is_count
 
 __all__ = [
     "SmoteParams",
@@ -34,8 +34,8 @@ class SmoteParams:
     def __post_init__(self):
         if not 0 < self.target_ratio <= 1:
             raise ResampleError("target_ratio must be in (0, 1]")
-        if self.k_neighbors < 1:
-            raise ResampleError("k_neighbors must be >= 1")
+        if not is_count(self.k_neighbors):
+            raise ResampleError(f"k_neighbors must be an integer >= 1, got {self.k_neighbors!r}")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from rareclass import impute, resample
 from rareclass.cli import main
 from rareclass.config import CONFIG_KEYS, INI_KEYS, ConfigError, PipelineConfig, load_config
+from rareclass.models import ModelError, ModelSpec
 
 
 def _write(tmp_path, text):
@@ -74,6 +76,25 @@ class TestValidation:
         # count failed only in the impute stage
         with pytest.raises(ConfigError, match=where):
             PipelineConfig(**kw).validate()
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: ModelSpec("random_forest", {"n_trees": True}), ModelError),
+        (lambda: ModelSpec("logistic", {"l2": True}), ModelError),
+        (lambda: impute.KnnImputeParams(k=2.5), impute.ImputeError),
+        (lambda: impute.KnnImputeParams(k=True), impute.ImputeError),
+        (lambda: impute.KnnImputeParams(k=5.0), impute.ImputeError),
+        (lambda: impute.MiceParams(n_iterations=2.5), impute.ImputeError),
+        (lambda: impute.MiceParams(n_iterations=True), impute.ImputeError),
+        (lambda: resample.SmoteParams(0.5, k_neighbors=2.5), resample.ResampleError),
+        (lambda: resample.SmoteParams(0.5, k_neighbors=True), resample.ResampleError),
+    ], ids=["n_trees_bool", "l2_bool", "k_fraction", "k_bool", "k_float",
+            "iterations_fraction", "iterations_bool", "k_neighbors_fraction",
+            "k_neighbors_bool"])
+    def test_parameter_objects_reject_what_validate_rejects(self, build, error):
+        # a bool fitted a one-tree forest or was kept as an l2 of True, and
+        # a fractional count built, then failed in the stage with a TypeError
+        with pytest.raises(error):
+            build()
 
 
 class TestLoadFile:
@@ -266,6 +287,21 @@ out_dir = results
         loaded = load_config(_write(tmp_path, "[models]\nfamilies = logistic, linear_svm\n"))
         assert {PipelineConfig(model_families=v(["logistic", "linear_svm"])).digest()
                 for v in (list, tuple)} == {loaded.digest()}
+
+    def test_section_and_key_order_leave_the_digest(self, tmp_path):
+        # the override dicts were digested in file order, so two files that
+        # differ only in order wrote different report.txt bytes
+        sections = ["[model.decision_tree]\nmax_depth = 4\nmin_leaf = 3\n",
+                    "[model.random_forest]\nn_trees = 50\nmax_depth = 5\nmin_leaf = 2\n"]
+        permuted = ["[model.random_forest]\nmin_leaf = 2\nn_trees = 50\nmax_depth = 5\n",
+                    "[model.decision_tree]\nmin_leaf = 3\nmax_depth = 4\n"]
+        a = load_config(_write(tmp_path, "[impute]\noverrides = 3:median, 9:forward\n"
+                                         + "".join(sections)))
+        b = load_config(_write(tmp_path, "[impute]\noverrides = 9:forward, 3:median\n"
+                                         + "".join(permuted)))
+        assert list(a.model_overrides) != list(b.model_overrides)
+        assert list(a.impute_overrides) != list(b.impute_overrides)
+        assert a == b and a.digest() == b.digest()
 
     @pytest.mark.parametrize("roster, voters", [("fast", 3), ("default", 12)])
     def test_vote_threshold_above_the_roster_fails_at_load(self, tmp_path, roster, voters):

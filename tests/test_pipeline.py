@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rareclass import impute, preprocess
+from rareclass import impute, pipeline, preprocess
 from rareclass.cli import build_parser, main
 from rareclass.config import ConfigError, PipelineConfig, load_config
 from rareclass.data import Dataset, FeatureMatrix, load_secom
 from rareclass.pipeline import (STAGES, PipelineError, emit_report, reproduce,
-                                run_pipeline, scenario_config, write_drops)
+                                run_pipeline, scenario_config)
 from rareclass.synth import make_imbalanced, write_secom_like
 
 
@@ -66,7 +66,7 @@ class TestRunPipeline:
 
     def test_stop_after_prune_skips_training(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files), stop_after="prune")
-        assert res.pruned is not None
+        assert res.train_set.n_cols == len(res.train_stats) > 0
         assert res.trained == {} and res.report is None
 
     def test_unknown_stage(self, sensor_files):
@@ -144,7 +144,7 @@ class TestRunPipeline:
     def test_roster_none_keeps_all_columns(self, sensor_files):
         res = run_pipeline(_cfg(sensor_files, roster="none"))
         assert res.ledger is None
-        assert res.train_set.n_cols == res.pruned.n_cols
+        assert res.train_set.n_cols == len(res.train_stats)
 
     def test_a_vote_that_keeps_no_column_fails_the_select_stage(self, tmp_path):
         # on noise alone, the F score and mutual information keep one
@@ -221,11 +221,12 @@ class TestRunPipeline:
                                                np.arange(extra + 1)), d.labels), *paths)
         res = run_pipeline(_cfg(paths), stop_after="scale")
         assert extra in [e.column_id for e in res.drop_logs["constant"].entries]
-        assert f"\n{extra},constant,,\n" in write_drops(res.drop_logs, tmp_path).read_text()
-        assert extra not in res.pruned.column_ids
+        emit_report(res.report, tmp_path, result=res)
+        assert f"\n{extra},constant,,\n" in (tmp_path / "drops.csv").read_text()
+        assert extra not in [s.column_id for s in res.train_stats]
         assert extra not in res.train_set.column_ids
         assert extra not in res.test_set.column_ids
-        assert res.train_set.n_cols == res.test_set.n_cols == res.pruned.n_cols
+        assert res.train_set.n_cols == res.test_set.n_cols == len(res.train_stats)
 
     @pytest.mark.parametrize("fraction, n_test", [(0.004, 0), (0.99, 32)])
     def test_a_class_missing_from_a_partition_fails_the_split_stage(
@@ -288,6 +289,26 @@ class TestRunPipeline:
         # workspace, and the scaled partitions before the fill's copy
         assert seen["correlation"] == [True]
         assert seen["fill"] == [True, True]
+
+    def test_the_all_rows_table_is_dead_when_prune_returns(self, sensor_files, monkeypatch):
+        # prune kept every row of the kept columns to the end of the run,
+        # and after prune only its column count was read
+        measured, seen = [], []
+        real_stats, real_fit = pipeline._missing_stats, preprocess.fit_scaler
+
+        def stats(d):
+            measured.append(weakref.ref(d.features.values))
+            return real_stats(d)
+
+        def fit(*args):
+            seen.extend(r() is None for r in measured)
+            return real_fit(*args)
+
+        monkeypatch.setattr(pipeline, "_missing_stats", stats)
+        monkeypatch.setattr(preprocess, "fit_scaler", fit)
+        run_pipeline(_cfg(sensor_files), stop_after="scale")
+        # the raw table, measured before prune, lives on; the after-prune one is gone
+        assert seen == [False, True]
 
 
 class TestScenarios:
@@ -468,12 +489,32 @@ out_dir = {tmp_path / 'out'}
         ini, out = self._ini(sensor_files, tmp_path)
         assert main(["select", "--config", ini]) == 0
         assert "features selected at threshold 2; ledger in" in capsys.readouterr().out
-        assert sorted(p.name for p in out.iterdir()) == ["votes.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["drops.csv", "votes.csv"]
         votes = (out / "votes.csv").read_bytes()
         assert votes.startswith(b"column_id,")
         (out / "votes.csv").unlink()
         assert main(["evaluate", "--config", ini]) == 0
         assert (out / "votes.csv").read_bytes() == votes
+
+    def test_each_subcommand_leaves_only_the_artifacts_of_its_stages(self, sensor_files,
+                                                                       tmp_path):
+        # select and preprocess wrote beside what an earlier evaluate had
+        # left: its report.txt and ROC files stayed in the directory
+        ini, reused = self._ini(sensor_files, tmp_path)
+        reused.mkdir()
+        (reused / "notes.txt").write_text("not an artifact\n")
+        for command, left in (("evaluate", None), ("select", ["drops.csv", "votes.csv"]),
+                              ("preprocess", ["drops.csv"])):
+            (tmp_path / command).mkdir()
+            fresh_ini, fresh = self._ini(sensor_files, tmp_path / command)
+            assert main([command, "--config", ini]) == 0
+            assert main([command, "--config", fresh_ini]) == 0
+            names = sorted(p.name for p in fresh.iterdir())
+            assert left is None or names == left
+            assert sorted(p.name for p in reused.iterdir()) == sorted(names + ["notes.txt"])
+            for name in names:
+                assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert (reused / "notes.txt").read_text() == "not an artifact\n"
 
     def test_select_without_a_roster(self, sensor_files, tmp_path, capsys):
         ini, out = self._ini(sensor_files, tmp_path, roster="none")

@@ -10,6 +10,7 @@ row filled alone after the training rows, bit for bit.
 """
 
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,7 +93,8 @@ def _pruned(train, test, cfg=PipelineConfig()):
 def _kept_and_drops(train, test, threshold):
     res = _pruned(train, test, PipelineConfig(missing_drop_threshold=threshold))
     with tempfile.TemporaryDirectory() as out:
-        return res.pruned.column_ids.tolist(), pipeline.write_drops(res.drop_logs, out).read_text()
+        pipeline.emit_report(res.report, out, result=res)
+        return res.train_set.column_ids.tolist(), (Path(out) / "drops.csv").read_text()
 
 
 def _scaled_train(train, test):
