@@ -125,9 +125,9 @@ def _forest_tree(X, ranks, y, sw, seed: int, max_depth: int, min_leaf: int, n_su
                                  rng=rng, n_subsample=n_subsample)
 
 
-def train_all(specs, train_set: Dataset, class_weight: float | None = None) -> list[TrainedModel]:
-    """Fit each spec's family on one training set; the models come back in
-    spec order, the same as `[train(s, train_set, class_weight) for s in specs]`.
+def train_all(specs, train_set: Dataset) -> list[TrainedModel]:
+    """Fit each spec's family on one training set at unit row weights; the models
+    come back in spec order, the same as `[train(s, train_set) for s in specs]`.
 
     Every model is one `train` call.  What runs where: the decision tree
     and the boosting families go to `pmap` first, as one map of whole fits,
@@ -138,10 +138,8 @@ def train_all(specs, train_set: Dataset, class_weight: float | None = None) -> l
     """
     _check_trainable(train_set)
     specs = list(specs)
-    whole = iter(parallel.pmap(train, [(s, train_set, class_weight) for s in specs
-                                       if s.family in _WHOLE_FITS]))
-    return [next(whole) if s.family in _WHOLE_FITS else train(s, train_set, class_weight)
-            for s in specs]
+    whole = iter(parallel.pmap(train, [(s, train_set) for s in specs if s.family in _WHOLE_FITS]))
+    return [next(whole) if s.family in _WHOLE_FITS else train(s, train_set) for s in specs]
 
 
 def train(spec: ModelSpec, train_set: Dataset, class_weight: float | None = None) -> TrainedModel:

@@ -11,15 +11,25 @@ each item must seed its own randomness.  The worker count is the number of
 CPUs this process may run on: limit it with `taskset`.  Callers hand `pmap`
 natural units (a shadow round, a candidate subset, a whole fit, a forest
 tree, a row to impute); it alone groups them into tasks.
+
+`set_blas_threads(n)` sets numpy's OpenBLAS thread count and returns the
+old one; a run holds it at one, so row sums round the same at any count,
+and workers forked during the run inherit the one thread.
 """
 
 from __future__ import annotations
 
 import atexit
+import ctypes
+import glob
 import os
+import sys
+
+import numpy as np
 
 _pool = None              # (worker count, executor), made by the first pooled call
 _in_worker = False
+_blas = None              # OpenBLAS's (set, get) thread-count calls, () if none; found on first use
 
 
 def workers() -> int:
@@ -43,6 +53,39 @@ def _shutdown() -> None:
 
 
 atexit.register(_shutdown)
+
+
+def _blas_threads() -> tuple:
+    """The thread-count calls of the OpenBLAS that numpy's wheel bundles,
+    or () after one line on stderr naming the BLAS that lacks them."""
+    global _blas
+    if _blas is None:
+        here = os.path.dirname(np.__file__)
+        try:
+            lib = ctypes.CDLL((glob.glob(here + ".libs/libscipy_openblas64_*")
+                               + glob.glob(here + "/.dylibs/libscipy_openblas64_*"))[0])
+            set_threads = lib.scipy_openblas_set_num_threads64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            _blas = set_threads, get_threads
+        except (IndexError, OSError, AttributeError):
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            print(f"rareclass: numpy's BLAS ({blas.get('name')} {blas.get('version')}) has no "
+                  "thread control here; artifacts may vary with its thread count", file=sys.stderr)
+            _blas = ()
+    return _blas
+
+
+def set_blas_threads(n: int) -> int:
+    """Set numpy's OpenBLAS to n threads and return the count it had; without
+    thread control, change nothing and return n."""
+    calls = _blas_threads()
+    if not calls:
+        return n
+    threads = calls[1]()
+    calls[0](n)
+    return threads
 
 
 def pmap(fn, items) -> list:

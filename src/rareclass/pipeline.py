@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import featsel, impute, models, preprocess, resample
+from . import featsel, impute, models, parallel, preprocess, resample
 from .config import PipelineConfig, ConfigError
 from .data import Dataset, FeatureMatrix, column_stats, load_delimited, load_secom
 from .metrics import ConfusionMatrix, MetricSet, RocCurve, confusion, metric_set, roc_curve
@@ -129,10 +129,10 @@ def _prune(cfg: PipelineConfig, res: PipelineResult) -> None:
     """Decide the columns on the raw training rows; one column_stats pass serves prune and scale."""
     train = res.raw.take_rows(res.split.train_row_indices)
     stats = {s.column_id: s for s in column_stats(train)}
-    d, log_m = preprocess.drop_high_missing(train, cfg.missing_drop_threshold,
-                                            list(stats.values()))
+    kept, log_m = preprocess.drop_high_missing(list(stats.values()), cfg.missing_drop_threshold)
+    kept, log_c = preprocess.drop_constant([stats[c] for c in kept])
+    d = train.select_columns(kept)
     del train                        # raw width: not held through the correlation workspace
-    d, log_c = preprocess.drop_constant(d, [stats[int(c)] for c in d.column_ids])
     d, log_r = preprocess.drop_correlated(d, cfg.correlation_threshold)
     res.drop_logs = {"high_missing": log_m, "constant": log_c, "correlated": log_r}
     pruned = res.raw.select_columns(d.column_ids)    # every row: dead when prune returns
@@ -143,7 +143,7 @@ def _prune(cfg: PipelineConfig, res: PipelineResult) -> None:
 
 def _scale(cfg: PipelineConfig, res: PipelineResult) -> None:
     """Scale by prune's training statistics; prune left no constant or empty column."""
-    res.scaler = preprocess.fit_scaler(res.train_set, res.train_stats)
+    res.scaler = preprocess.fit_scaler(res.train_stats)
     res.train_set = preprocess.apply_scaler(res.scaler, res.train_set)
     res.test_set = preprocess.apply_scaler(res.scaler, res.test_set)
 
@@ -247,13 +247,17 @@ def run_pipeline(cfg: PipelineConfig, stop_after: str = "evaluate") -> PipelineR
     if stop_after not in STAGES:
         raise ConfigError(f"unknown stage {stop_after!r}")
     res, timings = PipelineResult(), {}
-    for name, stage in _STAGE_TABLE[:STAGES.index(stop_after) + 1]:
-        t0 = time.perf_counter()
-        try:
-            stage(cfg, res)
-        except Exception as e:
-            raise PipelineError(name, e) from e
-        timings[name] = time.perf_counter() - t0
+    threads = parallel.set_blas_threads(1)      # the same bytes at any BLAS thread count
+    try:
+        for name, stage in _STAGE_TABLE[:STAGES.index(stop_after) + 1]:
+            t0 = time.perf_counter()
+            try:
+                stage(cfg, res)
+            except Exception as e:
+                raise PipelineError(name, e) from e
+            timings[name] = time.perf_counter() - t0
+    finally:
+        parallel.set_blas_threads(threads)
     if res.report is not None:
         res.report.stage_timings = timings
     return res

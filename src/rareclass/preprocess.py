@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# column_stats is not called here; benchmarks/spans.py traces it under this module name
 from .data import ColumnStats, Dataset, column_stats, correlation_matrix
 
 __all__ = [
@@ -69,32 +70,26 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def drop_high_missing(d: Dataset, threshold: float,
-                      stats: list[ColumnStats] | None = None) -> tuple[Dataset, DropLog]:
-    """Remove columns whose missing fraction strictly exceeds the threshold.
-    `stats`, if given, is column_stats(d)."""
+def drop_high_missing(stats: list[ColumnStats], threshold: float) -> tuple[list[int], DropLog]:
+    """Ids of the columns missing at most the threshold, and the log of the
+    rest; `stats` is column_stats of the training rows."""
     if not 0 < threshold <= 1:
         raise PreprocessError("threshold must be in (0, 1]")
-    stats = column_stats(d) if stats is None else stats
     removed = [s.column_id for s in stats if s.missing_fraction > threshold]
     kept = [s.column_id for s in stats if s.missing_fraction <= threshold]
     if not kept:
         raise PreprocessError("no features remain after high-missing pruning")
-    log = DropLog(tuple(DropEntry(c, "high_missing", threshold) for c in removed))
-    return d.select_columns(kept), log
+    return kept, DropLog(tuple(DropEntry(c, "high_missing", threshold) for c in removed))
 
 
-def drop_constant(d: Dataset, stats: list[ColumnStats] | None = None) -> tuple[Dataset, DropLog]:
-    """Remove constant columns; all-missing columns are dropped under the
-    same reason since they carry no signal either.  `stats`, if given, is
-    column_stats(d)."""
-    stats = column_stats(d) if stats is None else stats
+def drop_constant(stats: list[ColumnStats]) -> tuple[list[int], DropLog]:
+    """Ids of the non-constant columns, and the log of the rest; all-missing
+    columns are dropped under the same reason since they carry no signal either."""
     removed = [s.column_id for s in stats if s.is_constant or s.missing_fraction >= 1.0]
     kept = [s.column_id for s in stats if not (s.is_constant or s.missing_fraction >= 1.0)]
     if not kept:
         raise PreprocessError("no features remain after constant pruning")
-    log = DropLog(tuple(DropEntry(c, "constant", None) for c in removed))
-    return d.select_columns(kept), log
+    return kept, DropLog(tuple(DropEntry(c, "constant", None) for c in removed))
 
 
 def drop_correlated(d: Dataset, threshold: float) -> tuple[Dataset, DropLog]:
@@ -124,14 +119,13 @@ def drop_correlated(d: Dataset, threshold: float) -> tuple[Dataset, DropLog]:
     return d.select_columns(kept), DropLog(tuple(entries))
 
 
-def fit_scaler(train: Dataset, stats: list[ColumnStats] | None = None) -> ScalerParams:
-    """Per-column min, max, and average over present training values.
-    `stats`, if given, is column_stats(train)."""
-    stats = column_stats(train) if stats is None else stats
+def fit_scaler(stats: list[ColumnStats]) -> ScalerParams:
+    """Per-column min, max, and average over present training values, from
+    column_stats of the training rows."""
     for s in stats:
         if s.min is None or s.min == s.max:
             raise PreprocessError(f"cannot scale constant or empty column {s.column_id}")
-    return ScalerParams(train.column_ids.copy(), np.array([s.min for s in stats]),
+    return ScalerParams(np.array([s.column_id for s in stats]), np.array([s.min for s in stats]),
                         np.array([s.max for s in stats]), np.array([s.mean for s in stats]))
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import require_secom
 from model_checks import gradient_check
-from rareclass.data import Dataset, FeatureMatrix, load_secom
+from rareclass.data import Dataset, FeatureMatrix, column_stats, load_secom
 from rareclass.featsel import run_roster, vote
 from rareclass.metrics import ConfusionMatrix, metric_set, roc_curve
 from rareclass.models import ModelSpec
@@ -41,9 +41,9 @@ def _imbalanced(n_min, n_maj, n_cols=8, seed=0):
 def test_criterion_01_preprocessing_exact():
     data, labels = require_secom()
     t0 = time.perf_counter()
-    d = load_secom(data, labels)
-    d1, log_m = drop_high_missing(d, 0.5)
-    _, log_c = drop_constant(d1)
+    stats = {s.column_id: s for s in column_stats(load_secom(data, labels))}
+    kept, log_m = drop_high_missing(list(stats.values()), 0.5)
+    _, log_c = drop_constant([stats[c] for c in kept])
     elapsed = time.perf_counter() - t0
     ok = (len(log_m.entries) == 28 and len(log_c.entries) == 116
           and elapsed < 5.0)
@@ -54,9 +54,9 @@ def test_criterion_01_preprocessing_exact():
 def test_criterion_02_correlation_pruning_banded():
     data, labels = require_secom()
     d = load_secom(data, labels)
-    d, _ = drop_high_missing(d, 0.5)
-    d, _ = drop_constant(d)
-    d, _ = drop_correlated(d, 0.7)
+    kept, _ = drop_high_missing(column_stats(d), 0.5)
+    kept, _ = drop_constant(column_stats(d.select_columns(kept)))
+    d, _ = drop_correlated(d.select_columns(kept), 0.7)
     ok = abs(d.n_cols - 204) <= 10
     _verdict(2, "correlation pruning leaves 204 +/- 10 columns", ok,
              f"{d.n_cols} columns")

@@ -1,14 +1,18 @@
-"""The worker pool: the same bytes at any worker count, no nested pools,
-no pool where nothing runs in parallel, and worker exceptions that reach
-the caller intact."""
+"""The worker pool: the same bytes at any worker count and any BLAS thread
+count, no nested pools, no pool where nothing runs in parallel, and worker
+exceptions that reach the caller intact."""
 
+import glob
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rareclass import featsel, models, parallel
+from rareclass import featsel, models, parallel, preprocess
 from rareclass.models import trees
 from rareclass.config import PipelineConfig
 from rareclass.models import TrainingDiverged
@@ -51,8 +55,8 @@ def test_families_fit_together_as_they_fit_one_by_one(data, monkeypatch):
     specs = [models.ModelSpec(f, SMALL[f], seed=7) for f in models.FAMILIES]
 
     def run():
-        together = [model_bytes(m) for m in models.train_all(specs, data, class_weight=3.0)]
-        alone = [model_bytes(models.train(s, data, class_weight=3.0)) for s in specs]
+        together = [model_bytes(m) for m in models.train_all(specs, data)]
+        alone = [model_bytes(models.train(s, data)) for s in specs]
         assert together == alone
         return together
     one, two = _at_one_and_two_workers(monkeypatch, run)
@@ -70,7 +74,7 @@ def test_train_all_fits_every_spec_by_one_train_call(data, monkeypatch):
         calls.append((spec, fit(spec, *args)))
         return calls[-1][1]
     monkeypatch.setattr(models, "train", counted)
-    out = models.train_all(specs, data, class_weight=3.0)
+    out = models.train_all(specs, data)
     assert len(calls) == len(specs) == 6
     calls.sort(key=lambda call: specs.index(call[0]))
     assert [s for s, _ in calls] == specs
@@ -137,6 +141,62 @@ def test_reproduce_artifacts_are_the_same_at_any_worker_count(tmp_path, monkeypa
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     one, two = _at_one_and_two_workers(monkeypatch, run)
     assert len(one) == 16 and one == two       # report, 3 csv ledgers, 6 roc csv + svg
+
+
+def test_artifacts_are_the_same_at_one_and_two_blas_threads(tmp_path):
+    # the s2-mice-linear benchmark's shape: wide enough that a multi-threaded
+    # OpenBLAS splits the row sums of MICE's and Newton's products, which
+    # changes their rounding
+    d = make_imbalanced(n_rows=1567, n_informative=12, n_noise=150, n_constant=76,
+                        n_duplicate=130, n_high_missing=18, positive_fraction=104 / 1567,
+                        missing_fraction=0.045, class_separation=0.6, seed=0)
+    assert d.features.values.shape == (1567, 386)
+    write_secom_like(d, tmp_path / "s.data", tmp_path / "s.labels", seed=0)
+    (tmp_path / "run.ini").write_text(
+        "[data]\ndata_path = s.data\nlabels_path = s.labels\n[impute]\nmethod = mice\n"
+        "[featsel]\nroster = fast\n[resample]\nscenario = smote\nover_ratio = 0.7\n"
+        "[models]\nfamilies = logistic,linear_svm\n[run]\nout_dir = out\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for threads in ("1", "2"):
+        # the same relative paths each time: the config digest in report.txt holds them
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "rareclass.cli", "evaluate", "--config", "run.ini"],
+                       cwd=tmp_path, env=env, check=True, capture_output=True)
+        runs.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
+    assert sorted(runs[0]) == sorted(runs[1]) and len(runs[0]) == 8   # 4 ledgers, 2 roc csv + svg
+    assert [name for name in sorted(runs[0]) if runs[0][name] != runs[1][name]] == []
+
+
+def test_a_run_holds_blas_at_one_thread_and_gives_the_count_back(monkeypatch, tmp_path):
+    calls = parallel._blas_threads()
+    if not calls:
+        pytest.skip("numpy's BLAS offers no thread control")
+    set_threads, get_threads = calls
+    d = make_imbalanced(n_rows=120, n_informative=3, n_noise=3, seed=3)
+    write_secom_like(d, tmp_path / "x.data", tmp_path / "x.labels", seed=3)
+    cfg = PipelineConfig(data_path=str(tmp_path / "x.data"),
+                         labels_path=str(tmp_path / "x.labels"), roster="none")
+    seen, split = [], preprocess.stratified_split
+    monkeypatch.setattr(preprocess, "stratified_split",
+                        lambda *args: seen.append(get_threads()) or split(*args))
+    before = get_threads()
+    try:
+        set_threads(2)
+        run_pipeline(cfg, stop_after="split")
+        assert (seen, get_threads()) == ([1], 2)
+    finally:
+        set_threads(before)
+
+
+def test_a_blas_without_thread_control_is_named_once_on_stderr(monkeypatch, capsys):
+    monkeypatch.setattr(parallel, "_blas", None)
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    assert [parallel.set_blas_threads(1), parallel.set_blas_threads(3)] == [1, 3]
+    err = capsys.readouterr().err
+    name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    assert err.count("\n") == 1 and f"BLAS ({name} " in err and parallel._blas == ()
 
 
 def _pid(_):

@@ -276,8 +276,8 @@ class TestRunPipeline:
                 return out
             monkeypatch.setattr(module, name, call)
 
-        spy(preprocess, "drop_high_missing",
-            before=lambda train, *_: raw_width.append(weakref.ref(train.features.values)))
+        spy(pipeline, "column_stats",
+            before=lambda train: raw_width.append(weakref.ref(train.features.values)))
         spy(preprocess, "correlation_matrix",
             before=lambda _: seen.setdefault("correlation", [r() is None for r in raw_width]))
         spy(preprocess, "apply_scaler",
@@ -309,6 +309,23 @@ class TestRunPipeline:
         run_pipeline(_cfg(sensor_files), stop_after="scale")
         # the raw table, measured before prune, lives on; the after-prune one is gone
         assert seen == [False, True]
+
+    def test_prune_narrows_the_training_rows_twice(self, sensor_files, monkeypatch):
+        # once to what the high-missing and constant cuts keep, decided from
+        # column statistics alone, and once to what the correlation cut keeps
+        widths, real = [], Dataset.select_columns
+
+        def select(d, keep_ids):
+            out = real(d, keep_ids)
+            widths.append((d.n_rows, d.n_cols, out.n_cols))
+            return out
+        monkeypatch.setattr(Dataset, "select_columns", select)
+        res = run_pipeline(_cfg(sensor_files), stop_after="prune")
+        n_train, logs = len(res.split.train_row_indices), res.drop_logs
+        kept = res.raw.n_cols - len(logs["high_missing"].entries) - len(logs["constant"].entries)
+        assert len(logs["correlated"].entries) > 0 and kept < res.raw.n_cols
+        assert [w[1:] for w in widths if w[0] == n_train] == [(res.raw.n_cols, kept),
+                                                              (kept, res.train_set.n_cols)]
 
 
 class TestScenarios:

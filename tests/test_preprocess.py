@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rareclass.data import Dataset, FeatureMatrix, correlation_matrix
+from rareclass.data import Dataset, FeatureMatrix, column_stats, correlation_matrix
 from rareclass.preprocess import (DropEntry, DropLog, PreprocessError, apply_scaler,
                                   drop_constant, drop_correlated, drop_high_missing,
                                   fit_scaler, stratified_kfold, stratified_split)
@@ -21,34 +21,42 @@ def _removed(log):
     return [e.column_id for e in log.entries]
 
 
+def _narrowed(drop, d, *args):
+    """A column-statistics drop applied to d: the kept columns of d, and the log."""
+    kept, log = drop(column_stats(d), *args)
+    return d.select_columns(kept), log
+
+
 class TestDrops:
     def test_high_missing_direct(self):
         v = np.array([[1, np.nan], [2, np.nan], [3, np.nan], [4, 1.0]])
         d = _ds(v)
-        out, log = drop_high_missing(d, 0.5)
+        kept, log = drop_high_missing(column_stats(d), 0.5)
         assert _removed(log) == [1]
-        assert list(out.column_ids) == [0]
+        assert kept == [0]
 
     def test_vacuous_threshold(self, messy_imbalanced):
-        out, log = drop_high_missing(messy_imbalanced, 1.0)
+        kept, log = drop_high_missing(column_stats(messy_imbalanced), 1.0)
         assert _removed(log) == []
-        assert out.n_cols == messy_imbalanced.n_cols
+        assert kept == list(messy_imbalanced.column_ids)
 
     def test_constant_and_all_missing_dropped(self):
         v = np.array([[1.0, 7.0, np.nan], [2.0, 7.0, np.nan], [3.0, 7.0, np.nan]])
         d = _ds(v)
-        out, log = drop_constant(d)
+        kept, log = drop_constant(column_stats(d))
+        assert kept == [0]
         assert sorted(_removed(log)) == [1, 2]
         assert all(e.reason == "constant" for e in log.entries)
 
     def test_constant_identity_when_none(self, clean_imbalanced):
-        out, log = drop_constant(clean_imbalanced)
+        kept, log = drop_constant(column_stats(clean_imbalanced))
         assert _removed(log) == []
+        assert kept == list(clean_imbalanced.column_ids)
 
     def test_single_constant_column_errors(self):
         d = _ds(np.array([[3.0], [3.0], [3.0]]))
         with pytest.raises(PreprocessError, match="no features remain"):
-            drop_constant(d)
+            drop_constant(column_stats(d))
 
     def test_duplicate_column_keeps_earlier(self):
         x = np.array([1.0, 2.0, 5.0, 9.0])
@@ -63,19 +71,19 @@ class TestDrops:
         assert _removed(log) == []
 
     def test_no_surviving_pair_above_threshold(self, messy_imbalanced):
-        d, _ = drop_high_missing(messy_imbalanced, 0.5)
-        d, _ = drop_constant(d)
+        d, _ = _narrowed(drop_high_missing, messy_imbalanced, 0.5)
+        d, _ = _narrowed(drop_constant, d)
         out, _ = drop_correlated(d, 0.7)
         r = correlation_matrix(out)
         np.fill_diagonal(r, 0.0)
         assert np.nanmax(np.abs(r)) <= 0.7
 
     def test_pruning_idempotent(self, messy_imbalanced):
-        d1, _ = drop_high_missing(messy_imbalanced, 0.5)
-        d2, log = drop_high_missing(d1, 0.5)
+        d1, _ = _narrowed(drop_high_missing, messy_imbalanced, 0.5)
+        d2, log = _narrowed(drop_high_missing, d1, 0.5)
         assert _removed(log) == []
-        c1, _ = drop_constant(d1)
-        c2, log = drop_constant(c1)
+        c1, _ = _narrowed(drop_constant, d1)
+        c2, log = _narrowed(drop_constant, c1)
         assert _removed(log) == []
         r1, _ = drop_correlated(c1, 0.7)
         r2, log = drop_correlated(r1, 0.7)
@@ -84,37 +92,37 @@ class TestDrops:
 
 class TestScaler:
     def test_fit_simple(self):
-        p = fit_scaler(_ds(np.array([[0.0], [1.0], [2.0]])))
+        p = fit_scaler(column_stats(_ds(np.array([[0.0], [1.0], [2.0]]))))
         assert p.min_x[0] == 0 and p.max_x[0] == 2 and p.ave_x[0] == 1
 
     def test_constant_column_errors_with_name(self):
         with pytest.raises(PreprocessError, match="column 0"):
-            fit_scaler(_ds(np.array([[4.0], [4.0]])))
+            fit_scaler(column_stats(_ds(np.array([[4.0], [4.0]]))))
 
     def test_fit_ignores_missing(self):
-        p = fit_scaler(_ds(np.array([[0.0], [np.nan], [2.0]])))
+        p = fit_scaler(column_stats(_ds(np.array([[0.0], [np.nan], [2.0]]))))
         assert p.ave_x[0] == 1.0
 
     def test_symmetric_case(self):
         d = _ds(np.array([[0.0], [1.0], [2.0]]))
-        out = apply_scaler(fit_scaler(d), d)
+        out = apply_scaler(fit_scaler(column_stats(d)), d)
         assert list(out.features.values[:, 0]) == [0.0, 0.5, 1.0]
 
     def test_output_can_exceed_unit_interval(self):
         d = _ds(np.array([[0.0], [0.0], [0.0], [4.0]]))
-        out = apply_scaler(fit_scaler(d), d)
+        out = apply_scaler(fit_scaler(column_stats(d)), d)
         assert list(out.features.values[:, 0]) == [0.25, 0.25, 0.25, 1.25]
 
     def test_extrapolation_not_clamped(self):
         train = _ds(np.array([[1.0], [2.0], [3.0]]))
-        p = fit_scaler(train)
+        p = fit_scaler(column_stats(train))
         test = _ds(np.array([[0.0], [1.0]]))
         out = apply_scaler(p, test)
         assert out.features.values[0, 0] < out.features.values[1, 0]
         assert out.features.values[0, 0] == 0.5 + (0.0 - 2.0) / 2.0
 
     def test_train_range_maps_to_unit_width(self, clean_imbalanced):
-        p = fit_scaler(clean_imbalanced)
+        p = fit_scaler(column_stats(clean_imbalanced))
         out = apply_scaler(p, clean_imbalanced)
         v = out.features.values
         widths = np.nanmax(v, axis=0) - np.nanmin(v, axis=0)
@@ -122,11 +130,11 @@ class TestScaler:
 
     def test_missing_cells_stay_missing(self):
         train = _ds(np.array([[1.0], [2.0], [np.nan]]))
-        out = apply_scaler(fit_scaler(train), train)
+        out = apply_scaler(fit_scaler(column_stats(train)), train)
         assert np.isnan(out.features.values[2, 0])
 
     def test_unknown_column_rejected(self):
-        p = fit_scaler(_ds(np.array([[1.0], [2.0]])))
+        p = fit_scaler(column_stats(_ds(np.array([[1.0], [2.0]]))))
         other = Dataset(FeatureMatrix(np.array([[1.0]]), [5]), np.array([0]))
         with pytest.raises(PreprocessError, match="column 5"):
             apply_scaler(p, other)
