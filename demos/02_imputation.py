@@ -34,9 +34,9 @@ def main():
     plan = assign_simple_strategies(column_stats(d))
     print("simple strategies chosen per column:",
           {c: s for c, s in plan.strategies.items()})
-    simple = simple_impute(fit_simple_plan(plan, d), d)
-    # k-NN and the chained regressions fit on the first n_train rows of the
-    # table they fill; here every row is a training row
+    # every imputer fits on the first n_train rows of the table it fills;
+    # here every row is a training row
+    simple = simple_impute(fit_simple_plan(plan, d), d, n_train=n)
     knn = knn_impute(KnnImputeParams(k=5), d, n_train=n)
     mice = mice_impute(MiceParams(n_iterations=5), d, n_train=n)
 

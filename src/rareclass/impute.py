@@ -1,8 +1,8 @@
 """Missing-value imputation: simple column strategies, nearest-neighbour
 averaging, and iterative chained-equation regression.
 
-All fitted quantities (fill values, neighbour pools, regression
-coefficients) come from the training partition only.
+Each imputer, called (params, table, *, n_train), fills the whole table and
+fits only on its first n_train rows: fill values, donor pools, regressions.
 """
 
 from __future__ import annotations
@@ -84,10 +84,14 @@ def assign_simple_strategies(train_stats: list[ColumnStats], skew_threshold: flo
     return SimpleImputePlan(strategies)
 
 
-def _train_stats(d: Dataset, n_train: int) -> list[ColumnStats]:
-    """column_stats of d's first n_train rows; no column may be all missing."""
+def _check_n_train(d: Dataset, n_train: int) -> None:
     if not 1 <= n_train <= d.n_rows:
         raise ImputeError(f"n_train must be in [1, {d.n_rows}], got {n_train}")
+
+
+def _train_stats(d: Dataset, n_train: int) -> list[ColumnStats]:
+    """column_stats of d's first n_train rows; no column may be all missing."""
+    _check_n_train(d, n_train)
     stats = column_stats(d.take_rows(np.arange(n_train)))
     for s in stats:
         if s.mean is None:
@@ -124,7 +128,8 @@ def fit_skew_refined_plan(train: Dataset, skew_threshold: float = 1.0,
     for cid, strat in overrides.items():
         plan.override(cid, strat)
     plan = fit_simple_plan(plan, train)
-    after = {s.column_id: s.skewness for s in column_stats(simple_impute(plan, train))}
+    filled = simple_impute(plan, train, n_train=train.n_rows)
+    after = {s.column_id: s.skewness for s in column_stats(filled)}
     toggled = False
     for s in stats:
         strat = plan.strategies[s.column_id]
@@ -159,25 +164,22 @@ def _fill_ordered(col: np.ndarray, strategy: str, fallback: float) -> np.ndarray
     return out
 
 
-def simple_impute(plan: SimpleImputePlan, d: Dataset) -> Dataset:
-    """Fill every missing cell per the plan. Present cells are untouched."""
+def simple_impute(plan: SimpleImputePlan, d: Dataset, *, n_train: int) -> Dataset:
+    """Fill every missing cell per the plan; present cells are untouched.  The
+    order-based strategies fill rows [:n_train] and [n_train:] apart."""
     if not plan.fill_values:
         raise ImputeError("plan has no fitted fill values; call fit_simple_plan first")
+    _check_n_train(d, n_train)
     v = d.features.values.copy()
-    for j, cid in enumerate(d.column_ids):
-        cid = int(cid)
+    for j, cid in enumerate(d.column_ids.tolist()):
         if cid not in plan.strategies:
             raise ImputeError(f"plan does not cover column {cid}")
-        strat = plan.strategies[cid]
-        fill = plan.fill_values[cid]
-        col = v[:, j]
-        missing = np.isnan(col)
-        if not missing.any():
-            continue
+        strat, fill, col = plan.strategies[cid], plan.fill_values[cid], v[:, j]
         if strat in ("mean", "median", "most_frequent"):
-            col[missing] = fill
+            col[np.isnan(col)] = fill
         else:
-            col[:] = _fill_ordered(col, strat, fill)
+            for part in (col[:n_train], col[n_train:]):
+                part[:] = _fill_ordered(part, strat, fill)
     return d.with_values(v)
 
 

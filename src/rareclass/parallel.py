@@ -14,7 +14,7 @@ tree, a row to impute); it alone groups them into tasks.
 
 `set_blas_threads(n)` sets numpy's OpenBLAS thread count and returns the
 old one; a run holds it at one, so row sums round the same at any count,
-and workers forked during the run inherit the one thread.
+and every pool worker starts at one thread, whenever it was forked.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ def workers() -> int:
 def _enter_worker() -> None:
     global _in_worker
     _in_worker = True
+    set_blas_threads(1)
 
 
 def _shutdown() -> None:
@@ -107,6 +108,7 @@ def pmap(fn, items) -> list:
     from concurrent.futures.process import BrokenProcessPool
     if _pool is None or _pool[0] != n:
         _shutdown()
+        _blas_threads()                        # looked up here, so workers inherit the result
         _pool = n, ProcessPoolExecutor(n, multiprocessing.get_context("fork"),
                                        initializer=_enter_worker)
     try:

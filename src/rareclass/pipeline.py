@@ -154,13 +154,9 @@ def _impute(cfg: PipelineConfig, res: PipelineResult) -> None:
         absent = [c for c in sorted(cfg.impute_overrides) if c not in res.raw.column_ids]
         if absent:
             raise impute.ImputeError(f"[impute] overrides name columns not in the data: {absent}")
-        # order-based strategies fill along row order, so each partition
-        # is filled on its own
-        plan = impute.fit_skew_refined_plan(res.train_set, cfg.skew_threshold, cfg.impute_overrides)
-        res.train_set = impute.simple_impute(plan, res.train_set)
-        res.test_set = impute.simple_impute(plan, res.test_set)
-        return
-    if cfg.impute_method == "knn":
+        fill, p = impute.simple_impute, impute.fit_skew_refined_plan(
+            res.train_set, cfg.skew_threshold, cfg.impute_overrides)
+    elif cfg.impute_method == "knn":
         fill, p = impute.knn_impute, impute.KnnImputeParams(k=cfg.knn_k)
     else:
         fill, p = impute.mice_impute, impute.MiceParams(

@@ -26,6 +26,15 @@ def secom_paths():
     return None
 
 
+def src_env(**env) -> dict:
+    """os.environ with env, and the package's src directory first on
+    PYTHONPATH: a subprocess finds the package on a checkout that is not
+    installed, where pyproject's pythonpath reaches only pytest itself."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, **env,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 SECOM_MISSING_REASON = (
     "canonical SECOM files not found; download secom.data and "
     "secom_labels.data from the UCI repository (dataset 179) into ./data "

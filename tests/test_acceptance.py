@@ -2,7 +2,6 @@
 PASS/FAIL line.  Criteria that need the canonical SECOM files skip with a
 download hint when the files are absent (see conftest.require_secom)."""
 
-import os
 import subprocess
 import sys
 import time
@@ -10,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import require_secom
+from conftest import require_secom, src_env
 from model_checks import gradient_check
 from rareclass.data import Dataset, FeatureMatrix, column_stats, load_secom
 from rareclass.featsel import run_roster, vote
@@ -169,8 +168,7 @@ def test_criterion_08_leakage_and_determinism(tmp_path):
         "from rareclass.pipeline import reproduce\n"
         f"reproduce(2, 7, {str(out3)!r}, {data!r}, {labels!r}, roster='fast')\n"
     )
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env = src_env(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, "-c", script], check=True, env=env)
     threads_ok = all(p.read_bytes() == (out3 / p.name).read_bytes()
                      for p in sorted(out1.iterdir()))

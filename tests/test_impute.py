@@ -70,7 +70,7 @@ class TestSkewRefinement:
         plan = fit_skew_refined_plan(train, skew_threshold=0.2)
         assert plan.strategies == {0: "mean", 1: "mean", 2: "mean"}
         assert plan.fill_values[0] == pytest.approx(2.4)
-        out = simple_impute(plan, train).features.values
+        out = simple_impute(plan, train, n_train=train.n_rows).features.values
         assert np.allclose(out[5:, 0], 2.4)
 
     def test_override_is_never_toggled(self):
@@ -90,21 +90,21 @@ class TestSimpleImpute:
     def test_mean_fill(self):
         d = _ds([[1.0], [np.nan], [3.0]])
         plan = fit_simple_plan(assign_simple_strategies(column_stats(d)), d)
-        out = simple_impute(plan, d)
+        out = simple_impute(plan, d, n_train=d.n_rows)
         assert list(out.features.values[:, 0]) == [1.0, 2.0, 3.0]
 
     def test_median_robust_to_outlier(self):
         d = _ds([[1.0], [1.0], [1.0], [100.0], [np.nan]])
         plan = assign_simple_strategies(column_stats(d))
         plan.override(0, "median")
-        out = simple_impute(fit_simple_plan(plan, d), d)
+        out = simple_impute(fit_simple_plan(plan, d), d, n_train=d.n_rows)
         assert out.features.values[4, 0] == 1.0
 
     def test_forward_fill_boundary_falls_back(self):
         d = _ds([[np.nan], [2.0], [np.nan], [4.0]])
         plan = assign_simple_strategies(column_stats(d))
         plan.override(0, "forward")
-        out = simple_impute(fit_simple_plan(plan, d), d)
+        out = simple_impute(fit_simple_plan(plan, d), d, n_train=d.n_rows)
         # leading gap takes the next value (backward fallback); interior forward
         assert list(out.features.values[:, 0]) == [2.0, 2.0, 2.0, 4.0]
 
@@ -112,14 +112,14 @@ class TestSimpleImpute:
         d = _ds([[0.0], [np.nan], [np.nan], [3.0]])
         plan = assign_simple_strategies(column_stats(d))
         plan.override(0, "linear_interpolation")
-        out = simple_impute(fit_simple_plan(plan, d), d)
+        out = simple_impute(fit_simple_plan(plan, d), d, n_train=d.n_rows)
         assert list(out.features.values[:, 0]) == [0.0, 1.0, 2.0, 3.0]
 
     def test_most_frequent(self):
         d = _ds([[7.0], [7.0], [9.0], [np.nan]])
         plan = assign_simple_strategies(column_stats(d))
         plan.override(0, "most_frequent")
-        out = simple_impute(fit_simple_plan(plan, d), d)
+        out = simple_impute(fit_simple_plan(plan, d), d, n_train=d.n_rows)
         assert out.features.values[3, 0] == 7.0
 
     def test_all_missing_training_column_errors(self):
@@ -131,7 +131,7 @@ class TestSimpleImpute:
     def test_present_cells_bit_identical(self, messy_imbalanced):
         d = messy_imbalanced
         plan = fit_simple_plan(assign_simple_strategies(column_stats(d)), d)
-        out = simple_impute(plan, d)
+        out = simple_impute(plan, d, n_train=d.n_rows)
         mask = d.features.present
         assert np.array_equal(out.features.values[mask], d.features.values[mask])
         assert not np.isnan(out.features.values).any()
@@ -502,14 +502,16 @@ class TestMiceImpute:
         assert abs(scales[0] - direct) <= 4.0 * np.sqrt(np.finfo(float).eps * c_jj / obs.sum())
 
 
-@pytest.mark.parametrize("fill, p", [(knn_impute, KnnImputeParams(k=2)),
-                                     (mice_impute, MiceParams(2))], ids=["knn", "mice"])
-def test_n_train_must_lie_within_the_table(fill, p):
+@pytest.mark.parametrize("method", ["knn", "mice", "simple"])
+def test_n_train_must_lie_within_the_table(method):
     rng = np.random.default_rng(14)
     v = rng.normal(size=(9, 3))
     v[rng.random(v.shape) < 0.2] = np.nan
     v[:3] = rng.normal(size=(3, 3))
     d = _ds(v)
+    fill, p = {"knn": (knn_impute, KnnImputeParams(k=2)), "mice": (mice_impute, MiceParams(2)),
+               "simple": (simple_impute,
+                          fit_simple_plan(assign_simple_strategies(column_stats(d)), d))}[method]
     for n_train in (0, d.n_rows + 1):
         with pytest.raises(ImputeError, match=f"n_train must be in \\[1, 9\\], got {n_train}"):
             fill(p, d, n_train=n_train)
@@ -646,3 +648,29 @@ def test_fill_ordered_matches_the_recursive_reference(seed, n, missing, strategy
         col[n - max(1, n // 3):] = np.nan
     got = _fill_ordered(col.copy(), strategy, -7.5)
     assert got.tobytes() == _reference_fill_ordered(col.copy(), strategy, -7.5).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_train=st.integers(3, 20), n_test=st.integers(1, 20),
+       run=st.integers(1, 6), strategy=st.sampled_from(impute.SIMPLE_STRATEGIES))
+def test_one_stacked_fill_is_the_two_partitions_filled_apart(seed, n_train, n_test, run,
+                                                             strategy):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n_train + n_test, 3))
+    v[rng.random(v.shape) < 0.3] = np.nan
+    # a run of missing cells at both ends of each partition
+    for lo, hi in ((0, n_train), (n_train, n_train + n_test)):
+        k = max(1, min(run, (hi - lo) // 2))
+        v[lo:lo + k] = v[hi - k:hi] = np.nan
+    v[n_train // 2, np.isnan(v[:n_train]).all(axis=0)] = 1.0       # no all-missing training column
+    d = _ds(v)
+    train, test = d.take_rows(np.arange(n_train)), d.take_rows(np.arange(n_train, d.n_rows))
+    plan = assign_simple_strategies(column_stats(train))
+    for cid in plan.strategies:
+        plan.override(cid, strategy)
+    plan = fit_simple_plan(plan, train)
+    got = simple_impute(plan, d, n_train=n_train).features.values
+    apart = [simple_impute(plan, part, n_train=part.n_rows).features.values
+             for part in (train, test)]
+    assert not np.isnan(got).any()
+    assert got.tobytes() == np.vstack(apart).tobytes()

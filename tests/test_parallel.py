@@ -3,11 +3,11 @@ count, no nested pools, no pool where nothing runs in parallel, and worker
 exceptions that reach the caller intact."""
 
 import glob
+import json
 import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from rareclass.config import PipelineConfig
 from rareclass.models import TrainingDiverged
 from rareclass.pipeline import PipelineError, reproduce, run_pipeline
 from rareclass.synth import make_imbalanced, write_secom_like
+from conftest import src_env
 from model_checks import model_bytes, tree_bytes
 
 
@@ -156,14 +157,12 @@ def test_artifacts_are_the_same_at_one_and_two_blas_threads(tmp_path):
         "[data]\ndata_path = s.data\nlabels_path = s.labels\n[impute]\nmethod = mice\n"
         "[featsel]\nroster = fast\n[resample]\nscenario = smote\nover_ratio = 0.7\n"
         "[models]\nfamilies = logistic,linear_svm\n[run]\nout_dir = out\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
     runs = []
     for threads in ("1", "2"):
         # the same relative paths each time: the config digest in report.txt holds them
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         subprocess.run([sys.executable, "-m", "rareclass.cli", "evaluate", "--config", "run.ini"],
-                       cwd=tmp_path, env=env, check=True, capture_output=True)
+                       cwd=tmp_path, env=src_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True)
         runs.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
     assert sorted(runs[0]) == sorted(runs[1]) and len(runs[0]) == 8   # 4 ledgers, 2 roc csv + svg
     assert [name for name in sorted(runs[0]) if runs[0][name] != runs[1][name]] == []
@@ -197,6 +196,44 @@ def test_a_blas_without_thread_control_is_named_once_on_stderr(monkeypatch, caps
     err = capsys.readouterr().err
     name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     assert err.count("\n") == 1 and f"BLAS ({name} " in err and parallel._blas == ()
+
+
+# a pool forked before any run, in a fresh interpreter; "none" hides the
+# bundled OpenBLAS, as a numpy built on another BLAS would
+FRESH_POOL = """
+import glob, json, os, sys
+from rareclass import parallel
+if sys.argv[1] == "none":
+    glob.glob = lambda pattern: []
+def threads(_):
+    calls = parallel._blas_threads()
+    return os.getpid(), calls[1]() if calls else None
+seen = parallel.pmap(threads, [(i,) for i in range(8)])
+print(json.dumps([threads(0), seen]))
+"""
+
+
+def _fresh_pool(blas):
+    proc = subprocess.run([sys.executable, "-c", FRESH_POOL, blas],
+                          env=src_env(OPENBLAS_NUM_THREADS="2"), check=True,
+                          capture_output=True, text=True)
+    return json.loads(proc.stdout), proc.stderr
+
+
+def test_pool_workers_start_at_one_blas_thread():
+    if parallel.workers() < 2 or not parallel._blas_threads():
+        pytest.skip("needs two CPUs and numpy's BLAS thread control")
+    ((main, main_threads), seen), _ = _fresh_pool("bundled")
+    assert all(pid != main for pid, _ in seen)
+    assert (main_threads, [n for _, n in seen]) == (2, [1] * 8)
+
+
+def test_a_blas_without_thread_control_is_named_once_by_a_pool():
+    if parallel.workers() < 2:
+        pytest.skip("needs two CPUs")
+    ((main, _), seen), err = _fresh_pool("none")
+    assert all(pid != main for pid, _ in seen)
+    assert err.count("thread control") == 1
 
 
 def _pid(_):
